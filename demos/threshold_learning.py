@@ -7,12 +7,12 @@ feedback says escalations were wasted, then flatten as the learning
 rate decays and the remaining escalations start earning their cost.
 """
 
-from fedhlm import Stage, default_config, lr_schedule, run_simulation
+from fedhlm import Stage, default_config, lr_schedule, run
 
 
 def main() -> None:
     cfg = default_config()
-    report = run_simulation(cfg)
+    report = run(cfg)
 
     print(f"{'round':>5} {'lr':>8} {'global threshold':>17} {'escalated':>10}")
     for rnd in report.rounds:

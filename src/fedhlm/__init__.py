@@ -27,13 +27,10 @@ from .engine import (
     default_config,
     resolve_token,
     run,
-    run_baseline,
     run_round,
-    run_simulation,
     substream,
 )
 from .federation import (
-    AggregationReport,
     AllWeightsZero,
     ClusterTopology,
     PartitionSpec,

@@ -94,7 +94,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.mode == MODE_FEDHLM:
         raise InvalidValue("run.mode", "baseline needs --mode rand or --mode uhlm")
-    report = engine.run_baseline(cfg)
+    report = engine.run(cfg)
     _write_outputs(cfg, report, args.out_dir)
     print(summarize(report))
     return 0

@@ -44,7 +44,6 @@ _INT_KEYS = {
     "topology.num_clients",
     "topology.num_clusters",
     "partition.num_classes",
-    "partition.tokens_per_client",
     "profile.vocab_size",
     "sampler.num_samples",
     "peer.embedding_dim",
@@ -72,10 +71,6 @@ _FLOAT_KEYS = {
     "peer.edge_threshold",
     "cost.c_p2p",
     "cost.c_llm",
-    "cost.c_uplink",
-    "cost.tau_slm",
-    "cost.tau_llm",
-    "cost.tau_uplink",
     "cost.p_hit_prior",
     "run.initial_threshold",
     "run.p_offload",
@@ -218,7 +213,6 @@ def _build(values: dict[str, str]) -> SimulationConfig:
         [
             ("partition.dirichlet_alpha", "dirichlet_alpha", _get_float, defaults.partition.dirichlet_alpha),
             ("partition.num_classes", "num_classes", _get_int, defaults.partition.num_classes),
-            ("partition.tokens_per_client", "tokens_per_client", _get_int, defaults.partition.tokens_per_client),
         ],
     )
     profile = gather(
@@ -266,10 +260,6 @@ def _build(values: dict[str, str]) -> SimulationConfig:
         [
             ("cost.c_p2p", "c_p2p", _get_float, defaults.cost.c_p2p),
             ("cost.c_llm", "c_llm", _get_float, defaults.cost.c_llm),
-            ("cost.c_uplink", "c_uplink", _get_float, defaults.cost.c_uplink),
-            ("cost.tau_slm", "tau_slm", _get_float, defaults.cost.tau_slm),
-            ("cost.tau_llm", "tau_llm", _get_float, defaults.cost.tau_llm),
-            ("cost.tau_uplink", "tau_uplink", _get_float, defaults.cost.tau_uplink),
             ("cost.p_hit_window", "p_hit_window", _get_int, defaults.cost.p_hit_window),
             ("cost.p_hit_prior", "p_hit_prior", _get_float, defaults.cost.p_hit_prior),
         ],
@@ -341,7 +331,6 @@ def config_to_text(cfg: SimulationConfig) -> str:
         ("topology.assignment", assignment),
         ("partition.dirichlet_alpha", cfg.partition.dirichlet_alpha),
         ("partition.num_classes", cfg.partition.num_classes),
-        ("partition.tokens_per_client", cfg.partition.tokens_per_client),
         ("profile.vocab_size", cfg.profile.vocab.size),
         ("profile.agreement", cfg.profile.agreement),
         ("profile.slm_sharpness", cfg.profile.slm_sharpness),
@@ -359,10 +348,6 @@ def config_to_text(cfg: SimulationConfig) -> str:
         ("peer.cache_capacity", cfg.cache_capacity),
         ("cost.c_p2p", cfg.cost.c_p2p),
         ("cost.c_llm", cfg.cost.c_llm),
-        ("cost.c_uplink", cfg.cost.c_uplink),
-        ("cost.tau_slm", cfg.cost.tau_slm),
-        ("cost.tau_llm", cfg.cost.tau_llm),
-        ("cost.tau_uplink", cfg.cost.tau_uplink),
         ("cost.p_hit_window", cfg.cost.p_hit_window),
         ("cost.p_hit_prior", cfg.cost.p_hit_prior),
         ("run.rounds", cfg.rounds),

@@ -18,15 +18,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CostModel:
-    """Unit costs. The latency and uplink fields are carried into reports
-    but play no part in routing decisions."""
+    """Relay and cloud prices per escalated token, and the window and prior
+    of the lateral hit-rate estimate."""
 
     c_p2p: float = 1.0
     c_llm: float = 4.0
-    c_uplink: float = 0.0
-    tau_slm: float = 0.0
-    tau_llm: float = 0.0
-    tau_uplink: float = 0.0
     p_hit_window: int = 50
     p_hit_prior: float = 0.5
 

@@ -1,12 +1,15 @@
 """Round-based simulation of uncertainty-gated token routing.
 
-Each round every client predicts a fixed number of tokens. A token whose
-uncertainty clears the client's threshold stays on device. Otherwise the
-client opportunistically tries its semantic cache and then peer consensus,
-falls back to edge validation, and finally asks the cloud model to
-adjudicate. Cloud feedback drives one threshold-learning step per client per
-round, followed by cluster-weighted and global averaging with a broadcast
-back to every client.
+Each round every client predicts a fixed number of tokens, and every token
+takes one path, resolve_token. A gate first decides whether the token
+escalates; a token that does not stays on device. In the learned `fedhlm`
+mode an escalated token opportunistically tries the client's semantic cache
+and then peer consensus, falls back to edge validation, and finally asks the
+cloud model to adjudicate. The `uhlm` (static threshold) and `rand` (coin
+flip) baselines differ only in the gate and send every escalated token
+straight to the cloud. In `fedhlm` mode cloud feedback drives one
+threshold-learning step per client per round, followed by cluster-weighted
+and global averaging with a broadcast back to every client.
 
 All randomness flows from one seed through named per-client, per-round
 streams, so reruns are bit-identical and clients may execute in parallel
@@ -25,7 +28,6 @@ import numpy as np
 from .adjudication import llm_adjudicate
 from .costs import CostModel, PHitEstimator, should_attempt_p2p
 from .federation import (
-    AggregationReport,
     AllWeightsZero,
     ClusterTopology,
     PartitionSpec,
@@ -222,7 +224,6 @@ class SimulationReport:
     config: SimulationConfig
     rounds: list[RoundReport]
     client_metrics: dict[int, ClientMetrics]
-    aggregation: list[AggregationReport]
 
     def outcome_totals(self) -> dict[Stage, int]:
         totals = {stage: 0 for stage in Stage}
@@ -336,11 +337,11 @@ def _draw_modes(state: SimulationState, client: ClientState, rng: np.random.Gene
     return modes
 
 
-def _score(state: SimulationState, dist: TokenDistribution, rng: np.random.Generator) -> float:
-    cfg = state.cfg
+def _score(cfg: SimulationConfig, dist: TokenDistribution, rng: np.random.Generator) -> float:
     if cfg.uncertainty_kind == KIND_ENTROPY:
-        # Normalized by ln(V) so the score is comparable with thresholds in [0, 1].
-        return entropy_score(dist).value / math.log(cfg.profile.vocab.size)
+        # Normalized by ln(V) so the score is comparable with thresholds in
+        # [0, 1]; a uniform row can round to just above 1.
+        return min(entropy_score(dist).value / math.log(cfg.profile.vocab.size), 1.0)
     return mc_disagreement(dist, cfg.sampler, rng).value
 
 
@@ -363,7 +364,7 @@ def _generate_workload(state: SimulationState, client: ClientState, round_index:
             llm_list.append(step.llm)
             reference[t] = step.reference_token
             predicted[t] = argmax_token(step.slm)
-            uncertainty[t] = _score(state, step.slm, rng)
+            uncertainty[t] = _score(cfg, step.slm, rng)
     else:
         modes = _draw_modes(state, client, rng)
         # A weaker small model sometimes lands on the wrong token entirely,
@@ -378,7 +379,7 @@ def _generate_workload(state: SimulationState, client: ClientState, round_index:
             slm_list.append(slm)
             llm_list.append(llm)
             predicted[t] = argmax_token(slm)
-            uncertainty[t] = _score(state, slm, rng)
+            uncertainty[t] = _score(cfg, slm, rng)
     return _Workload(slm_list, llm_list, predicted, uncertainty, reference)
 
 
@@ -429,24 +430,30 @@ def resolve_token(
     cfg: SimulationConfig,
     rng: np.random.Generator,
     stats: ClientRoundStats,
-    uncertainty: float | None = None,
+    uncertainty: float,
     reference_token: int | None = None,
 ) -> TokenOutcome:
-    """Route one token through the retain / cache / consensus / edge / cloud pipeline."""
-    predicted = argmax_token(slm)
-    if uncertainty is None:
-        uncertainty = _score_standalone(slm, cfg, rng)
-    emb_row = embedding_matrix(cfg.profile.vocab, cfg.peer)
+    """Route one token through the gate / cache / consensus / edge / cloud pipeline.
 
-    if uncertainty <= client.threshold:
-        final = predicted
-        outcome = TokenOutcome(Stage.LOCAL, final, 0.0, uncertainty, _is_correct(final, llm, reference_token))
-        _note_outcome(client, outcome)
-        return outcome
+    The gate escalates on a coin flip with probability cfg.p_offload in
+    `rand` mode and when uncertainty exceeds the client's threshold
+    otherwise. Only `fedhlm` mode tries the lateral tiers; the baselines
+    take every escalated token straight to the cloud.
+    """
+    predicted = argmax_token(slm)
+    target = reference_token if reference_token is not None else argmax_token(llm)
+    if cfg.mode == MODE_RAND:
+        escalate = rng.random() < cfg.p_offload
+    else:
+        escalate = uncertainty > client.threshold
+    if not escalate:
+        return _settle(client, Stage.LOCAL, predicted, 0.0, uncertainty, target)
 
     stats.transmitted_count += 1
     cost = cfg.cost
-    attempted = should_attempt_p2p(client.estimator.estimate(), cost)
+    lateral = cfg.mode == MODE_FEDHLM
+    emb_row = embedding_matrix(cfg.profile.vocab, cfg.peer)
+    attempted = lateral and should_attempt_p2p(client.estimator.estimate(), cost)
     if attempted:
         client.p2p_attempts += 1
         own = Embedding(emb_row[predicted])
@@ -454,82 +461,46 @@ def resolve_token(
         if hit.token is not None:
             client.estimator.record(True)
             client.p2p_successes += 1
-            final = hit.token
-            outcome = TokenOutcome(
-                Stage.P2P,
-                final,
-                cost.c_p2p,
-                uncertainty,
-                _is_correct(final, llm, reference_token),
-                p2p_attempted=True,
-            )
-            _note_outcome(client, outcome)
-            return outcome
+            return _settle(client, Stage.P2P, hit.token, cost.c_p2p, uncertainty, target, p2p_attempted=True)
         if peer_consensus(own, peer_embeddings, cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
             client.estimator.record(True)
             client.p2p_successes += 1
             client.cache.insert(own, predicted)
-            outcome = TokenOutcome(
-                Stage.P2P,
-                predicted,
-                cost.c_p2p,
-                uncertainty,
-                _is_correct(predicted, llm, reference_token),
-                p2p_attempted=True,
-            )
-            _note_outcome(client, outcome)
-            return outcome
+            return _settle(client, Stage.P2P, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
         client.estimator.record(False)
         if edge_validate(own, edge_centroids, cfg.peer) is EdgeDecision.ACCEPT:
             client.cache.insert(own, predicted)
-            outcome = TokenOutcome(
-                Stage.EDGE,
-                predicted,
-                cost.c_p2p,
-                uncertainty,
-                _is_correct(predicted, llm, reference_token),
-                p2p_attempted=True,
-            )
-            _note_outcome(client, outcome)
-            return outcome
+            return _settle(client, Stage.EDGE, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
 
     result = llm_adjudicate(slm, llm, predicted, rng)
     final = result.final_token
-    client.cache.insert(Embedding(emb_row[final]), final)
+    if lateral:
+        client.cache.insert(Embedding(emb_row[final]), final)
     client.llm_tokens += 1
     stats.feedback.append(
         RejectionFeedback(uncertainty=uncertainty, rejection_prob=result.rejection_prob, token=predicted)
     )
     charged = cost.c_p2p + cost.c_llm if attempted else cost.c_llm
-    outcome = TokenOutcome(
-        Stage.LLM,
-        final,
-        charged,
-        uncertainty,
-        _is_correct(final, llm, reference_token),
-        rejection_prob=result.rejection_prob,
-        p2p_attempted=attempted,
-    )
-    _note_outcome(client, outcome)
-    return outcome
+    return _settle(client, Stage.LLM, final, charged, uncertainty, target, result.rejection_prob, attempted)
 
 
-def _score_standalone(slm: TokenDistribution, cfg: SimulationConfig, rng: np.random.Generator) -> float:
-    if cfg.uncertainty_kind == KIND_ENTROPY:
-        return entropy_score(slm).value / math.log(cfg.profile.vocab.size)
-    return mc_disagreement(slm, cfg.sampler, rng).value
-
-
-def _is_correct(final: int, llm: TokenDistribution, reference: int | None) -> bool:
-    target = reference if reference is not None else argmax_token(llm)
-    return final == target
-
-
-def _note_outcome(client: ClientState, outcome: TokenOutcome) -> None:
-    client.accepted_tokens.append(outcome.final_token)
+def _settle(
+    client: ClientState,
+    stage: Stage,
+    final: int,
+    charged: float,
+    uncertainty: float,
+    target: int,
+    rejection_prob: float | None = None,
+    p2p_attempted: bool = False,
+) -> TokenOutcome:
+    """Build one token's outcome and book it on the client; target is the token counted correct."""
+    outcome = TokenOutcome(stage, final, charged, uncertainty, final == target, rejection_prob, p2p_attempted)
+    client.accepted_tokens.append(final)
     client.total_tokens += 1
     if outcome.correct:
         client.correct_tokens += 1
+    return outcome
 
 
 def _resolve_client_round(
@@ -542,65 +513,25 @@ def _resolve_client_round(
     cfg = state.cfg
     rng = substream(cfg.seed, _TAG_RESOLVE, client.client_id, round_index)
     stats = ClientRoundStats(client_id=client.client_id)
+    # The baselines never look at peers, so they get no peer or edge views.
+    lateral = cfg.mode == MODE_FEDHLM
     outcomes: list[TokenOutcome] = []
     for t in range(cfg.tokens_per_client):
-        reference = int(workload.reference[t]) if workload.reference is not None else None
-        if cfg.mode == MODE_FEDHLM:
-            outcome = resolve_token(
+        outcomes.append(
+            resolve_token(
                 client,
                 workload.slm[t],
                 workload.llm[t],
-                view.peer_embeddings(client.client_id, client.cluster_id, t),
-                view.edge_centroids(client.cluster_id, t),
+                view.peer_embeddings(client.client_id, client.cluster_id, t) if lateral else [],
+                view.edge_centroids(client.cluster_id, t) if lateral else [],
                 cfg,
                 rng,
                 stats,
-                uncertainty=float(workload.uncertainty[t]),
-                reference_token=reference,
+                float(workload.uncertainty[t]),
+                int(workload.reference[t]) if workload.reference is not None else None,
             )
-        else:
-            outcome = _resolve_baseline(state, client, workload, t, rng, stats, reference)
-        outcomes.append(outcome)
+        )
     return outcomes, stats
-
-
-def _resolve_baseline(
-    state: SimulationState,
-    client: ClientState,
-    workload: _Workload,
-    t: int,
-    rng: np.random.Generator,
-    stats: ClientRoundStats,
-    reference: int | None,
-) -> TokenOutcome:
-    cfg = state.cfg
-    slm, llm = workload.slm[t], workload.llm[t]
-    predicted = int(workload.predicted[t])
-    u = float(workload.uncertainty[t])
-    if cfg.mode == MODE_RAND:
-        offload = rng.random() < cfg.p_offload
-    else:
-        offload = u > cfg.static_threshold
-    if not offload:
-        outcome = TokenOutcome(Stage.LOCAL, predicted, 0.0, u, _is_correct(predicted, llm, reference))
-        _note_outcome(client, outcome)
-        return outcome
-    stats.transmitted_count += 1
-    result = llm_adjudicate(slm, llm, predicted, rng)
-    client.llm_tokens += 1
-    stats.feedback.append(
-        RejectionFeedback(uncertainty=u, rejection_prob=result.rejection_prob, token=predicted)
-    )
-    outcome = TokenOutcome(
-        Stage.LLM,
-        result.final_token,
-        cfg.cost.c_llm,
-        u,
-        _is_correct(result.final_token, llm, reference),
-        rejection_prob=result.rejection_prob,
-    )
-    _note_outcome(client, outcome)
-    return outcome
 
 
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
@@ -700,8 +631,10 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     return report
 
 
-def _finish(state: SimulationState, rounds: list[RoundReport]) -> SimulationReport:
-    cfg = state.cfg
+def run(cfg: SimulationConfig) -> SimulationReport:
+    """Run cfg.rounds rounds of the policy cfg.mode selects."""
+    state = SimulationState(cfg)
+    rounds = [run_round(state, r) for r in range(cfg.rounds)]
     metrics: dict[int, ClientMetrics] = {}
     for client in state.clients:
         entropy = client_token_entropy(client.accepted_tokens, cfg.profile.vocab)
@@ -712,37 +645,4 @@ def _finish(state: SimulationState, rounds: list[RoundReport]) -> SimulationRepo
             llm_token_count=client.llm_tokens,
             accuracy=client.correct_tokens / client.total_tokens,
         )
-    aggregation = [
-        AggregationReport(
-            round_index=r.round_index,
-            cluster_thresholds=r.cluster_thresholds,
-            global_threshold=r.global_threshold,
-        )
-        for r in rounds
-    ]
-    return SimulationReport(cfg, rounds, metrics, aggregation)
-
-
-def run_simulation(cfg: SimulationConfig) -> SimulationReport:
-    """Run the learned-threshold pipeline for cfg.rounds rounds."""
-    if cfg.mode != MODE_FEDHLM:
-        raise ConfigInvalid(f"run_simulation handles mode '{MODE_FEDHLM}'; use run_baseline for {cfg.mode!r}")
-    state = SimulationState(cfg)
-    rounds = [run_round(state, r) for r in range(cfg.rounds)]
-    return _finish(state, rounds)
-
-
-def run_baseline(cfg: SimulationConfig) -> SimulationReport:
-    """Run a non-learning baseline: random offloading or a static threshold."""
-    if cfg.mode == MODE_FEDHLM:
-        raise ConfigInvalid("run_baseline requires mode 'rand' or 'uhlm'")
-    state = SimulationState(cfg)
-    rounds = [run_round(state, r) for r in range(cfg.rounds)]
-    return _finish(state, rounds)
-
-
-def run(cfg: SimulationConfig) -> SimulationReport:
-    """Dispatch to run_simulation or run_baseline based on cfg.mode."""
-    if cfg.mode == MODE_FEDHLM:
-        return run_simulation(cfg)
-    return run_baseline(cfg)
+    return SimulationReport(cfg, rounds, metrics)

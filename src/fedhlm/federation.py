@@ -68,22 +68,12 @@ class PartitionSpec:
 
     dirichlet_alpha: float = 10.0
     num_classes: int = 4
-    tokens_per_client: int = 30
 
     def __post_init__(self) -> None:
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if self.tokens_per_client < 1:
-            raise ValueError("tokens_per_client must be >= 1")
-
-
-@dataclass(frozen=True)
-class AggregationReport:
-    round_index: int
-    cluster_thresholds: tuple[float, ...]
-    global_threshold: float
 
 
 def dirichlet_partition(

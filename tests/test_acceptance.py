@@ -23,7 +23,7 @@ from fedhlm.costs import (
     fit_cache_alpha,
     should_attempt_p2p,
 )
-from fedhlm.engine import Stage, default_config, run_baseline, run_simulation
+from fedhlm.engine import Stage, default_config, run
 from fedhlm.federation import cluster_aggregate, global_aggregate
 from fedhlm.model_source import TokenDistribution, VocabSpec
 from fedhlm.peers import Embedding, PeerConfig, TokenCache, embedding_matrix
@@ -39,14 +39,14 @@ def check(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def default_run():
     start = time.monotonic()
-    report = run_simulation(default_config())
+    report = run(default_config())
     return report, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def uhlm_run():
     start = time.monotonic()
-    report = run_baseline(default_config(mode="uhlm"))
+    report = run(default_config(mode="uhlm"))
     return report, time.monotonic() - start
 
 
@@ -190,7 +190,7 @@ def test_criterion_5_non_iid_trend():
     for alpha in (10.0, 1.0, 0.1):
         cfg = default_config()
         cfg = replace(cfg, partition=replace(cfg.partition, dirichlet_alpha=alpha))
-        report = run_simulation(cfg)
+        report = run(cfg)
         totals = report.outcome_totals()
         total = report.total_tokens()
         fractions.append((totals[Stage.LOCAL] / total, totals[Stage.LLM] / total))
@@ -282,8 +282,8 @@ def test_criterion_9_conservation_and_determinism(tmp_path, default_run, uhlm_ru
         sum(rnd.outcome_counts.values()) == per_round for rnd in fed.rounds + uhlm.rounds
     )
 
-    rerun = run_simulation(cfg)
-    parallel = run_simulation(replace(cfg, workers=4))
+    rerun = run(cfg)
+    parallel = run(replace(cfg, workers=4))
     paths = {}
     for name, report in (("base", fed), ("rerun", rerun), ("parallel", parallel)):
         emit_metrics_csv(report, tmp_path / f"{name}.csv")

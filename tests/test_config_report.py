@@ -19,7 +19,7 @@ from fedhlm.engine import (
     SimulationReport,
     Stage,
     default_config,
-    run_simulation,
+    run,
 )
 from fedhlm.federation import ClusterTopology
 from fedhlm.reporting import (
@@ -72,6 +72,13 @@ def test_unknown_key_rejected():
     with pytest.raises(InvalidValue) as err:
         parse_config_text("run.banana = 3")
     assert err.value.key == "run.banana"
+
+
+def test_keys_that_did_nothing_are_unknown():
+    for key in ("partition.tokens_per_client", "cost.c_uplink", "cost.tau_slm", "cost.tau_llm", "cost.tau_uplink"):
+        with pytest.raises(InvalidValue, match="unknown configuration key") as err:
+            parse_config_text(f"{key} = 1")
+        assert err.value.key == key
 
 
 def test_malformed_line_rejected():
@@ -181,7 +188,7 @@ def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationRepor
         rejection_rate=0.0,
         llm_after_p2p=0,
     )
-    return SimulationReport(default_config(), [rnd], {}, [])
+    return SimulationReport(default_config(), [rnd], {})
 
 
 def test_trr_endpoints():
@@ -206,7 +213,7 @@ def test_round_trr_matches_whole_run_on_single_round():
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_simulation(tiny_config())
+    return run(tiny_config())
 
 
 def test_metrics_csv_layout(tmp_path, tiny_report):
@@ -221,7 +228,7 @@ def test_metrics_csv_layout(tmp_path, tiny_report):
 
 def test_metrics_csv_byte_stable(tmp_path):
     cfg = tiny_config()
-    first, second = run_simulation(cfg), run_simulation(cfg)
+    first, second = run(cfg), run(cfg)
     emit_metrics_csv(first, tmp_path / "one.csv")
     emit_metrics_csv(second, tmp_path / "two.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()

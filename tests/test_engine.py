@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedhlm.cli import main
 from fedhlm.costs import CostModel, PHitEstimator
 from fedhlm.engine import (
     ClientState,
@@ -15,16 +16,15 @@ from fedhlm.engine import (
     SimulationState,
     Stage,
     TokenOutcome,
+    _score,
     client_token_entropy,
     default_config,
     resolve_token,
     run,
-    run_baseline,
     run_round,
-    run_simulation,
     substream,
 )
-from fedhlm.federation import ClusterTopology
+from fedhlm.federation import ClusterTopology, PartitionSpec
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
@@ -220,8 +220,41 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     assert len(client.cache) == 1
 
 
+@pytest.mark.parametrize("mode", ["uhlm", "rand"])
+def test_baseline_gates_skip_the_lateral_tiers(mode):
+    # A primed cache and an aligned peer would resolve this token in fedhlm mode.
+    cfg = small_config(mode=mode, p_offload=1.0)
+    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
+    slm, llm = crafted_pair(cfg, mode=3)
+    predicted = argmax_token(slm)
+    own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
+    client.cache.insert(own, predicted)
+    stats = ClientRoundStats(client_id=0)
+    outcome = resolve_token(
+        client, slm, llm, [own], [own], cfg, np.random.default_rng(6), stats, uncertainty=0.9
+    )
+    assert outcome.stage is Stage.LLM
+    assert outcome.p2p_attempted is False
+    assert outcome.charged_cost == cfg.cost.c_llm
+    assert client.p2p_attempts == 0
+    assert len(client.cache) == 1  # the cloud's final token is not cached
+    assert stats.transmitted_count == 1 and len(stats.feedback) == 1
+
+
+def test_rand_gate_ignores_uncertainty():
+    cfg = small_config(mode="rand", p_offload=0.0)
+    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
+    slm, llm = crafted_pair(cfg, mode=2)
+    stats = ClientRoundStats(client_id=0)
+    outcome = resolve_token(
+        client, slm, llm, [], [], cfg, np.random.default_rng(7), stats, uncertainty=1.0
+    )
+    assert outcome.stage is Stage.LOCAL
+    assert stats.transmitted_count == 0
+
+
 def test_round_conservation_and_cost_consistency():
-    report = run_simulation(small_config())
+    report = run(small_config())
     cfg = small_config()
     for rnd in report.rounds:
         counts = rnd.outcome_counts
@@ -238,7 +271,7 @@ def test_round_conservation_and_cost_consistency():
 
 
 def test_broadcast_thresholds_are_uniform():
-    report = run_simulation(small_config())
+    report = run(small_config())
     for rnd in report.rounds:
         after = set(rnd.thresholds_after.values())
         assert len(after) == 1
@@ -253,8 +286,8 @@ def test_broadcast_thresholds_are_uniform():
 
 def test_simulation_determinism_across_runs(tmp_path):
     cfg = small_config()
-    a = run_simulation(cfg)
-    b = run_simulation(cfg)
+    a = run(cfg)
+    b = run(cfg)
     for name, rep in (("a", a), ("b", b)):
         emit_metrics_csv(rep, tmp_path / f"{name}.csv")
         emit_trace(rep, tmp_path / f"{name}.jsonl")
@@ -263,8 +296,8 @@ def test_simulation_determinism_across_runs(tmp_path):
 
 
 def test_parallel_execution_matches_serial(tmp_path):
-    serial = run_simulation(small_config())
-    parallel = run_simulation(small_config(workers=3))
+    serial = run(small_config())
+    parallel = run(small_config(workers=3))
     emit_metrics_csv(serial, tmp_path / "serial.csv")
     emit_metrics_csv(parallel, tmp_path / "parallel.csv")
     emit_trace(serial, tmp_path / "serial.jsonl")
@@ -292,8 +325,8 @@ def test_trace_driven_workload(tmp_path):
         trace_path=str(path),
         seed=5,
     )
-    first = run_simulation(cfg)
-    second = run_simulation(cfg)
+    first = run(cfg)
+    second = run(cfg)
     assert first.total_tokens() == 40
     for rnd_a, rnd_b in zip(first.rounds, second.rounds):
         assert rnd_a.outcome_counts == rnd_b.outcome_counts
@@ -301,7 +334,7 @@ def test_trace_driven_workload(tmp_path):
 
 
 def test_uhlm_baseline_never_uses_peers():
-    report = run_baseline(small_config(mode="uhlm", static_threshold=0.25))
+    report = run(small_config(mode="uhlm", static_threshold=0.25))
     totals = report.outcome_totals()
     assert totals[Stage.P2P] == 0
     assert totals[Stage.EDGE] == 0
@@ -314,7 +347,7 @@ def test_uhlm_baseline_never_uses_peers():
 def test_rand_baseline_offload_rate_matches_binomial_oracle():
     # Oracle: each of the 18,000 tokens offloads independently with
     # p = 0.7, so the count concentrates near 12,600 with sigma ~ 61.
-    report = run_baseline(default_config(mode="rand", p_offload=0.7))
+    report = run(default_config(mode="rand", p_offload=0.7))
     totals = report.outcome_totals()
     assert report.total_tokens() == 18_000
     assert totals[Stage.P2P] == 0 and totals[Stage.EDGE] == 0
@@ -322,24 +355,56 @@ def test_rand_baseline_offload_rate_matches_binomial_oracle():
 
 
 def test_mode_dispatch_guards():
-    with pytest.raises(ConfigInvalid):
-        run_simulation(small_config(mode="uhlm"))
-    with pytest.raises(ConfigInvalid):
-        run_baseline(small_config())
     assert run(small_config()).config.mode == "fedhlm"
     assert run(small_config(mode="rand")).config.mode == "rand"
 
 
 def test_entropy_scoring_mode_runs():
-    report = run_simulation(small_config(uncertainty_kind="entropy"))
+    report = run(small_config(uncertainty_kind="entropy"))
     for rnd in report.rounds:
         for outcomes in rnd.outcomes.values():
             for outcome in outcomes:
                 assert 0.0 <= outcome.uncertainty <= 1.0
 
 
+def test_entropy_score_of_uniform_rows_stays_in_unit_interval():
+    # ln(V) / ln(V) rounds to 1.0000000000000002 for hundreds of V in this range.
+    rng = np.random.default_rng(0)
+    for size in range(2, 2000):
+        cfg = small_config(
+            uncertainty_kind="entropy",
+            profile=ModelProfile(vocab=VocabSpec(size)),
+            partition=PartitionSpec(num_classes=2),
+        )
+        assert _score(cfg, TokenDistribution(np.full(size, 1.0 / size)), rng) <= 1.0, size
+
+
+def test_entropy_mode_escalates_uniform_trace_rows_to_the_cloud(tmp_path, capsys):
+    vocab = VocabSpec(12)
+    rng = np.random.default_rng(3)
+    steps = []
+    for _ in range(20):
+        llm = rng.dirichlet(np.full(vocab.size, 0.6))
+        uniform = TokenDistribution(np.full(vocab.size, 1.0 / vocab.size))
+        steps.append(TraceStep(int(llm.argmax()), uniform, TokenDistribution(llm)))
+    trace_path = tmp_path / "uniform.trace"
+    save_logit_trace(trace_path, LogitTrace(vocab, steps))
+    cfg_path = tmp_path / "run.cfg"
+    # c_p2p near c_llm keeps the estimator from trying peers, so every
+    # escalated token reaches cloud feedback with its score.
+    cfg_path.write_text(
+        "profile.vocab_size = 12\n"
+        "run.uncertainty_kind = entropy\n"
+        "cost.c_p2p = 3.9\n"
+        f"run.trace_path = {trace_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "llm=18000 (100.0%)" in capsys.readouterr().out
+
+
 def test_client_metrics_populated():
-    report = run_simulation(small_config())
+    report = run(small_config())
     assert set(report.client_metrics) == set(range(6))
     for metrics in report.client_metrics.values():
         assert 0.0 <= metrics.token_entropy <= 1.0
@@ -349,11 +414,9 @@ def test_client_metrics_populated():
 
 
 def test_aggregation_reports_align_with_rounds():
-    report = run_simulation(small_config())
-    assert len(report.aggregation) == len(report.rounds)
-    for agg, rnd in zip(report.aggregation, report.rounds):
-        assert agg.global_threshold == rnd.global_threshold
-        assert agg.cluster_thresholds == rnd.cluster_thresholds
-        assert agg.global_threshold == pytest.approx(
-            math.fsum(agg.cluster_thresholds) / len(agg.cluster_thresholds)
+    report = run(small_config())
+    for rnd in report.rounds:
+        assert len(rnd.cluster_thresholds) == small_config().topology.num_clusters
+        assert rnd.global_threshold == pytest.approx(
+            math.fsum(rnd.cluster_thresholds) / len(rnd.cluster_thresholds)
         )
