@@ -1,10 +1,17 @@
-"""Golden outputs of the stock configuration.
+"""Golden outputs of the stock configuration and of a lateral-tier config.
 
 The sha256 of each byte-stable output file is pinned, so any change to the
 RNG stream, the routing decisions or the file layout shows up here. The
 `uhlm` baseline sends 8,454 tokens through cloud adjudication, so its pins
 are the ones a changed resample draw would break; the `rand` pins fix the
 coin-flip gate, which draws one uniform per token before adjudication.
+
+The stock run settles almost nothing at the peer or edge tier, so the
+lateral pin uses a config where both accept: 24 clients in 6 clusters, a
+near-frozen threshold, a steep Zipf draw (peers often predict the same
+token) and a lower edge threshold. It gives 6 consensus accepts, 61 edge
+accepts and 1,079 p2p tokens, and must give the same bytes for any worker
+count.
 """
 
 import hashlib
@@ -28,11 +35,39 @@ GOLDEN = {
     },
 }
 
+LATERAL_CONFIG = """\
+topology.num_clients = 24
+topology.num_clusters = 6
+learner.eta0 = 0.001
+run.rounds = 4
+run.zipf_exponent = 4.0
+peer.edge_threshold = 0.6
+"""
+
+LATERAL_GOLDEN = {
+    "metrics.csv": "f6fceb32e7ae96325387891f8376ef4fd66f14c905e86e59c498fd12ca4eb5b6",
+    "trace.jsonl": "36e50ec9733e689d8ca566b41bba6fc30714affecdf72162d9c6c0543e8acea1",
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
 
 @pytest.mark.parametrize("command", list(GOLDEN), ids=lambda c: c[-1])
 def test_stock_outputs_match_golden_hashes(command, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*command, "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[command]}
-    assert digests == GOLDEN[command]
+    assert _digests(out, GOLDEN[command]) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_lateral_outputs_match_golden_hashes(workers, tmp_path, capsys):
+    cfg_path = tmp_path / "lateral.cfg"
+    cfg_path.write_text(LATERAL_CONFIG + f"run.workers = {workers}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert _digests(out, LATERAL_GOLDEN) == LATERAL_GOLDEN
+    assert "p2p=1079 " in summary and "edge=61 " in summary
