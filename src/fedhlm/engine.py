@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -315,6 +317,11 @@ class SimulationState:
         self.cluster_members = [
             cfg.topology.members(c) for c in range(cfg.topology.num_clusters)
         ]
+        # Each client's cluster peers, in cluster order, for one-gather peer views.
+        self.peer_indices = [
+            np.array([m for m in self.cluster_members[c.cluster_id] if m != c.client_id], dtype=np.intp)
+            for c in self.clients
+        ]
         self.round_index = 0
 
 
@@ -388,45 +395,47 @@ class _PeerView:
 
     Clients publish the embedding of their predicted token at every
     timestep, local or not, so peers and the edge tier always have a
-    same-timestep snapshot to compare against.
+    same-timestep snapshot to compare against. The view holds the round's
+    (clients, T) matrix of predicted tokens and every cluster's centroid at
+    every timestep, computed once when the round starts; nothing in it
+    changes afterwards, so client threads share it safely. The per-token
+    views are built on demand: a client's peer rows only when one of its
+    tokens reaches peer consensus, and the neighbour centroid list only
+    when consensus escalates.
     """
 
     def __init__(self, state: SimulationState, workloads: dict[int, _Workload]):
         self._emb = state.embeddings
-        self._members = state.cluster_members
-        self._predicted = {cid: wl.predicted for cid, wl in workloads.items()}
-        self._cluster_means: dict[tuple[int, int], Embedding | None] = {}
-
-    def peer_embeddings(self, client_id: int, cluster_id: int, t: int) -> list[Embedding]:
-        return [
-            Embedding(self._emb[self._predicted[peer][t]])
-            for peer in self._members[cluster_id]
-            if peer != client_id
+        self._peers = state.peer_indices
+        self._predicted = np.stack([workloads[c.client_id].predicted for c in state.clients])
+        # A cluster mean that cancels to zero has no direction to compare with.
+        self._centroids = [
+            [
+                Embedding(mean) if float(np.linalg.norm(mean)) > 1e-12 else None
+                for mean in self._emb[self._predicted[members]].mean(axis=0)
+            ]
+            for members in state.cluster_members
         ]
 
+    def peer_embeddings(self, client_id: int, t: int) -> np.ndarray:
+        """(peers, d) rows: the embeddings of the client's cluster peers' tokens at t."""
+        return self._emb[self._predicted[self._peers[client_id], t]]
+
     def edge_centroids(self, cluster_id: int, t: int) -> list[Embedding]:
-        centroids = []
-        for other in range(len(self._members)):
-            if other == cluster_id:
-                continue
-            key = (other, t)
-            if key not in self._cluster_means:
-                rows = self._emb[[self._predicted[m][t] for m in self._members[other]]]
-                mean = rows.mean(axis=0)
-                norm = float(np.linalg.norm(mean))
-                self._cluster_means[key] = Embedding(mean) if norm > 1e-12 else None
-            cached = self._cluster_means[key]
-            if cached is not None:
-                centroids.append(cached)
-        return centroids
+        """Every other cluster's centroid at t, skipping those that cancelled to zero."""
+        return [
+            by_t[t]
+            for other, by_t in enumerate(self._centroids)
+            if other != cluster_id and by_t[t] is not None
+        ]
 
 
 def resolve_token(
     client: ClientState,
     slm: TokenDistribution,
     llm: TokenDistribution,
-    peer_embeddings: list[Embedding],
-    edge_centroids: list[Embedding],
+    peer_embeddings: Callable[[], np.ndarray | list[Embedding]] | None,
+    edge_centroids: Callable[[], list[Embedding]] | None,
     cfg: SimulationConfig,
     rng: np.random.Generator,
     stats: ClientRoundStats,
@@ -438,7 +447,10 @@ def resolve_token(
     The gate escalates on a coin flip with probability cfg.p_offload in
     `rand` mode and when uncertainty exceeds the client's threshold
     otherwise. Only `fedhlm` mode tries the lateral tiers; the baselines
-    take every escalated token straight to the cloud.
+    take every escalated token straight to the cloud, so they may pass
+    None for the views. The peer and edge views are zero-argument
+    providers: peer_embeddings is called only after the cache misses and
+    edge_centroids only after consensus escalates.
     """
     predicted = argmax_token(slm)
     target = reference_token if reference_token is not None else argmax_token(llm)
@@ -462,13 +474,13 @@ def resolve_token(
             client.estimator.record(True)
             client.p2p_successes += 1
             return _settle(client, Stage.P2P, hit.token, cost.c_p2p, uncertainty, target, p2p_attempted=True)
-        if peer_consensus(own, peer_embeddings, cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
+        if peer_consensus(own, peer_embeddings(), cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
             client.estimator.record(True)
             client.p2p_successes += 1
             client.cache.insert(own, predicted)
             return _settle(client, Stage.P2P, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
         client.estimator.record(False)
-        if edge_validate(own, edge_centroids, cfg.peer) is EdgeDecision.ACCEPT:
+        if edge_validate(own, edge_centroids(), cfg.peer) is EdgeDecision.ACCEPT:
             client.cache.insert(own, predicted)
             return _settle(client, Stage.EDGE, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
 
@@ -508,13 +520,12 @@ def _resolve_client_round(
     client: ClientState,
     round_index: int,
     workload: _Workload,
-    view: _PeerView,
+    view: _PeerView | None,
 ) -> tuple[list[TokenOutcome], ClientRoundStats]:
     cfg = state.cfg
     rng = substream(cfg.seed, _TAG_RESOLVE, client.client_id, round_index)
     stats = ClientRoundStats(client_id=client.client_id)
-    # The baselines never look at peers, so they get no peer or edge views.
-    lateral = cfg.mode == MODE_FEDHLM
+    lateral = view is not None
     outcomes: list[TokenOutcome] = []
     for t in range(cfg.tokens_per_client):
         outcomes.append(
@@ -522,8 +533,8 @@ def _resolve_client_round(
                 client,
                 workload.slm[t],
                 workload.llm[t],
-                view.peer_embeddings(client.client_id, client.cluster_id, t) if lateral else [],
-                view.edge_centroids(client.cluster_id, t) if lateral else [],
+                partial(view.peer_embeddings, client.client_id, t) if lateral else None,
+                partial(view.edge_centroids, client.cluster_id, t) if lateral else None,
                 cfg,
                 rng,
                 stats,
@@ -550,13 +561,8 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     else:
         workloads = {c.client_id: _generate_workload(state, c, round_index) for c in clients}
 
-    view = _PeerView(state, workloads)
-    # Edge centroids are cached inside the view; prefill sequentially so the
-    # parallel path never races on the cache dict.
-    if cfg.workers > 1 and cfg.mode == MODE_FEDHLM:
-        for cluster_id in range(cfg.topology.num_clusters):
-            for t in range(cfg.tokens_per_client):
-                view.edge_centroids(cluster_id, t)
+    # The baselines never look at peers, so they get no view.
+    view = _PeerView(state, workloads) if cfg.mode == MODE_FEDHLM else None
 
     def resolve(client: ClientState):
         return _resolve_client_round(state, client, round_index, workloads[client.client_id], view)

@@ -92,6 +92,17 @@ def _clamp_renormalize(p: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
+    """Wrap a float64 vector this module has just floored and renormalized.
+
+    Skips the public constructor's checks, which such a vector passes by
+    construction; outside input goes through TokenDistribution(...).
+    """
+    dist = object.__new__(TokenDistribution)
+    object.__setattr__(dist, "probs", probs)
+    return dist
+
+
 def _peaked_distribution(
     vocab: VocabSpec, mode: int, sharpness: float, background: float, rng: np.random.Generator
 ) -> TokenDistribution:
@@ -104,7 +115,7 @@ def _peaked_distribution(
     top = int(np.argmax(p))
     if top != mode:
         p[mode], p[top] = p[top], p[mode]
-    return TokenDistribution(_clamp_renormalize(p))
+    return _unchecked_distribution(_clamp_renormalize(p))
 
 
 def gen_distribution_pair(

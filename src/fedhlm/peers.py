@@ -90,21 +90,31 @@ def token_embedding(
     return Embedding(_embedding_matrix(vocab.size, dim, seed)[token])
 
 
-def centroid(peers: list[Embedding]) -> Embedding:
-    """Elementwise mean of peer embeddings.
-
-    Each coordinate is an exactly rounded sum, so any reordering of the peer
-    list yields the identical vector. Raises NoPeers on an empty list.
-    """
+def _peer_rows(peers: np.ndarray | list[Embedding]) -> np.ndarray:
+    """Peer vectors as one (count, dim) array, from rows or from Embeddings of one dimension."""
+    if isinstance(peers, np.ndarray):
+        if peers.ndim != 2:
+            raise ValueError("peer rows must form a 2-d array")
+        return peers
     if not peers:
-        raise NoPeers("cannot take the centroid of zero peers")
+        return np.empty((0, 0))
     dim = peers[0].values.size
     if any(p.values.size != dim for p in peers):
         raise ValueError("peer embeddings must share one dimension")
-    count = len(peers)
-    mean = np.array(
-        [math.fsum(p.values[i] for p in peers) / count for i in range(dim)], dtype=np.float64
-    )
+    return np.stack([p.values for p in peers])
+
+
+def centroid(peers: np.ndarray | list[Embedding]) -> Embedding:
+    """Elementwise mean of peer embeddings, given as Embeddings or as (count, dim) rows.
+
+    Each coordinate is an exactly rounded sum, so any reordering of the
+    peers yields the identical vector. Raises NoPeers when there are none.
+    """
+    rows = _peer_rows(peers)
+    count = len(rows)
+    if count == 0:
+        raise NoPeers("cannot take the centroid of zero peers")
+    mean = np.array([math.fsum(column) / count for column in rows.T.tolist()], dtype=np.float64)
     return Embedding(mean)
 
 
@@ -119,18 +129,22 @@ class ConsensusDecision(enum.Enum):
     ESCALATE = "escalate"
 
 
-def peer_consensus(own: Embedding, peers: list[Embedding], cfg: PeerConfig) -> ConsensusDecision:
+def peer_consensus(
+    own: Embedding, peers: np.ndarray | list[Embedding], cfg: PeerConfig
+) -> ConsensusDecision:
     """Accept the local token when it aligns with the peers' mean embedding.
 
-    Similarity at least cfg.similarity_threshold accepts; an empty peer list
-    or a degenerate (mutually cancelling) centroid escalates.
+    Peers are Embeddings or (count, dim) rows. Similarity at least
+    cfg.similarity_threshold accepts; no peers or a degenerate (mutually
+    cancelling) centroid escalates.
     """
-    if not peers:
+    rows = _peer_rows(peers)
+    if len(rows) == 0:
         return ConsensusDecision.ESCALATE
-    if any(p.values.size != own.values.size for p in peers):
+    if rows.shape[1] != own.values.size:
         raise ValueError("peer embeddings must match the client's dimension")
     try:
-        center = centroid(peers)
+        center = centroid(rows)
     except ValueError:
         # Peers cancelled out to a zero vector: nothing to agree with.
         return ConsensusDecision.ESCALATE

@@ -66,10 +66,17 @@ def mc_disagreement(
     Draws cfg.num_samples tokens from the softened distribution and counts
     how many differ from the unsoftened argmax. The score is a multiple of
     1/num_samples in [0, 1].
+
+    Each sample costs one uniform, inverted through the softened CDF
+    (rescaled to end at exactly 1) by a right-sided search. This is the
+    draw Generator.choice(p=...) makes internally, without re-validating a
+    vector that is a distribution by construction: same uniforms, same
+    tokens, same generator state afterwards.
     """
     predicted = argmax_token(dist)
-    softened = soften(dist, cfg.temperature)
-    draws = rng.choice(dist.size, size=cfg.num_samples, p=softened)
+    cdf = np.add.accumulate(soften(dist, cfg.temperature))
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(cfg.num_samples), side="right")
     disagreements = int(np.count_nonzero(draws != predicted))
     return UncertaintyScore(disagreements / cfg.num_samples, ScoreKind.MC_DISAGREEMENT)
 

@@ -2,11 +2,20 @@
 
 The acceptance tests record one line per criterion; the terminal summary
 replays them after the run so the pass/fail ledger survives output capture.
+
+Property tests run under one derandomized hypothesis profile: every run
+tries the same examples and keeps no example database, so the suite stays
+deterministic.
 """
 
 from __future__ import annotations
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("fedhlm", derandomize=True, database=None, deadline=None, max_examples=200)
+settings.load_profile("fedhlm")
 
 _CRITERION_LINES: list[str] = []
 

@@ -16,6 +16,8 @@ from fedhlm.engine import (
     SimulationState,
     Stage,
     TokenOutcome,
+    _generate_workload,
+    _PeerView,
     _score,
     client_token_entropy,
     default_config,
@@ -169,7 +171,8 @@ def test_resolve_peer_consensus_accepts_and_caches():
     own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
     stats = ClientRoundStats(client_id=0)
     outcome = resolve_token(
-        client, slm, llm, [own], [], cfg, np.random.default_rng(3), stats, uncertainty=0.9
+        client, slm, llm, lambda: [own], lambda: [], cfg, np.random.default_rng(3), stats,
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.P2P
     assert outcome.final_token == predicted
@@ -190,7 +193,8 @@ def test_resolve_edge_accepts_when_neighbors_align():
     )
     stats = ClientRoundStats(client_id=0)
     outcome = resolve_token(
-        client, slm, llm, [other], [own], cfg, np.random.default_rng(4), stats, uncertainty=0.9
+        client, slm, llm, lambda: [other], lambda: [own], cfg, np.random.default_rng(4), stats,
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.EDGE
     assert outcome.charged_cost == cfg.cost.c_p2p
@@ -210,7 +214,8 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     )
     stats = ClientRoundStats(client_id=0)
     outcome = resolve_token(
-        client, slm, llm, [far], [far], cfg, np.random.default_rng(5), stats, uncertainty=0.9
+        client, slm, llm, lambda: [far], lambda: [far], cfg, np.random.default_rng(5), stats,
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is True
@@ -218,6 +223,77 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     assert len(stats.feedback) == 1
     # adjudicated finals enter the cache for future reuse
     assert len(client.cache) == 1
+
+
+def _unreachable():
+    raise AssertionError("view provider called")
+
+
+def _resolve_with_providers(cfg, client, mode, peers, edge=_unreachable, uncertainty=0.9):
+    slm, llm = crafted_pair(cfg, mode=mode)
+    stats = ClientRoundStats(client_id=0)
+    return resolve_token(client, slm, llm, peers, edge, cfg, np.random.default_rng(mode), stats, uncertainty)
+
+
+def test_views_are_not_built_for_local_skipped_or_cached_tokens():
+    cfg = small_config()
+    stays = make_client(threshold=0.5, prior=1.0, cfg=cfg)
+    assert _resolve_with_providers(cfg, stays, 1, _unreachable, uncertainty=0.2).stage is Stage.LOCAL
+    skips = make_client(threshold=0.1, prior=0.0, cfg=cfg)
+    skipped = _resolve_with_providers(cfg, skips, 2, _unreachable)
+    assert skipped.stage is Stage.LLM and skipped.p2p_attempted is False
+
+    cached = make_client(threshold=0.1, prior=1.0, cfg=cfg)
+    predicted = argmax_token(crafted_pair(cfg, mode=3)[0])
+    cached.cache.insert(token_embedding(predicted, cfg.profile.vocab), predicted)
+    hit = _resolve_with_providers(cfg, cached, 3, _unreachable)
+    assert hit.stage is Stage.P2P and hit.final_token == predicted
+
+
+def test_edge_view_is_not_built_when_consensus_accepts():
+    cfg = small_config()
+    predicted = argmax_token(crafted_pair(cfg, mode=4)[0])
+    calls = []
+
+    def peers():
+        calls.append("peers")
+        return np.stack([token_embedding(predicted, cfg.profile.vocab).values] * 3)
+
+    outcome = _resolve_with_providers(cfg, make_client(threshold=0.1, prior=1.0, cfg=cfg), 4, peers)
+    assert outcome.stage is Stage.P2P and outcome.final_token == predicted
+    assert calls == ["peers"]
+
+
+@pytest.mark.parametrize("mode", ["uhlm", "rand"])
+def test_baselines_never_build_views(mode):
+    cfg = small_config(mode=mode, p_offload=1.0)
+    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
+    assert _resolve_with_providers(cfg, client, 5, _unreachable).stage is Stage.LLM
+
+
+def test_peer_view_matches_per_peer_construction():
+    # oracle: per-peer rows and per-timestep cluster means, bit for bit
+    cfg = small_config(topology=ClusterTopology(num_clients=7, num_clusters=3))
+    state = SimulationState(cfg)
+    workloads = {c.client_id: _generate_workload(state, c, 0) for c in state.clients}
+    view = _PeerView(state, workloads)
+    emb = state.embeddings
+    for client in state.clients:
+        members = state.cluster_members[client.cluster_id]
+        for t in range(cfg.tokens_per_client):
+            expected = [emb[workloads[p].predicted[t]] for p in members if p != client.client_id]
+            rows = np.array(expected).reshape(-1, emb.shape[1])
+            assert np.array_equal(view.peer_embeddings(client.client_id, t), rows)
+    for cluster_id in range(cfg.topology.num_clusters):
+        for t in range(cfg.tokens_per_client):
+            expected = [
+                emb[[workloads[m].predicted[t] for m in state.cluster_members[other]]].mean(axis=0)
+                for other in range(cfg.topology.num_clusters)
+                if other != cluster_id
+            ]
+            got = [c.values for c in view.edge_centroids(cluster_id, t)]
+            assert len(got) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 @pytest.mark.parametrize("mode", ["uhlm", "rand"])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedhlm.model_source import (
+    NORMALIZATION_ATOL,
     LogitTrace,
     MalformedRow,
     ModelProfile,
@@ -59,6 +62,38 @@ def test_pairs_are_normalized_and_argmax_forced():
         assert abs(float(llm.probs.sum()) - 1.0) <= 1e-9
         assert 0 <= argmax_token(slm) < 12
         assert 0 <= argmax_token(llm) < 12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab=st.integers(2, 1999),
+    slm_sharpness=st.floats(1e-6, 1e4),
+    llm_sharpness=st.floats(1e-6, 1e4),
+    background=st.floats(1e-3, 2.0),
+    agreement=st.sampled_from([0.0, 1.0]),
+)
+def test_generated_pairs_are_valid_distributions(
+    seed, vocab, slm_sharpness, llm_sharpness, background, agreement
+):
+    # the pairs skip the public constructor's checks, so check what they skip
+    profile = ModelProfile(
+        vocab=VocabSpec(vocab),
+        agreement=agreement,
+        slm_sharpness=slm_sharpness,
+        llm_sharpness=llm_sharpness,
+        background=background,
+        confidence_coupling=0.0,
+    )
+    rng = np.random.default_rng(seed)
+    mode = int(rng.integers(vocab))
+    slm, llm = gen_distribution_pair(profile, rng, mode=mode)
+    for dist in (slm, llm):
+        assert dist.probs.dtype == np.float64 and dist.probs.shape == (vocab,)
+        assert np.all(dist.probs >= 0.0)
+        assert abs(float(dist.probs.sum()) - 1.0) <= NORMALIZATION_ATOL
+    assert argmax_token(slm) == mode
+    # with the coupling off, agreement 1 always shares the mode and 0 never does
+    assert (argmax_token(llm) == mode) == (agreement == 1.0)
 
 
 def test_full_agreement_forces_shared_argmax():

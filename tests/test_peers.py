@@ -75,6 +75,37 @@ def test_centroid_permutation_invariant_exactly():
         assert np.array_equal(centroid([peers[i] for i in order]).values, base)
 
 
+def _generator_fsum_centroid(peers: list[Embedding]) -> np.ndarray:
+    # oracle: one exactly rounded sum per coordinate over numpy scalars
+    count = len(peers)
+    return np.array([math.fsum(p.values[i] for p in peers) / count for i in range(peers[0].values.size)])
+
+
+def test_centroid_rows_and_list_agree_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for count in (1, 2, 5, 49, 130):
+        for dim in (1, 3, 64):
+            rows = rng.normal(size=(count, dim))
+            peers = [Embedding(row) for row in rows]
+            from_rows = centroid(rows).values
+            assert np.array_equal(from_rows, centroid(peers).values)
+            assert np.array_equal(from_rows, _generator_fsum_centroid(peers))
+            own = Embedding(rng.normal(size=dim))
+            cfg = PeerConfig(similarity_threshold=0.3)
+            assert peer_consensus(own, rows, cfg) is peer_consensus(own, peers, cfg)
+
+
+def test_peer_consensus_on_rows_escalates_without_peers_and_checks_dimension():
+    cfg = PeerConfig()
+    own = vec(1.0, 0.0)
+    assert peer_consensus(own, np.empty((0, 2)), cfg) is ConsensusDecision.ESCALATE
+    assert peer_consensus(own, np.array([[0.0, 1.0], [0.0, -1.0]]), cfg) is ConsensusDecision.ESCALATE
+    with pytest.raises(ValueError):
+        peer_consensus(own, np.ones((2, 3)), cfg)
+    with pytest.raises(NoPeers):
+        centroid(np.empty((0, 4)))
+
+
 def test_cosine_similarity_reference_points():
     a = vec(1.0, 0.0)
     assert cosine_similarity(a, vec(1.0, 0.0)) == 1.0

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fedhlm.model_source import TokenDistribution, VocabSpec
+from fedhlm.model_source import TokenDistribution, VocabSpec, argmax_token
 from fedhlm.uncertainty import (
     SamplerConfig,
     ScoreKind,
@@ -73,6 +75,30 @@ def test_disagreement_determinism():
     a = mc_disagreement(dist, cfg, np.random.default_rng(123))
     b = mc_disagreement(dist, cfg, np.random.default_rng(123))
     assert a.value == b.value
+
+
+def _choice_disagreement(dist: TokenDistribution, cfg: SamplerConfig, rng: np.random.Generator) -> float:
+    # reference: the same score drawn through Generator.choice
+    draws = rng.choice(dist.size, size=cfg.num_samples, p=soften(dist, cfg.temperature))
+    return int(np.count_nonzero(draws != argmax_token(dist))) / cfg.num_samples
+
+
+@given(
+    vocab=st.integers(2, 1999),
+    alpha=st.sampled_from([0.05, 0.6, 2.0]),
+    num_samples=st.integers(1, 64),
+    temperature=st.floats(1.0, 8.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scoring_draw_matches_generator_choice(vocab, alpha, num_samples, temperature, seed):
+    # score for score, and the generator left in the same state
+    cfg = SamplerConfig(num_samples=num_samples, temperature=temperature)
+    dist = TokenDistribution(np.random.default_rng(seed).dirichlet(np.full(vocab, alpha)))
+    ours = np.random.default_rng(seed + 1)
+    ref = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        assert mc_disagreement(dist, cfg, ours).value == _choice_disagreement(dist, cfg, ref)
+    assert ours.random() == ref.random()
 
 
 def test_soften_flattens_toward_uniform():
