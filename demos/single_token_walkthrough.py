@@ -20,7 +20,6 @@ from fedhlm import (
     edge_validate,
     expected_cost,
     gen_distribution_pair,
-    hard_route,
     llm_adjudicate,
     mc_disagreement,
     peer_consensus,
@@ -47,9 +46,10 @@ def main() -> None:
     print(f"disagreement across {sampler.num_samples} softened samples: {score.value:.2f}")
 
     threshold = 0.1
-    decision = hard_route(score, threshold)
-    print(f"gate at threshold {threshold}: {'transmit' if decision.transmit else 'resolve locally'}")
-    if not decision.transmit:
+    # a score exactly at the threshold stays local
+    transmit = score.value > threshold
+    print(f"gate at threshold {threshold}: {'transmit' if transmit else 'resolve locally'}")
+    if not transmit:
         print("token stays on the device at zero transport cost")
         return
 

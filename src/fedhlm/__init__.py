@@ -5,13 +5,11 @@ per-client transmission thresholds."""
 from .adjudication import AdjudicationResult, Verdict, llm_adjudicate
 from .config import ConfigError, InvalidValue, MissingFile, config_to_text, parse_config, parse_config_text
 from .costs import (
-    CacheModel,
     CostModel,
     PHitEstimator,
     cache_hit_curve,
     expected_cost,
     fit_cache_alpha,
-    p_hit_estimate,
     should_attempt_p2p,
 )
 from .engine import (
@@ -60,8 +58,6 @@ from .peers import (
     NoPeers,
     PeerConfig,
     TokenCache,
-    cache_insert,
-    cache_lookup,
     centroid,
     cosine_similarity,
     edge_validate,
@@ -87,14 +83,11 @@ from .thresholds import (
     sgd_step,
 )
 from .uncertainty import (
-    RoutingDecision,
     SamplerConfig,
     ScoreKind,
     UncertaintyScore,
     entropy_score,
-    hard_route,
     mc_disagreement,
-    soft_route,
     soften,
 )
 

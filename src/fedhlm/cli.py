@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import engine
 from .config import ConfigError, InvalidValue, config_to_text, parse_config
-from .costs import CacheModel, cache_hit_curve, expected_cost, should_attempt_p2p
+from .costs import cache_hit_curve, expected_cost, should_attempt_p2p
 from .engine import MODE_FEDHLM, MODE_RAND, MODE_UHLM, ConfigInvalid, default_config
 from .reporting import compute_trr, emit_metrics_csv, emit_trace, metrics_rows, summarize
 
@@ -93,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.mode == MODE_FEDHLM:
-        raise InvalidValue("run.mode", "baseline needs --mode rand or --mode uhlm")
+        raise InvalidValue("--mode", "baseline needs rand or uhlm, by flag or in the config")
     report = engine.run(cfg)
     _write_outputs(cfg, report, args.out_dir)
     print(summarize(report))
@@ -169,10 +169,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         policy_cost = escalation if attempt else cost.c_llm
         policy_lines.append(f"{p_hit:.2f},{escalation:.6f},{int(attempt)},{policy_cost:.6f}")
 
-    cache = CacheModel(alpha_fit=args.cache_alpha)
     curve_lines = ["cache_size,hit_ratio"]
     for size in (8, 16, 32, 64, 128, 256, 512):
-        curve_lines.append(f"{size},{cache_hit_curve(size, cache.alpha_fit):.6f}")
+        curve_lines.append(f"{size},{cache_hit_curve(size, args.cache_alpha):.6f}")
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

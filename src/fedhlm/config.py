@@ -10,20 +10,21 @@ Example:
 Unspecified keys take the module defaults. parse_config and config_to_text
 round-trip: serializing a configuration and parsing it back reproduces an
 equal configuration object.
+
+Every key is declared once, in KEYS, with its section (None for the
+top-level SimulationConfig), field, caster and formatter; parsing,
+validation and serialization all walk that one table.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
-from .costs import CostModel
-from .engine import MODES, SimulationConfig
-from .federation import ClusterTopology, PartitionSpec
-from .model_source import ModelProfile, VocabSpec
-from .peers import PeerConfig
-from .thresholds import LearnerConfig
-from .uncertainty import SamplerConfig
+from .engine import SimulationConfig, default_config
+from .model_source import VocabSpec
 
 
 class ConfigError(ValueError):
@@ -40,56 +41,75 @@ class InvalidValue(ConfigError):
         self.key = key
 
 
-_INT_KEYS = {
-    "topology.num_clients",
-    "topology.num_clusters",
-    "partition.num_classes",
-    "profile.vocab_size",
-    "sampler.num_samples",
-    "peer.embedding_dim",
-    "peer.embedding_seed",
-    "peer.cache_capacity",
-    "cost.p_hit_window",
-    "run.rounds",
-    "run.tokens_per_client",
-    "run.seed",
-    "run.workers",
-}
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
-_FLOAT_KEYS = {
-    "partition.dirichlet_alpha",
-    "profile.agreement",
-    "profile.slm_sharpness",
-    "profile.llm_sharpness",
-    "profile.background",
-    "profile.confidence_coupling",
-    "sampler.temperature",
-    "learner.gamma",
-    "learner.lambda",
-    "learner.eta0",
-    "peer.similarity_threshold",
-    "peer.edge_threshold",
-    "cost.c_p2p",
-    "cost.c_llm",
-    "cost.p_hit_prior",
-    "run.initial_threshold",
-    "run.p_offload",
-    "run.static_threshold",
-    "run.heterogeneity",
-    "run.skew_sharpness_coupling",
-    "run.skew_agreement_coupling",
-    "run.confusion_scale",
-    "run.zipf_exponent",
-}
 
-_STR_KEYS = {
-    "topology.assignment",
-    "run.mode",
-    "run.uncertainty_kind",
-    "run.trace_path",
-}
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+def _assignment(text: str) -> dict[int, int]:
+    try:
+        return dict(enumerate(int(c) for c in text.split(",")))
+    except ValueError:
+        raise ValueError("expected comma-separated cluster ids") from None
+
+
+# file key -> (section, field, caster, formatter), in serialization order.
+KEYS: dict[str, tuple[str | None, str, Callable[[str], object], Callable[[object], str]]] = {
+    "topology.num_clients": ("topology", "num_clients", _int, str),
+    "topology.num_clusters": ("topology", "num_clusters", _int, str),
+    "topology.assignment": (
+        "topology", "assignment", _assignment, lambda a: ",".join(str(a[c]) for c in range(len(a)))
+    ),
+    "partition.dirichlet_alpha": ("partition", "dirichlet_alpha", _float, str),
+    "partition.num_classes": ("partition", "num_classes", _int, str),
+    "profile.vocab_size": ("profile", "vocab", lambda t: VocabSpec(_int(t)), lambda v: str(v.size)),
+    "profile.agreement": ("profile", "agreement", _float, str),
+    "profile.slm_sharpness": ("profile", "slm_sharpness", _float, str),
+    "profile.llm_sharpness": ("profile", "llm_sharpness", _float, str),
+    "profile.background": ("profile", "background", _float, str),
+    "profile.confidence_coupling": ("profile", "confidence_coupling", _float, str),
+    "sampler.num_samples": ("sampler", "num_samples", _int, str),
+    "sampler.temperature": ("sampler", "temperature", _float, str),
+    "learner.gamma": ("learner", "gamma", _float, str),
+    "learner.lambda": ("learner", "lam", _float, str),
+    "learner.eta0": ("learner", "eta0", _float, str),
+    "peer.similarity_threshold": ("peer", "similarity_threshold", _float, str),
+    "peer.embedding_dim": ("peer", "embedding_dim", _int, str),
+    "peer.embedding_seed": ("peer", "embedding_seed", _int, str),
+    "peer.cache_capacity": (None, "cache_capacity", _int, str),
+    "cost.c_p2p": ("cost", "c_p2p", _float, str),
+    "cost.c_llm": ("cost", "c_llm", _float, str),
+    "cost.p_hit_window": ("cost", "p_hit_window", _int, str),
+    "cost.p_hit_prior": ("cost", "p_hit_prior", _float, str),
+    "run.rounds": (None, "rounds", _int, str),
+    "run.tokens_per_client": (None, "tokens_per_client", _int, str),
+    "run.initial_threshold": (None, "initial_threshold", _float, str),
+    "run.seed": (None, "seed", _int, str),
+    "run.mode": (None, "mode", str, str),
+    "run.p_offload": (None, "p_offload", _float, str),
+    "run.static_threshold": (None, "static_threshold", _float, str),
+    "run.uncertainty_kind": (None, "uncertainty_kind", str, str),
+    "run.heterogeneity": (None, "heterogeneity", _float, str),
+    "run.skew_sharpness_coupling": (None, "skew_sharpness_coupling", _float, str),
+    "run.skew_agreement_coupling": (None, "skew_agreement_coupling", _float, str),
+    "run.confusion_scale": (None, "confusion_scale", _float, str),
+    "run.zipf_exponent": (None, "zipf_exponent", _float, str),
+    "run.workers": (None, "workers", _int, str),
+    "peer.edge_threshold": ("peer", "edge_threshold", _float, str),
+    "run.trace_path": (None, "trace_path", str, str),
+}
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -103,7 +123,7 @@ def _parse_lines(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise InvalidValue(key, "unknown configuration key")
         if not value:
             raise InvalidValue(key, "empty value")
@@ -111,203 +131,44 @@ def _parse_lines(text: str) -> dict[str, str]:
     return values
 
 
-def _get_int(values: dict[str, str], key: str, default: int) -> int:
-    if key not in values:
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise InvalidValue(key, f"expected an integer, got {values[key]!r}") from None
+def _apply(cast: dict[str, object]) -> SimulationConfig:
+    """The defaults with the cast values replaced; raises ValueError on a violated constraint.
 
-
-def _get_float(values: dict[str, str], key: str, default: float | None) -> float | None:
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise InvalidValue(key, f"expected a number, got {values[key]!r}") from None
-
-
-def _get_str(values: dict[str, str], key: str, default: str | None) -> str | None:
-    return values.get(key, default)
+    A topology without an assignment recomputes the contiguous one, so the
+    default assignment follows a changed client or cluster count.
+    """
+    fields: dict[str | None, dict[str, object]] = {"topology": {"assignment": {}}}
+    for key, value in cast.items():
+        section, name, _, _ = KEYS[key]
+        fields.setdefault(section, {})[name] = value
+    cfg = default_config()
+    sections = {section: replace(getattr(cfg, section), **kw) for section, kw in fields.items() if section}
+    return replace(cfg, **sections, **fields.get(None, {}))
 
 
 def _build(values: dict[str, str]) -> SimulationConfig:
-    defaults = SimulationConfig(topology=ClusterTopology(num_clients=20, num_clusters=4))
-
-    num_clients = _get_int(values, "topology.num_clients", defaults.topology.num_clients)
-    num_clusters = _get_int(values, "topology.num_clusters", defaults.topology.num_clusters)
-    assignment: dict[int, int] = {}
-    raw_assignment = _get_str(values, "topology.assignment", None)
-    if raw_assignment is not None:
+    cast: dict[str, object] = {}
+    for key, text in values.items():
         try:
-            clusters = [int(c.strip()) for c in raw_assignment.split(",")]
-        except ValueError:
-            raise InvalidValue("topology.assignment", "expected comma-separated cluster ids") from None
-        if len(clusters) != num_clients:
-            raise InvalidValue(
-                "topology.assignment",
-                f"expected {num_clients} entries, got {len(clusters)}",
-            )
-        assignment = dict(enumerate(clusters))
-
-    def build_section(section: str, factory, overrides: dict[str, dict] | None = None):
-        """Construct one config section, blaming the offending key on failure.
-
-        overrides maps each file key present in `values` to the kwargs that
-        apply only that key; a retry with a single key isolates which one
-        broke a constraint, so the error can name it.
-        """
-        try:
-            return factory()
+            cast[key] = KEYS[key][2](text)
         except ValueError as exc:
-            if overrides:
-                for key, single in overrides.items():
-                    try:
-                        factory(**single)
-                    except ValueError as single_exc:
-                        raise InvalidValue(key, str(single_exc)) from None
-            raise InvalidValue(section, str(exc)) from None
-
-    def gather(section: str, cls, table: list[tuple[str, str, object, object]]):
-        """table rows: (file key, constructor field, caster, default)."""
-        full = {field: caster(values, key, default) for key, field, caster, default in table}
-        singles = {
-            key: {field: full[field]}
-            for key, field, _, _ in table
-            if key in values
-        }
-
-        # A zero-arg call uses every parsed value; a keyword call isolates
-        # one key against the section defaults.
-        def factory(**kw):
-            if not kw:
-                return cls(**full)
-            base = {field: default for _, field, _, default in table}
-            return cls(**(base | kw))
-
-        return build_section(section, factory, singles)
-
-    topology = build_section(
-        "topology",
-        lambda **kw: ClusterTopology(
-            **(
-                dict(num_clients=num_clients, num_clusters=num_clusters, assignment=assignment) | kw
-                if not kw
-                else dict(num_clients=20, num_clusters=4, assignment={}) | kw
-            )
-        ),
-        {
-            key: {field: value}
-            for key, field, value in (
-                ("topology.num_clients", "num_clients", num_clients),
-                ("topology.num_clusters", "num_clusters", num_clusters),
-            )
-            if key in values
-        },
-    )
-    partition = gather(
-        "partition",
-        PartitionSpec,
-        [
-            ("partition.dirichlet_alpha", "dirichlet_alpha", _get_float, defaults.partition.dirichlet_alpha),
-            ("partition.num_classes", "num_classes", _get_int, defaults.partition.num_classes),
-        ],
-    )
-    profile = gather(
-        "profile",
-        ModelProfile,
-        [
-            ("profile.vocab_size", "vocab", lambda v, k, d: VocabSpec(_get_int(v, k, d.size)), defaults.profile.vocab),
-            ("profile.agreement", "agreement", _get_float, defaults.profile.agreement),
-            ("profile.slm_sharpness", "slm_sharpness", _get_float, defaults.profile.slm_sharpness),
-            ("profile.llm_sharpness", "llm_sharpness", _get_float, defaults.profile.llm_sharpness),
-            ("profile.background", "background", _get_float, defaults.profile.background),
-            ("profile.confidence_coupling", "confidence_coupling", _get_float, defaults.profile.confidence_coupling),
-        ],
-    )
-    sampler = gather(
-        "sampler",
-        SamplerConfig,
-        [
-            ("sampler.num_samples", "num_samples", _get_int, defaults.sampler.num_samples),
-            ("sampler.temperature", "temperature", _get_float, defaults.sampler.temperature),
-        ],
-    )
-    learner = gather(
-        "learner",
-        LearnerConfig,
-        [
-            ("learner.gamma", "gamma", _get_float, defaults.learner.gamma),
-            ("learner.lambda", "lam", _get_float, defaults.learner.lam),
-            ("learner.eta0", "eta0", _get_float, defaults.learner.eta0),
-        ],
-    )
-    peer = gather(
-        "peer",
-        PeerConfig,
-        [
-            ("peer.similarity_threshold", "similarity_threshold", _get_float, defaults.peer.similarity_threshold),
-            ("peer.embedding_dim", "embedding_dim", _get_int, defaults.peer.embedding_dim),
-            ("peer.embedding_seed", "embedding_seed", _get_int, defaults.peer.embedding_seed),
-            ("peer.edge_threshold", "edge_threshold", _get_float, defaults.peer.edge_threshold),
-        ],
-    )
-    cost = gather(
-        "cost",
-        CostModel,
-        [
-            ("cost.c_p2p", "c_p2p", _get_float, defaults.cost.c_p2p),
-            ("cost.c_llm", "c_llm", _get_float, defaults.cost.c_llm),
-            ("cost.p_hit_window", "p_hit_window", _get_int, defaults.cost.p_hit_window),
-            ("cost.p_hit_prior", "p_hit_prior", _get_float, defaults.cost.p_hit_prior),
-        ],
-    )
-
-    mode = _get_str(values, "run.mode", defaults.mode)
-    if mode not in MODES:
-        raise InvalidValue("run.mode", f"must be one of {', '.join(MODES)}")
-    kind = _get_str(values, "run.uncertainty_kind", defaults.uncertainty_kind)
-
-    run_table = [
-        ("run.rounds", "rounds", _get_int, defaults.rounds),
-        ("run.tokens_per_client", "tokens_per_client", _get_int, defaults.tokens_per_client),
-        ("run.initial_threshold", "initial_threshold", _get_float, defaults.initial_threshold),
-        ("run.seed", "seed", _get_int, defaults.seed),
-        ("run.p_offload", "p_offload", _get_float, defaults.p_offload),
-        ("run.static_threshold", "static_threshold", _get_float, defaults.static_threshold),
-        ("peer.cache_capacity", "cache_capacity", _get_int, defaults.cache_capacity),
-        ("run.heterogeneity", "heterogeneity", _get_float, defaults.heterogeneity),
-        ("run.skew_sharpness_coupling", "skew_sharpness_coupling", _get_float, defaults.skew_sharpness_coupling),
-        ("run.skew_agreement_coupling", "skew_agreement_coupling", _get_float, defaults.skew_agreement_coupling),
-        ("run.confusion_scale", "confusion_scale", _get_float, defaults.confusion_scale),
-        ("run.zipf_exponent", "zipf_exponent", _get_float, defaults.zipf_exponent),
-        ("run.workers", "workers", _get_int, defaults.workers),
-    ]
-    run_full = {field: caster(values, key, default) for key, field, caster, default in run_table}
-    run_full.update(
-        topology=topology,
-        partition=partition,
-        profile=profile,
-        sampler=sampler,
-        learner=learner,
-        peer=peer,
-        cost=cost,
-        mode=mode,
-        uncertainty_kind=kind,
-        trace_path=_get_str(values, "run.trace_path", defaults.trace_path),
-    )
-    run_singles = {key: {field: run_full[field]} for key, field, _, _ in run_table if key in values}
-
-    def run_factory(**kw):
-        if not kw:
-            return SimulationConfig(**run_full)
-        base = {field: default for _, field, _, default in run_table}
-        base["topology"] = defaults.topology
-        return SimulationConfig(**(base | kw))
-
-    return build_section("run", run_factory, run_singles)
+            raise InvalidValue(key, str(exc)) from None
+    try:
+        return _apply(cast)
+    except (ValueError, OverflowError) as exc:
+        message = str(exc)
+    # Error path only. Add the keys back one at a time over the defaults,
+    # from the last table row up (later rows refine earlier ones, as an
+    # assignment refines the client count), and name the first whose
+    # addition fails. The last trial is the whole file, so one always does.
+    trial: dict[str, object] = {}
+    for key in reversed([k for k in KEYS if k in cast]):
+        trial[key] = cast[key]
+        try:
+            _apply(trial)
+        except (ValueError, OverflowError):
+            raise InvalidValue(key, message) from None
+    raise AssertionError("the full key set failed, so one of its trials must")
 
 
 def parse_config(path: str | Path) -> SimulationConfig:
@@ -323,50 +184,13 @@ def parse_config_text(text: str) -> SimulationConfig:
 
 
 def config_to_text(cfg: SimulationConfig) -> str:
-    """Serialize every effective setting, defaults included, one key per line."""
-    assignment = ",".join(str(cfg.topology.assignment[c]) for c in range(cfg.topology.num_clients))
-    pairs: list[tuple[str, object]] = [
-        ("topology.num_clients", cfg.topology.num_clients),
-        ("topology.num_clusters", cfg.topology.num_clusters),
-        ("topology.assignment", assignment),
-        ("partition.dirichlet_alpha", cfg.partition.dirichlet_alpha),
-        ("partition.num_classes", cfg.partition.num_classes),
-        ("profile.vocab_size", cfg.profile.vocab.size),
-        ("profile.agreement", cfg.profile.agreement),
-        ("profile.slm_sharpness", cfg.profile.slm_sharpness),
-        ("profile.llm_sharpness", cfg.profile.llm_sharpness),
-        ("profile.background", cfg.profile.background),
-        ("profile.confidence_coupling", cfg.profile.confidence_coupling),
-        ("sampler.num_samples", cfg.sampler.num_samples),
-        ("sampler.temperature", cfg.sampler.temperature),
-        ("learner.gamma", cfg.learner.gamma),
-        ("learner.lambda", cfg.learner.lam),
-        ("learner.eta0", cfg.learner.eta0),
-        ("peer.similarity_threshold", cfg.peer.similarity_threshold),
-        ("peer.embedding_dim", cfg.peer.embedding_dim),
-        ("peer.embedding_seed", cfg.peer.embedding_seed),
-        ("peer.cache_capacity", cfg.cache_capacity),
-        ("cost.c_p2p", cfg.cost.c_p2p),
-        ("cost.c_llm", cfg.cost.c_llm),
-        ("cost.p_hit_window", cfg.cost.p_hit_window),
-        ("cost.p_hit_prior", cfg.cost.p_hit_prior),
-        ("run.rounds", cfg.rounds),
-        ("run.tokens_per_client", cfg.tokens_per_client),
-        ("run.initial_threshold", cfg.initial_threshold),
-        ("run.seed", cfg.seed),
-        ("run.mode", cfg.mode),
-        ("run.p_offload", cfg.p_offload),
-        ("run.static_threshold", cfg.static_threshold),
-        ("run.uncertainty_kind", cfg.uncertainty_kind),
-        ("run.heterogeneity", cfg.heterogeneity),
-        ("run.skew_sharpness_coupling", cfg.skew_sharpness_coupling),
-        ("run.skew_agreement_coupling", cfg.skew_agreement_coupling),
-        ("run.confusion_scale", cfg.confusion_scale),
-        ("run.zipf_exponent", cfg.zipf_exponent),
-        ("run.workers", cfg.workers),
-    ]
-    if cfg.peer.edge_threshold is not None:
-        pairs.append(("peer.edge_threshold", cfg.peer.edge_threshold))
-    if cfg.trace_path is not None:
-        pairs.append(("run.trace_path", cfg.trace_path))
-    return "\n".join(f"{key} = {value}" for key, value in pairs) + "\n"
+    """Serialize every effective setting, defaults included, one key per line.
+
+    Keys whose value is None (no edge threshold, no trace) are left out.
+    """
+    lines = []
+    for key, (section, name, _, show) in KEYS.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        if value is not None:
+            lines.append(f"{key} = {show(value)}")
+    return "\n".join(lines) + "\n"

@@ -37,20 +37,6 @@ class CostModel:
             raise ValueError("p_hit_prior must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class CacheModel:
-    """Saturating hit-rate model: hit_ratio(size) = 1 - exp(-alpha_fit * size)."""
-
-    alpha_fit: float = 0.02
-    size: int = 256
-
-    def __post_init__(self) -> None:
-        if self.alpha_fit <= 0:
-            raise ValueError("alpha_fit must be positive")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-
-
 def expected_cost(p_hit: float, model: CostModel) -> float:
     """Expected cost of attempting P2P: miss pays c_p2p + c_llm, hit pays c_p2p."""
     if not 0.0 <= p_hit <= 1.0:
@@ -119,14 +105,3 @@ class PHitEstimator:
         if len(self._history) < self.window:
             return self.prior
         return sum(self._history) / len(self._history)
-
-
-def p_hit_estimate(history: list[bool], window: int, prior: float = 0.5) -> float:
-    """Windowed success fraction over the most recent outcomes; the prior
-    stands in until `window` outcomes have been observed."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(history) < window:
-        return prior
-    recent = history[-window:]
-    return sum(recent) / window

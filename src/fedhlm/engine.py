@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .federation import (
     mixture_skew,
 )
 from .model_source import (
+    MAX_CONCENTRATION,
     LogitTrace,
     ModelProfile,
     TokenDistribution,
@@ -155,6 +158,15 @@ class SimulationConfig:
             raise ConfigInvalid("workers must be >= 1")
         if self.partition.num_classes > self.profile.vocab.size:
             raise ConfigInvalid("num_classes cannot exceed the vocabulary size")
+        if lr_schedule(self.learner.eta0, self.rounds - 1) == 0.0:
+            raise ConfigInvalid("eta0 underflows to a zero learning rate by the last round")
+        if self.trace_path is not None and not Path(self.trace_path).is_file():
+            raise ConfigInvalid(f"trace file not found: {self.trace_path}")
+        # No token is charged more than c_p2p + c_llm, so this bound keeps
+        # every cost total finite. Comparing the int with a float is exact.
+        tokens = self.rounds * self.topology.num_clients * self.tokens_per_client
+        if tokens > sys.float_info.max / (self.cost.c_p2p + self.cost.c_llm):
+            raise ConfigInvalid("c_p2p + c_llm per token overflows the run's total cost")
 
 
 def default_config(**overrides) -> SimulationConfig:
@@ -276,7 +288,11 @@ class SimulationState:
         partition_rng = substream(cfg.seed, _TAG_PARTITION)
         mixtures = dirichlet_partition(cfg.partition, cfg.topology, partition_rng)
         profile_rng = substream(cfg.seed, _TAG_PROFILES)
-        multipliers = np.exp(profile_rng.normal(0.0, cfg.heterogeneity, cfg.topology.num_clients))
+        # As Python floats, a multiplier that overflowed to inf carries on
+        # without warnings until the sharpness clamp below saturates it.
+        with np.errstate(over="ignore"):
+            multipliers = np.exp(profile_rng.normal(0.0, cfg.heterogeneity, cfg.topology.num_clients))
+        multipliers = multipliers.tolist()
 
         self.embeddings = embedding_matrix(vocab, cfg.peer)
         self.class_regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
@@ -284,7 +300,10 @@ class SimulationState:
 
         self.trace: LogitTrace | None = None
         if cfg.trace_path is not None:
-            self.trace = load_logit_trace(cfg.trace_path, vocab)
+            try:
+                self.trace = load_logit_trace(cfg.trace_path, vocab)
+            except (OSError, ValueError) as exc:
+                raise ConfigInvalid(f"trace file {cfg.trace_path}: {exc}") from None
             if len(self.trace) == 0:
                 raise ConfigInvalid("trace file contains no steps")
 
@@ -296,10 +315,13 @@ class SimulationState:
             sharpness = cfg.profile.slm_sharpness * multipliers[client_id] * math.exp(
                 -cfg.skew_sharpness_coupling * skew
             )
+            # Overflow (inf, or nan where it meets an underflowed coupling)
+            # saturates at the largest concentration a profile allows.
+            sharpness = max(sharpness, 1e-6) if sharpness <= MAX_CONCENTRATION else MAX_CONCENTRATION
             agreement = cfg.profile.agreement * (1.0 - cfg.skew_agreement_coupling * skew)
             profile = replace(
                 cfg.profile,
-                slm_sharpness=max(sharpness, 1e-6),
+                slm_sharpness=sharpness,
                 agreement=min(max(agreement, 0.0), 1.0),
             )
             self.clients.append(
@@ -582,7 +604,7 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
             stats = per_client[client.client_id]
             grad = loss_gradient(stats.feedback, client.threshold, cfg.learner)
             eta = lr_schedule(cfg.learner.eta0, round_index)
-            updated = sgd_step(Threshold(client.threshold), grad, eta, round_index)
+            updated = sgd_step(Threshold(client.threshold), grad, eta)
             thresholds_local[client.client_id] = updated.value
 
         cluster_values: list[float] = []

@@ -30,14 +30,14 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         if self.num_clients < 1 or self.num_clusters < 1:
             raise ValueError("need at least one client and one cluster")
-        if self.num_clusters > self.num_clients:
-            raise ValueError("cannot have more clusters than clients")
         if not self.assignment:
             object.__setattr__(
                 self, "assignment", _contiguous_assignment(self.num_clients, self.num_clusters)
             )
         if set(self.assignment) != set(range(self.num_clients)):
-            raise ValueError("assignment must cover exactly the client ids 0..num_clients-1")
+            raise ValueError(f"assignment must cover exactly the client ids 0..{self.num_clients - 1}")
+        if self.num_clusters > self.num_clients:
+            raise ValueError("cannot have more clusters than clients")
         seen = set(self.assignment.values())
         if not seen <= set(range(self.num_clusters)):
             raise ValueError("cluster ids must lie in 0..num_clusters-1")
@@ -74,6 +74,10 @@ class PartitionSpec:
             raise ValueError("dirichlet_alpha must be positive")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
+        # A mixture draw sums num_classes gamma variates of mean
+        # dirichlet_alpha; keep that sum clear of overflow.
+        if not math.isfinite(2.0 * self.dirichlet_alpha * self.num_classes):
+            raise ValueError("dirichlet_alpha * num_classes overflows the mixture draw")
 
 
 def dirichlet_partition(

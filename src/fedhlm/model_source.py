@@ -9,7 +9,6 @@ logit-trace file.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +17,10 @@ import numpy as np
 PROB_FLOOR = 1e-12
 NORMALIZATION_ATOL = 1e-9
 TRACE_NORMALIZATION_ATOL = 1e-6
+# Ceiling on a profile's sharpness and on its total background
+# concentration: far past the point where draws are one-hot, and low enough
+# that a draw's gamma variates sum without overflow.
+MAX_CONCENTRATION = 1e300
 
 
 class MalformedRow(ValueError):
@@ -79,10 +82,10 @@ class ModelProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.agreement <= 1.0:
             raise ValueError("agreement must lie in [0, 1]")
-        if self.slm_sharpness <= 0 or self.llm_sharpness <= 0:
-            raise ValueError("sharpness values must be positive")
-        if self.background <= 0:
-            raise ValueError("background concentration must be positive")
+        if not (0 < self.slm_sharpness <= MAX_CONCENTRATION and 0 < self.llm_sharpness <= MAX_CONCENTRATION):
+            raise ValueError(f"sharpness values must lie in (0, {MAX_CONCENTRATION:g}]")
+        if not 0 < self.background * self.vocab.size <= MAX_CONCENTRATION:
+            raise ValueError(f"background times vocab_size must lie in (0, {MAX_CONCENTRATION:g}]")
         if self.confidence_coupling < 0:
             raise ValueError("confidence_coupling must be nonnegative")
 
@@ -246,8 +249,3 @@ def save_logit_trace(path: str | Path, trace: LogitTrace, decimals: int = 8) -> 
             cells += [fmt % p for p in step.slm.probs]
             cells += [fmt % p for p in step.llm.probs]
             fh.write(",".join(cells) + "\n")
-
-
-def normalized_entropy_limit(vocab: VocabSpec) -> float:
-    """Maximum attainable entropy for this vocabulary, ln(V)."""
-    return math.log(vocab.size)

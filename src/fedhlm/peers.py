@@ -59,6 +59,8 @@ class PeerConfig:
             raise ValueError("similarity_threshold must lie in (0, 1]")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
+        if self.embedding_seed < 0:
+            raise ValueError("embedding_seed must be >= 0")
         if self.edge_threshold is not None and not 0.0 < self.edge_threshold <= 1.0:
             raise ValueError("edge_threshold must lie in (0, 1]")
 
@@ -251,12 +253,3 @@ class TokenCache:
         """(token, embedding) pairs ordered oldest to most recently used."""
         order = sorted(range(len(self._tokens)), key=self._stamps.__getitem__)
         return [(self._tokens[i], Embedding(self._vectors[i].copy())) for i in order]
-
-
-def cache_lookup(cache: TokenCache, query: Embedding, cfg: PeerConfig) -> CacheResult:
-    return cache.lookup(query, cfg)
-
-
-def cache_insert(cache: TokenCache, embedding: Embedding, token: int) -> TokenCache:
-    cache.insert(embedding, token)
-    return cache

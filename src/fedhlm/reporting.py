@@ -7,7 +7,6 @@ byte-identical CSV and JSON-lines content.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,15 +146,3 @@ def summarize(report: SimulationReport) -> str:
         f"final_threshold={report.rounds[-1].global_threshold:.4f}" if report.rounds else "",
     ]
     return "  ".join(p for p in parts if p)
-
-
-def accuracy(report: SimulationReport) -> float:
-    """Fraction of resolved tokens whose final token matched the reference."""
-    hits = 0
-    for round_report in report.rounds:
-        for outcomes in round_report.outcomes.values():
-            hits += sum(1 for o in outcomes if o.correct)
-    total = report.total_tokens()
-    if total == 0:
-        return math.nan
-    return hits / total

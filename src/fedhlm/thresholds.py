@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model_source import PROB_FLOOR, TokenDistribution
-from .uncertainty import sigmoid
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,9 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Current transmission threshold and the round of its last update."""
+    """Current transmission threshold."""
 
     value: float
-    round_updated: int = -1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
@@ -106,21 +104,26 @@ def local_loss(feedback: list[RejectionFeedback], threshold: float, cfg: Learner
 
 
 def loss_gradient(feedback: list[RejectionFeedback], threshold: float, cfg: LearnerConfig) -> float:
-    """d(local_loss)/d(threshold); every term is <= 0, so the step only raises the threshold."""
+    """d(local_loss)/d(threshold); every term is <= 0, so the step only raises the threshold.
+
+    Extreme gamma or lambda can overflow the sum to -inf, which the
+    projected step turns into a threshold of 1.
+    """
     if not feedback:
         return 0.0
     gates = _soft_gates(feedback, threshold, cfg.gamma)
     terms = gates * (1.0 - gates) * _weights(feedback, cfg.lam)
-    return float(-cfg.gamma * np.sum(terms))
+    with np.errstate(over="ignore"):
+        return float(-cfg.gamma * np.sum(terms))
 
 
-def sgd_step(threshold: Threshold, gradient: float, learning_rate: float, round_index: int) -> Threshold:
+def sgd_step(threshold: Threshold, gradient: float, learning_rate: float) -> Threshold:
     """One projected gradient step, clamped back into [0, 1]."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
     value = threshold.value - learning_rate * gradient
     value = min(max(value, 0.0), 1.0)
-    return Threshold(value=value, round_updated=round_index)
+    return Threshold(value)
 
 
 def lr_schedule(eta0: float, round_index: int) -> float:
@@ -140,5 +143,4 @@ __all__ = [
     "loss_gradient",
     "sgd_step",
     "lr_schedule",
-    "sigmoid",
 ]

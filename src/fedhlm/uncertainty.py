@@ -1,9 +1,8 @@
-"""Per-token uncertainty scores and the transmit/retain routing rule."""
+"""Per-token uncertainty scores: predictive entropy and Monte-Carlo disagreement."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +33,6 @@ class SamplerConfig:
 class UncertaintyScore:
     value: float
     kind: ScoreKind
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    """transmit=True escalates the token; soft_value carries the sigmoid relaxation."""
-
-    transmit: bool
-    soft_value: float | None = None
 
 
 def entropy_score(dist: TokenDistribution) -> UncertaintyScore:
@@ -79,22 +70,3 @@ def mc_disagreement(
     draws = cdf.searchsorted(rng.random(cfg.num_samples), side="right")
     disagreements = int(np.count_nonzero(draws != predicted))
     return UncertaintyScore(disagreements / cfg.num_samples, ScoreKind.MC_DISAGREEMENT)
-
-
-def hard_route(score: UncertaintyScore, threshold: float) -> RoutingDecision:
-    """Binary gate: retain locally when score.value <= threshold, else transmit."""
-    return RoutingDecision(transmit=score.value > threshold)
-
-
-def sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-def soft_route(score: UncertaintyScore, threshold: float, gamma: float) -> float:
-    """Differentiable relaxation of the gate: sigmoid(gamma * (value - threshold))."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return sigmoid(gamma * (score.value - threshold))

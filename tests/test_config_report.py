@@ -1,12 +1,15 @@
 """Config files, metrics/trace emission, and the command line surface."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from fedhlm.cli import main
 from fedhlm.config import (
+    KEYS,
     InvalidValue,
     MissingFile,
     config_to_text,
@@ -105,11 +108,45 @@ def test_constraint_errors_name_the_key():
         "cost.c_llm = 0": "cost.c_llm",
         "topology.num_clusters = 0": "topology.num_clusters",
         "run.mode = turbo": "run.mode",
+        "profile.vocab_size = 1": "profile.vocab_size",
+        "run.uncertainty_kind = foo": "run.uncertainty_kind",
+        "partition.num_classes = 100": "partition.num_classes",
+        "topology.num_clients = 4\ntopology.num_clusters = 2\ntopology.assignment = 0,0,0,5": "topology.assignment",
+        "peer.embedding_seed = -1": "peer.embedding_seed",
+        "cost.c_llm = 1e308": "cost.c_llm",
+        "partition.dirichlet_alpha = 1e308": "partition.dirichlet_alpha",
+        "run.trace_path = /nonexistent/fedhlm.trace": "run.trace_path",
     }
     for text, key in cases.items():
         with pytest.raises(InvalidValue) as err:
             parse_config_text(text)
         assert err.value.key == key, text
+
+
+def test_readme_configuration_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    resolved = config_to_text(default_config()).splitlines()
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert len(rows) >= 10
+    for cells in rows:
+        keys = re.findall(r"`([^`]+)`", cells[0])
+        defaults = [d.strip().strip("`") for d in cells[1].split(",")]
+        assert len(keys) == len(defaults), cells
+        for key, default in zip(keys, defaults):
+            assert key in KEYS, key
+            if default == "unset":
+                assert not any(line.startswith(f"{key} = ") for line in resolved), key
+            else:
+                assert f"{key} = {default}" in resolved, key
+
+
+def test_non_finite_numbers_name_the_key():
+    for key in ("learner.eta0", "learner.gamma", "profile.slm_sharpness", "cost.c_p2p", "run.heterogeneity"):
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(InvalidValue, match="expected a finite number") as err:
+                parse_config_text(f"{key} = {text}")
+            assert err.value.key == key
 
 
 def test_missing_file_raises():
@@ -327,6 +364,17 @@ def test_cli_bad_config_exits_2(tmp_path):
     conf.write_text("partition.dirichlet_alpha = -1\n", encoding="utf-8")
     assert main(["run", "--config", str(conf)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 2
+    for text in ("learner.eta0 = nan", "profile.vocab_size = 1", "peer.embedding_seed = -1", "cost.c_llm = 1e308"):
+        conf.write_text(text + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(conf)]) == 2, text
+
+
+def test_cli_malformed_trace_exits_2(tmp_path):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")
+    conf = tmp_path / "trace.conf"
+    conf.write_text(TINY_TEXT + f"\nrun.trace_path = {trace}\n", encoding="utf-8")
+    assert main(["run", "--config", str(conf)]) == 2
 
 
 def test_cli_sweep_writes_grid(tmp_path):

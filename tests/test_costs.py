@@ -5,13 +5,11 @@ import math
 import pytest
 
 from fedhlm.costs import (
-    CacheModel,
     CostModel,
     PHitEstimator,
     cache_hit_curve,
     expected_cost,
     fit_cache_alpha,
-    p_hit_estimate,
     should_attempt_p2p,
 )
 
@@ -64,6 +62,8 @@ def test_cache_hit_curve_shape():
         cache_hit_curve(-1, 0.02)
     with pytest.raises(ValueError):
         cache_hit_curve(8, 0.0)
+    with pytest.raises(ValueError):
+        cache_hit_curve(8, -0.02)
 
 
 def test_fit_recovers_known_alpha_exactly():
@@ -86,13 +86,6 @@ def test_fit_validation_and_saturation_guard():
         fit_cache_alpha([0, 2], [0.1, 0.2])
     # a ratio of exactly 1 is nudged below 1 instead of producing -inf
     assert math.isfinite(fit_cache_alpha([4, 8], [0.5, 1.0]))
-
-
-def test_cache_model_validation():
-    with pytest.raises(ValueError):
-        CacheModel(alpha_fit=0.0)
-    with pytest.raises(ValueError):
-        CacheModel(size=0)
 
 
 def test_estimator_uses_prior_until_window_filled():
@@ -123,10 +116,18 @@ def test_estimator_validation():
         PHitEstimator(window=3, prior=1.5)
 
 
-def test_p_hit_estimate_function_matches_estimator():
+def test_estimator_over_one_history():
+    def estimate(history: list[bool], **kwargs) -> float:
+        est = PHitEstimator(**kwargs)
+        for outcome in history:
+            est.record(outcome)
+        return est.estimate()
+
     history = [True, False, True, True, False]
-    assert p_hit_estimate(history, window=8, prior=0.3) == 0.3
-    assert p_hit_estimate(history, window=5) == pytest.approx(0.6)
-    assert p_hit_estimate(history, window=2) == pytest.approx(0.5)
+    # fewer outcomes than the window: the prior stands in
+    assert estimate(history, window=8, prior=0.3) == 0.3
+    # a full window averages every outcome, a short one only the latest
+    assert estimate(history, window=5) == pytest.approx(0.6)
+    assert estimate(history, window=2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        p_hit_estimate(history, window=0)
+        estimate(history, window=0)

@@ -17,7 +17,6 @@ from fedhlm.model_source import (
     argmax_token,
     gen_distribution_pair,
     load_logit_trace,
-    normalized_entropy_limit,
     save_logit_trace,
 )
 
@@ -138,10 +137,6 @@ def test_pair_generation_is_deterministic():
         slm_b, llm_b = gen_distribution_pair(profile, b)
         assert np.array_equal(slm_a.probs, slm_b.probs)
         assert np.array_equal(llm_a.probs, llm_b.probs)
-
-
-def test_normalized_entropy_limit_is_log_vocab():
-    assert normalized_entropy_limit(VocabSpec(32)) == pytest.approx(np.log(32.0))
 
 
 def _tiny_trace(vocab: VocabSpec, steps: int, seed: int = 0) -> LogitTrace:

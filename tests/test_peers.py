@@ -14,8 +14,6 @@ from fedhlm.peers import (
     NoPeers,
     PeerConfig,
     TokenCache,
-    cache_insert,
-    cache_lookup,
     centroid,
     cosine_similarity,
     edge_validate,
@@ -176,8 +174,8 @@ def test_cache_insert_then_lookup_hits():
     cfg = PeerConfig()
     cache = TokenCache(capacity=4)
     e = vec(1.0, 0.0)
-    cache_insert(cache, e, 7)
-    result = cache_lookup(cache, e, cfg)
+    cache.insert(e, 7)
+    result = cache.lookup(e, cfg)
     assert result.outcome is CacheLookup.HIT
     assert result.token == 7
     assert result.similarity >= cfg.similarity_threshold

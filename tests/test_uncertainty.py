@@ -1,4 +1,4 @@
-"""Uncertainty scoring and the hard/soft routing gates."""
+"""Uncertainty scoring: entropy and Monte-Carlo disagreement."""
 
 import math
 
@@ -12,10 +12,7 @@ from fedhlm.uncertainty import (
     SamplerConfig,
     ScoreKind,
     entropy_score,
-    hard_route,
     mc_disagreement,
-    sigmoid,
-    soft_route,
     soften,
 )
 
@@ -115,41 +112,3 @@ def test_entropy_score_limits():
     uniform = TokenDistribution(np.full(8, 0.125))
     assert entropy_score(uniform).value == pytest.approx(math.log(8))
     assert entropy_score(uniform).kind is ScoreKind.ENTROPY
-
-
-def test_hard_route_boundary_retains():
-    from fedhlm.uncertainty import UncertaintyScore
-
-    kind = ScoreKind.MC_DISAGREEMENT
-    assert hard_route(UncertaintyScore(0.2, kind), 0.5).transmit is False
-    # a score exactly at the threshold stays local
-    assert hard_route(UncertaintyScore(0.5, kind), 0.5).transmit is False
-    assert hard_route(UncertaintyScore(0.7, kind), 0.5).transmit is True
-
-
-def test_soft_route_is_sigmoid_of_scaled_gap():
-    from fedhlm.uncertainty import UncertaintyScore
-
-    score = UncertaintyScore(0.5, ScoreKind.MC_DISAGREEMENT)
-    assert soft_route(score, 0.5, 10.0) == pytest.approx(0.5)
-    assert soft_route(UncertaintyScore(0.9, ScoreKind.MC_DISAGREEMENT), 0.5, 10.0) == pytest.approx(
-        1.0 / (1.0 + math.exp(-4.0))
-    )
-    with pytest.raises(ValueError):
-        soft_route(score, 0.5, 0.0)
-
-
-def test_soft_route_monotone_in_score():
-    from fedhlm.uncertainty import UncertaintyScore
-
-    values = [
-        soft_route(UncertaintyScore(u, ScoreKind.MC_DISAGREEMENT), 0.4, 10.0)
-        for u in np.linspace(0.0, 1.0, 21)
-    ]
-    assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_sigmoid_is_stable_at_extremes():
-    assert sigmoid(1000.0) == 1.0
-    assert sigmoid(-1000.0) == pytest.approx(0.0)
-    assert sigmoid(0.0) == 0.5
