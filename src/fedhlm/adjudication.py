@@ -11,13 +11,16 @@ from the generator, located in the running sum of the weights. That is the
 draw ``Generator.choice(n, p=w)`` performs internally, so it consumes
 exactly the same single uniform and returns the same token, without
 ``choice``'s re-validation of a ``p`` that is already a probability vector
-by construction.
+by construction. ``choice`` divides the whole running sum by its last entry
+and searches it; dividing only the entries a binary search probes gives the
+same quotients, hence the same index, in O(log n) divisions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +33,17 @@ class Verdict(enum.Enum):
     RESAMPLED = "resampled"
 
 
-@dataclass(frozen=True)
-class AdjudicationResult:
+# Bound once: a member lookup on the enum class, or a method lookup on a
+# ufunc, costs more than reading a global.
+_ACCEPTED = Verdict.ACCEPTED
+_RESAMPLED = Verdict.RESAMPLED
+_sum = np.add.reduce
+_running_sum = np.add.accumulate
+
+
+class AdjudicationResult(NamedTuple):
+    """The cloud's verdict on one token; a tuple, so building one is cheap."""
+
     final_token: int
     verdict: Verdict
     rejection_prob: float
@@ -55,12 +67,17 @@ def llm_adjudicate(
     """
     beta = rejection_probability(slm, llm, token)
     if beta <= 0.0 or rng.random() >= beta:
-        return AdjudicationResult(token, Verdict.ACCEPTED, beta)
-    residual = llm.probs - slm.probs
-    np.maximum(residual, 0.0, out=residual)
-    total = float(np.add.reduce(residual))
-    weights = llm.probs if total <= 0.0 else residual / total
-    cdf = np.add.accumulate(weights)
-    cdf /= cdf[-1]
-    replacement = int(cdf.searchsorted(rng.random(), side="right"))
-    return AdjudicationResult(replacement, Verdict.RESAMPLED, beta)
+        return AdjudicationResult(token, _ACCEPTED, beta)
+    weights = llm.probs - slm.probs
+    np.maximum(weights, 0.0, out=weights)
+    total = _sum(weights)
+    if total <= 0.0:
+        weights = llm.probs
+    else:
+        weights /= total
+    cdf = _running_sum(weights)
+    last = cdf[-1]
+    # first index whose normalized running sum exceeds the uniform, as
+    # cdf.searchsorted(u, side="right") finds it after cdf /= cdf[-1]
+    replacement = bisect_right(cdf, rng.random(), key=lambda c: c / last)
+    return AdjudicationResult(replacement, _RESAMPLED, beta)

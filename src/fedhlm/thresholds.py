@@ -74,10 +74,16 @@ def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token:
     The denominator is floored at 1e-12 so a vanishing SLM probability
     cannot blow up the ratio.
     """
-    if not 0 <= token < slm.size:
+    # Scalar reads and comparisons rather than float()/max(): the cloud
+    # calls this once per escalated token, and the result is the same float.
+    probs = slm.probs
+    if not 0 <= token < probs.size:
         raise ValueError(f"token {token} outside vocabulary")
-    denom = max(float(slm.probs[token]), PROB_FLOOR)
-    return max(1.0 - float(llm.probs[token]) / denom, 0.0)
+    denom = probs.item(token)
+    if denom < PROB_FLOOR:
+        denom = PROB_FLOOR
+    beta = 1.0 - llm.probs.item(token) / denom
+    return 0.0 if beta < 0.0 else beta
 
 
 def _weights(feedback: list[RejectionFeedback], lam: float) -> np.ndarray:

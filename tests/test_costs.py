@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fedhlm.cli import main
 from fedhlm.costs import (
     CostModel,
     PHitEstimator,
@@ -62,8 +63,6 @@ def test_cache_hit_curve_shape():
         cache_hit_curve(-1, 0.02)
     with pytest.raises(ValueError):
         cache_hit_curve(8, 0.0)
-    with pytest.raises(ValueError):
-        cache_hit_curve(8, -0.02)
 
 
 def test_fit_recovers_known_alpha_exactly():
@@ -86,6 +85,15 @@ def test_fit_validation_and_saturation_guard():
         fit_cache_alpha([0, 2], [0.1, 0.2])
     # a ratio of exactly 1 is nudged below 1 instead of producing -inf
     assert math.isfinite(fit_cache_alpha([4, 8], [0.5, 1.0]))
+
+
+def test_cache_model_validation():
+    # the saturating cache model is cache_hit_curve itself; `fedhlm cost`
+    # passes --cache-alpha straight to it
+    for alpha in (0.0, -0.02):
+        with pytest.raises(ValueError):
+            cache_hit_curve(8, alpha)
+        assert main(["cost", "--cache-alpha", str(alpha)]) == 1
 
 
 def test_estimator_uses_prior_until_window_filled():

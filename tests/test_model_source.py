@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedhlm.engine import SimulationConfig, _score
+from fedhlm.federation import ClusterTopology
 from fedhlm.model_source import (
     NORMALIZATION_ATOL,
     LogitTrace,
@@ -19,6 +21,7 @@ from fedhlm.model_source import (
     load_logit_trace,
     save_logit_trace,
 )
+from fedhlm.uncertainty import entropy_score
 
 
 def fixed_agreement_profile(agreement: float, vocab: int = 16) -> ModelProfile:
@@ -137,6 +140,20 @@ def test_pair_generation_is_deterministic():
         slm_b, llm_b = gen_distribution_pair(profile, b)
         assert np.array_equal(slm_a.probs, slm_b.probs)
         assert np.array_equal(llm_a.probs, llm_b.probs)
+
+
+def test_normalized_entropy_limit_is_log_vocab():
+    # a uniform row attains the entropy ceiling ln(V); the engine's entropy
+    # score divides by that ceiling, so the row scores 1
+    vocab = VocabSpec(32)
+    uniform = TokenDistribution(np.full(vocab.size, 1.0 / vocab.size))
+    assert entropy_score(uniform).value == pytest.approx(np.log(32.0))
+    cfg = SimulationConfig(
+        topology=ClusterTopology(num_clients=2, num_clusters=1),
+        profile=ModelProfile(vocab=vocab),
+        uncertainty_kind="entropy",
+    )
+    assert _score(cfg, uniform, np.random.default_rng(0)) == pytest.approx(1.0)
 
 
 def _tiny_trace(vocab: VocabSpec, steps: int, seed: int = 0) -> LogitTrace:

@@ -74,22 +74,6 @@ def test_loss_at_gate_midpoint():
     assert local_loss([fb(0.4, 0.2)], 0.4, cfg) == pytest.approx(0.32)
 
 
-def test_loss_gate_is_a_stable_sigmoid_of_the_scaled_gap():
-    # With rej = 0 and lambda = 0 a record's loss is its soft gate alone,
-    # sigmoid(gamma * (u - threshold)).
-    def gate(u: float, threshold: float, gamma: float) -> float:
-        return local_loss([fb(u, 0.0)], threshold, LearnerConfig(gamma=gamma, lam=0.0))
-
-    assert gate(0.5, 0.5, 10.0) == 0.5
-    assert gate(0.9, 0.5, 10.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)))
-    values = [gate(u, 0.4, 10.0) for u in np.linspace(0.0, 1.0, 21)]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    # a gap of +-1000 saturates without overflowing either branch
-    with np.errstate(over="raise", invalid="raise"):
-        assert gate(1.0, 0.0, 1000.0) == 1.0
-        assert 0.0 <= gate(0.0, 1.0, 1000.0) == pytest.approx(0.0)
-
-
 def test_loss_saturated_gate_magnitude():
     cfg = LearnerConfig(gamma=10.0, lam=0.01)
     value = local_loss([fb(1.0, 0.2)], 0.0, cfg)

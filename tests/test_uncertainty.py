@@ -1,4 +1,4 @@
-"""Uncertainty scoring: entropy and Monte-Carlo disagreement."""
+"""Uncertainty scoring, and the hard gate and soft relaxation that act on a score."""
 
 import math
 
@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedhlm.model_source import TokenDistribution, VocabSpec, argmax_token
+from fedhlm.costs import PHitEstimator
+from fedhlm.engine import ClientRoundStats, ClientState, SimulationConfig, Stage, resolve_token
+from fedhlm.federation import ClusterTopology
+from fedhlm.model_source import TokenDistribution, VocabSpec, argmax_token, gen_distribution_pair
+from fedhlm.peers import TokenCache
+from fedhlm.thresholds import LearnerConfig, RejectionFeedback, local_loss
 from fedhlm.uncertainty import (
     SamplerConfig,
     ScoreKind,
@@ -112,3 +117,57 @@ def test_entropy_score_limits():
     uniform = TokenDistribution(np.full(8, 0.125))
     assert entropy_score(uniform).value == pytest.approx(math.log(8))
     assert entropy_score(uniform).kind is ScoreKind.ENTROPY
+
+
+def test_hard_route_boundary_retains():
+    # the gate in resolve_token: retain when the score is at or below the
+    # threshold, escalate only when it is strictly above
+    cfg = SimulationConfig(topology=ClusterTopology(num_clients=2, num_clusters=1), mode="uhlm")
+    slm, llm = gen_distribution_pair(cfg.profile, np.random.default_rng(3), mode=1)
+    client = ClientState(
+        client_id=0,
+        cluster_id=0,
+        profile=cfg.profile,
+        mixture=np.full(cfg.partition.num_classes, 1.0 / cfg.partition.num_classes),
+        threshold=0.5,
+        cache=TokenCache(capacity=cfg.cache_capacity),
+        estimator=PHitEstimator(window=cfg.cost.p_hit_window),
+    )
+    stats = ClientRoundStats(client_id=0)
+
+    def stage(score: float) -> Stage:
+        return resolve_token(client, slm, llm, None, None, cfg, np.random.default_rng(0), stats, uncertainty=score).stage
+
+    assert stage(0.2) is Stage.LOCAL
+    # a score exactly at the threshold stays local
+    assert stage(0.5) is Stage.LOCAL
+    assert stats.transmitted_count == 0
+    assert stage(0.7) is Stage.LLM
+    assert stats.transmitted_count == 1
+
+
+def soft_gate(score: float, threshold: float, gamma: float) -> float:
+    # with rejection probability 0 and lambda 0 a feedback record's loss is
+    # its soft gate alone, sigmoid(gamma * (score - threshold))
+    feedback = [RejectionFeedback(uncertainty=score, rejection_prob=0.0, token=0)]
+    return local_loss(feedback, threshold, LearnerConfig(gamma=gamma, lam=0.0))
+
+
+def test_soft_route_is_sigmoid_of_scaled_gap():
+    assert soft_gate(0.5, 0.5, 10.0) == pytest.approx(0.5)
+    assert soft_gate(0.9, 0.5, 10.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)))
+    with pytest.raises(ValueError):
+        LearnerConfig(gamma=0.0)
+
+
+def test_soft_route_monotone_in_score():
+    values = [soft_gate(u, 0.4, 10.0) for u in np.linspace(0.0, 1.0, 21)]
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_sigmoid_is_stable_at_extremes():
+    # a gap of +-1000 saturates without overflowing either branch
+    with np.errstate(over="raise", invalid="raise"):
+        assert soft_gate(1.0, 0.0, 1000.0) == 1.0
+        assert soft_gate(0.0, 1.0, 1000.0) == pytest.approx(0.0)
+    assert soft_gate(0.5, 0.5, 1000.0) == 0.5
