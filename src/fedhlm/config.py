@@ -106,7 +106,6 @@ KEYS: dict[str, tuple[str | None, str, Callable[[str], object], Callable[[object
     "run.skew_agreement_coupling": (None, "skew_agreement_coupling", _float, str),
     "run.confusion_scale": (None, "confusion_scale", _float, str),
     "run.zipf_exponent": (None, "zipf_exponent", _float, str),
-    "run.workers": (None, "workers", _int, str),
     "peer.edge_threshold": ("peer", "edge_threshold", _float, str),
     "run.trace_path": (None, "trace_path", str, str),
 }

@@ -12,8 +12,7 @@ threshold-learning step per client per round, followed by cluster-weighted
 and global averaging with a broadcast back to every client.
 
 All randomness flows from one seed through named per-client, per-round
-streams, so reruns are bit-identical and clients may execute in parallel
-without perturbing the result.
+streams, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ import enum
 import math
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -61,7 +59,6 @@ from .peers import (
     peer_consensus,
 )
 from .thresholds import (
-    ClientRoundStats,
     LearnerConfig,
     RejectionFeedback,
     Threshold,
@@ -84,6 +81,12 @@ _TAG_PARTITION = 1
 _TAG_PROFILES = 2
 _TAG_GEN = 3
 _TAG_RESOLVE = 4
+
+# Ceiling on the cells (floats, ints or token records) a run holds at once:
+# a round's SLM and LLM rows, the embedding table, the caches, the peer
+# index rows, one token's MC draws, the run's token records. 2**24 float64
+# cells are 128 MiB; the stock run's largest term is 327,680 (its caches).
+MAX_CELLS = 2**24
 
 
 class ConfigInvalid(ValueError):
@@ -125,7 +128,6 @@ class SimulationConfig:
     confusion_scale: float = 12.0
     zipf_exponent: float = 1.5
     trace_path: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.profile is None:
@@ -154,17 +156,22 @@ class SimulationConfig:
             raise ConfigInvalid("confusion_scale must be >= 0")
         if self.zipf_exponent < 0:
             raise ConfigInvalid("zipf_exponent must be >= 0")
-        if self.workers < 1:
-            raise ConfigInvalid("workers must be >= 1")
         if self.partition.num_classes > self.profile.vocab.size:
             raise ConfigInvalid("num_classes cannot exceed the vocabulary size")
         if lr_schedule(self.learner.eta0, self.rounds - 1) == 0.0:
             raise ConfigInvalid("eta0 underflows to a zero learning rate by the last round")
         if self.trace_path is not None and not Path(self.trace_path).is_file():
             raise ConfigInvalid(f"trace file not found: {self.trace_path}")
+        clients, vocab, dim = self.topology.num_clients, self.profile.vocab.size, self.peer.embedding_dim
+        tokens = self.rounds * clients * self.tokens_per_client
+        held = max(
+            2 * clients * self.tokens_per_client * vocab, vocab * dim, clients * self.cache_capacity * dim,
+            clients * clients, self.sampler.num_samples, tokens,
+        )
+        if held > MAX_CELLS:
+            raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
         # No token is charged more than c_p2p + c_llm, so this bound keeps
         # every cost total finite. Comparing the int with a float is exact.
-        tokens = self.rounds * self.topology.num_clients * self.tokens_per_client
         if tokens > sys.float_info.max / (self.cost.c_p2p + self.cost.c_llm):
             raise ConfigInvalid("c_p2p + c_llm per token overflows the run's total cost")
 
@@ -201,12 +208,6 @@ class ClientState:
     threshold: float
     cache: TokenCache
     estimator: PHitEstimator
-    accepted_tokens: list[int] = field(default_factory=list)
-    p2p_attempts: int = 0
-    p2p_successes: int = 0
-    llm_tokens: int = 0
-    correct_tokens: int = 0
-    total_tokens: int = 0
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,6 @@ class ClientMetrics:
 @dataclass
 class RoundReport:
     round_index: int
-    per_client: dict[int, ClientRoundStats]
     outcomes: dict[int, list[TokenOutcome]]
     outcome_counts: dict[Stage, int]
     thresholds_local: dict[int, float]
@@ -344,7 +344,6 @@ class SimulationState:
             np.array([m for m in self.cluster_members[c.cluster_id] if m != c.client_id], dtype=np.intp)
             for c in self.clients
         ]
-        self.round_index = 0
 
 
 def _zipf_cumulative(width: int, exponent: float) -> np.ndarray:
@@ -419,8 +418,7 @@ class _PeerView:
     timestep, local or not, so peers and the edge tier always have a
     same-timestep snapshot to compare against. The view holds the round's
     (clients, T) matrix of predicted tokens and every cluster's centroid at
-    every timestep, computed once when the round starts; nothing in it
-    changes afterwards, so client threads share it safely. The per-token
+    every timestep, computed once when the round starts. The per-token
     views are built on demand: a client's peer rows only when one of its
     tokens reaches peer consensus, and the neighbour centroid list only
     when consensus escalates.
@@ -460,7 +458,6 @@ def resolve_token(
     edge_centroids: Callable[[], list[Embedding]] | None,
     cfg: SimulationConfig,
     rng: np.random.Generator,
-    stats: ClientRoundStats,
     uncertainty: float,
     reference_token: int | None = None,
 ) -> TokenOutcome:
@@ -472,7 +469,9 @@ def resolve_token(
     take every escalated token straight to the cloud, so they may pass
     None for the views. The peer and edge views are zero-argument
     providers: peer_embeddings is called only after the cache misses and
-    edge_centroids only after consensus escalates.
+    edge_centroids only after consensus escalates. The outcome counts as
+    correct when its final token is the reference token, or the LLM's
+    argmax when there is none.
     """
     predicted = argmax_token(slm)
     target = reference_token if reference_token is not None else argmax_token(llm)
@@ -481,136 +480,80 @@ def resolve_token(
     else:
         escalate = uncertainty > client.threshold
     if not escalate:
-        return _settle(client, Stage.LOCAL, predicted, 0.0, uncertainty, target)
+        return TokenOutcome(Stage.LOCAL, predicted, 0.0, uncertainty, predicted == target)
 
-    stats.transmitted_count += 1
     cost = cfg.cost
     lateral = cfg.mode == MODE_FEDHLM
     emb_row = embedding_matrix(cfg.profile.vocab, cfg.peer)
     attempted = lateral and should_attempt_p2p(client.estimator.estimate(), cost)
     if attempted:
-        client.p2p_attempts += 1
         own = Embedding(emb_row[predicted])
         hit = client.cache.lookup(own, cfg.peer)
         if hit.token is not None:
             client.estimator.record(True)
-            client.p2p_successes += 1
-            return _settle(client, Stage.P2P, hit.token, cost.c_p2p, uncertainty, target, p2p_attempted=True)
+            return TokenOutcome(Stage.P2P, hit.token, cost.c_p2p, uncertainty, hit.token == target, p2p_attempted=True)
         if peer_consensus(own, peer_embeddings(), cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
             client.estimator.record(True)
-            client.p2p_successes += 1
             client.cache.insert(own, predicted)
-            return _settle(client, Stage.P2P, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
+            return TokenOutcome(Stage.P2P, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
         client.estimator.record(False)
         if edge_validate(own, edge_centroids(), cfg.peer) is EdgeDecision.ACCEPT:
             client.cache.insert(own, predicted)
-            return _settle(client, Stage.EDGE, predicted, cost.c_p2p, uncertainty, target, p2p_attempted=True)
+            return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
 
     result = llm_adjudicate(slm, llm, predicted, rng)
     final = result.final_token
     if lateral:
         client.cache.insert(Embedding(emb_row[final]), final)
-    client.llm_tokens += 1
-    stats.feedback.append(
-        RejectionFeedback(uncertainty=uncertainty, rejection_prob=result.rejection_prob, token=predicted)
-    )
     charged = cost.c_p2p + cost.c_llm if attempted else cost.c_llm
-    return _settle(client, Stage.LLM, final, charged, uncertainty, target, result.rejection_prob, attempted)
-
-
-def _settle(
-    client: ClientState,
-    stage: Stage,
-    final: int,
-    charged: float,
-    uncertainty: float,
-    target: int,
-    rejection_prob: float | None = None,
-    p2p_attempted: bool = False,
-) -> TokenOutcome:
-    """Build one token's outcome and book it on the client; target is the token counted correct."""
-    outcome = TokenOutcome(stage, final, charged, uncertainty, final == target, rejection_prob, p2p_attempted)
-    client.accepted_tokens.append(final)
-    client.total_tokens += 1
-    if outcome.correct:
-        client.correct_tokens += 1
-    return outcome
-
-
-def _resolve_client_round(
-    state: SimulationState,
-    client: ClientState,
-    round_index: int,
-    workload: _Workload,
-    view: _PeerView | None,
-) -> tuple[list[TokenOutcome], ClientRoundStats]:
-    cfg = state.cfg
-    rng = substream(cfg.seed, _TAG_RESOLVE, client.client_id, round_index)
-    stats = ClientRoundStats(client_id=client.client_id)
-    lateral = view is not None
-    outcomes: list[TokenOutcome] = []
-    for t in range(cfg.tokens_per_client):
-        outcomes.append(
-            resolve_token(
-                client,
-                workload.slm[t],
-                workload.llm[t],
-                partial(view.peer_embeddings, client.client_id, t) if lateral else None,
-                partial(view.edge_centroids, client.cluster_id, t) if lateral else None,
-                cfg,
-                rng,
-                stats,
-                float(workload.uncertainty[t]),
-                int(workload.reference[t]) if workload.reference is not None else None,
-            )
-        )
-    return outcomes, stats
+    return TokenOutcome(Stage.LLM, final, charged, uncertainty, final == target, result.rejection_prob, attempted)
 
 
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
     clients = state.clients
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            workloads = dict(
-                zip(
-                    [c.client_id for c in clients],
-                    pool.map(lambda c: _generate_workload(state, c, round_index), clients),
-                )
-            )
-    else:
-        workloads = {c.client_id: _generate_workload(state, c, round_index) for c in clients}
-
+    workloads = {c.client_id: _generate_workload(state, c, round_index) for c in clients}
     # The baselines never look at peers, so they get no view.
     view = _PeerView(state, workloads) if cfg.mode == MODE_FEDHLM else None
 
-    def resolve(client: ClientState):
-        return _resolve_client_round(state, client, round_index, workloads[client.client_id], view)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            resolved = list(pool.map(resolve, clients))
-    else:
-        resolved = [resolve(c) for c in clients]
-
-    outcomes = {c.client_id: res[0] for c, res in zip(clients, resolved)}
-    per_client = {c.client_id: res[1] for c, res in zip(clients, resolved)}
+    outcomes: dict[int, list[TokenOutcome]] = {}
+    for client in clients:
+        cid = client.client_id
+        work = workloads[cid]
+        rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
+        outcomes[cid] = [
+            resolve_token(
+                client,
+                work.slm[t],
+                work.llm[t],
+                partial(view.peer_embeddings, cid, t) if view is not None else None,
+                partial(view.edge_centroids, client.cluster_id, t) if view is not None else None,
+                cfg,
+                rng,
+                float(work.uncertainty[t]),
+                int(work.reference[t]) if work.reference is not None else None,
+            )
+            for t in range(cfg.tokens_per_client)
+        ]
 
     thresholds_local: dict[int, float] = {}
     if cfg.mode == MODE_FEDHLM:
+        eta = lr_schedule(cfg.learner.eta0, round_index)
         for client in clients:
-            stats = per_client[client.client_id]
-            grad = loss_gradient(stats.feedback, client.threshold, cfg.learner)
-            eta = lr_schedule(cfg.learner.eta0, round_index)
-            updated = sgd_step(Threshold(client.threshold), grad, eta)
-            thresholds_local[client.client_id] = updated.value
+            feedback = [
+                RejectionFeedback(o.uncertainty, o.rejection_prob)
+                for o in outcomes[client.client_id]
+                if o.stage is Stage.LLM
+            ]
+            grad = loss_gradient(feedback, client.threshold, cfg.learner)
+            thresholds_local[client.client_id] = sgd_step(Threshold(client.threshold), grad, eta).value
 
         cluster_values: list[float] = []
         for cluster_id, members in enumerate(state.cluster_members):
             values = [thresholds_local[m] for m in members]
-            weights = [per_client[m].transmitted_count for m in members]
+            # A client's weight is the number of tokens it transmitted.
+            weights = [sum(o.stage is not Stage.LOCAL for o in outcomes[m]) for m in members]
             try:
                 cluster_values.append(cluster_aggregate(values, weights))
             except AllWeightsZero:
@@ -626,37 +569,24 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
 
     thresholds_after = {c.client_id: c.threshold for c in clients}
 
+    flat = [o for c in clients for o in outcomes[c.client_id]]
+    llm = [o for o in flat if o.stage is Stage.LLM]
     counts = {stage: 0 for stage in Stage}
-    llm_after_p2p = 0
-    all_u: list[float] = []
-    betas: list[float] = []
-    cost_total = []
-    for client in clients:
-        for outcome in outcomes[client.client_id]:
-            counts[outcome.stage] += 1
-            all_u.append(outcome.uncertainty)
-            cost_total.append(outcome.charged_cost)
-            if outcome.stage is Stage.LLM:
-                betas.append(outcome.rejection_prob)
-                if outcome.p2p_attempted:
-                    llm_after_p2p += 1
-
-    report = RoundReport(
+    for outcome in flat:
+        counts[outcome.stage] += 1
+    return RoundReport(
         round_index=round_index,
-        per_client=per_client,
         outcomes=outcomes,
         outcome_counts=counts,
         thresholds_local=thresholds_local,
         thresholds_after=thresholds_after,
         cluster_thresholds=tuple(state.cluster_thresholds),
         global_threshold=global_threshold,
-        total_cost=math.fsum(cost_total),
-        avg_uncertainty=math.fsum(all_u) / len(all_u),
-        rejection_rate=math.fsum(betas) / len(betas) if betas else 0.0,
-        llm_after_p2p=llm_after_p2p,
+        total_cost=math.fsum(o.charged_cost for o in flat),
+        avg_uncertainty=math.fsum(o.uncertainty for o in flat) / len(flat),
+        rejection_rate=math.fsum(o.rejection_prob for o in llm) / len(llm) if llm else 0.0,
+        llm_after_p2p=sum(o.p2p_attempted for o in llm),
     )
-    state.round_index = round_index + 1
-    return report
 
 
 def run(cfg: SimulationConfig) -> SimulationReport:
@@ -664,13 +594,14 @@ def run(cfg: SimulationConfig) -> SimulationReport:
     state = SimulationState(cfg)
     rounds = [run_round(state, r) for r in range(cfg.rounds)]
     metrics: dict[int, ClientMetrics] = {}
-    for client in state.clients:
-        entropy = client_token_entropy(client.accepted_tokens, cfg.profile.vocab)
-        hit_ratio = client.p2p_successes / client.p2p_attempts if client.p2p_attempts else 0.0
-        metrics[client.client_id] = ClientMetrics(
-            token_entropy=entropy,
-            cache_hit_ratio=hit_ratio,
-            llm_token_count=client.llm_tokens,
-            accuracy=client.correct_tokens / client.total_tokens,
+    for client_id in range(cfg.topology.num_clients):
+        mine = [o for rnd in rounds for o in rnd.outcomes[client_id]]
+        stages = [o.stage for o in mine]
+        attempts = sum(o.p2p_attempted for o in mine)
+        metrics[client_id] = ClientMetrics(
+            token_entropy=client_token_entropy([o.final_token for o in mine], cfg.profile.vocab),
+            cache_hit_ratio=stages.count(Stage.P2P) / attempts if attempts else 0.0,
+            llm_token_count=stages.count(Stage.LLM),
+            accuracy=sum(o.correct for o in mine) / len(mine),
         )
     return SimulationReport(cfg, rounds, metrics)

@@ -55,7 +55,7 @@ class TokenDistribution:
             raise ValueError("probs must be a 1-d vector of size >= 2")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > NORMALIZATION_ATOL:
+        if not abs(float(p.sum()) - 1.0) <= NORMALIZATION_ATOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
 
     @property
@@ -183,6 +183,8 @@ def _parse_probs(cells: list[str], line_no: int) -> np.ndarray:
         p = np.array([float(c) for c in cells], dtype=np.float64)
     except ValueError as exc:
         raise MalformedRow(f"line {line_no}: non-numeric probability") from exc
+    if not np.all(np.isfinite(p)):
+        raise MalformedRow(f"line {line_no}: non-finite probability")
     if np.any(p < 0.0):
         raise MalformedRow(f"line {line_no}: negative probability")
     if abs(float(p.sum()) - 1.0) > TRACE_NORMALIZATION_ATOL:

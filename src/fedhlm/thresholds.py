@@ -10,7 +10,7 @@ step runs per round with a 1/(1+round) learning-rate decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class RejectionFeedback:
 
     uncertainty: float
     rejection_prob: float
-    token: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.uncertainty <= 1.0:
@@ -56,16 +55,6 @@ class Threshold:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-
-
-@dataclass
-class ClientRoundStats:
-    """Per-round bookkeeping: how many tokens left the device, and the
-    cloud feedback for the subset that reached the large model."""
-
-    client_id: int
-    transmitted_count: int = 0
-    feedback: list[RejectionFeedback] = field(default_factory=list)
 
 
 def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token: int) -> float:
@@ -143,7 +132,6 @@ __all__ = [
     "RejectionFeedback",
     "LearnerConfig",
     "Threshold",
-    "ClientRoundStats",
     "rejection_probability",
     "local_loss",
     "loss_gradient",

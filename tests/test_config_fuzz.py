@@ -12,7 +12,7 @@ it accepts must run, and then:
   token is charged a price its stage allows;
 - every threshold stays in [0, 1];
 - the config survives config_to_text and parse_config_text unchanged;
-- 1 and 2 workers write byte-identical metrics.csv and trace.jsonl.
+- a second run writes byte-identical metrics.csv and trace.jsonl.
 
 A run may stop with ConfigInvalid only when it replays a trace file whose
 contents do not fit the config, since the file is read when the run starts.
@@ -21,7 +21,6 @@ contents do not fit the config, since the file is read when the run starts.
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +113,6 @@ VALUES = {
     "run.skew_agreement_coupling": value(NONNEGATIVE),
     "run.confusion_scale": value(NONNEGATIVE),
     "run.zipf_exponent": value(NONNEGATIVE),
-    "run.workers": value(st.integers(1, 3)),
     "peer.edge_threshold": value(st.floats(0.0, 1.0, exclude_min=True)),
     "run.trace_path": st.sampled_from(["valid.trace", "malformed.trace", "missing.trace"]).map(
         lambda name: f"{TRACE_DIR}/{name}"
@@ -162,30 +160,29 @@ def test_accepted_configs_run_and_keep_their_invariants(text, trace_dir):
         return
     assert parse_config_text(config_to_text(cfg)) == cfg
     event("accepted")
-    
+
     try:
-        serial = run(replace(cfg, workers=1))
+        report = run(cfg)
     except ConfigInvalid:
         assert cfg.trace_path is not None
         event("trace rejected")
         return
     event("ran")
-    parallel = run(replace(cfg, workers=2))
     with tempfile.TemporaryDirectory() as tmp:
         one, two = Path(tmp, "1"), Path(tmp, "2")
         one.mkdir()
         two.mkdir()
-        metrics, trace = _outputs(serial, one)
-        assert (metrics, trace) == _outputs(parallel, two)
+        metrics, trace = _outputs(report, one)
+        assert (metrics, trace) == _outputs(run(cfg), two)
 
     clients, per_client = cfg.topology.num_clients, cfg.tokens_per_client
     records = [json.loads(line) for line in trace.decode().splitlines()]
     rows = [line.split(",") for line in metrics.decode().splitlines()[1:]]
-    assert len(rows) == len(serial.rounds) == cfg.rounds
+    assert len(rows) == len(report.rounds) == cfg.rounds
     assert len(records) == cfg.rounds * clients * per_client
     c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
     prices = {"local": {0.0}, "p2p": {c_p2p}, "edge": {c_p2p}, "llm": {c_llm, c_p2p + c_llm}}
-    for rnd, row in zip(serial.rounds, rows):
+    for rnd, row in zip(report.rounds, rows):
         mine = [r for r in records if r["round"] == rnd.round_index]
         counts = {stage: sum(r["stage"] == stage for r in mine) for stage in prices}
         assert sum(rnd.outcome_counts.values()) == len(mine) == clients * per_client

@@ -78,7 +78,14 @@ def test_unknown_key_rejected():
 
 
 def test_keys_that_did_nothing_are_unknown():
-    for key in ("partition.tokens_per_client", "cost.c_uplink", "cost.tau_slm", "cost.tau_llm", "cost.tau_uplink"):
+    for key in (
+        "partition.tokens_per_client",
+        "cost.c_uplink",
+        "cost.tau_slm",
+        "cost.tau_llm",
+        "cost.tau_uplink",
+        "run.workers",
+    ):
         with pytest.raises(InvalidValue, match="unknown configuration key") as err:
             parse_config_text(f"{key} = 1")
         assert err.value.key == key
@@ -116,6 +123,8 @@ def test_constraint_errors_name_the_key():
         "cost.c_llm = 1e308": "cost.c_llm",
         "partition.dirichlet_alpha = 1e308": "partition.dirichlet_alpha",
         "run.trace_path = /nonexistent/fedhlm.trace": "run.trace_path",
+        "run.tokens_per_client = 1000000000000000000": "run.tokens_per_client",
+        "profile.vocab_size = 100000000000": "profile.vocab_size",
     }
     for text, key in cases.items():
         with pytest.raises(InvalidValue) as err:
@@ -164,7 +173,7 @@ def test_roundtrip_default_and_customized():
     for cfg in (
         default_config(),
         tiny_config(),
-        replace(default_config(), uncertainty_kind="entropy", mode="uhlm", workers=2),
+        replace(default_config(), uncertainty_kind="entropy", mode="uhlm"),
     ):
         assert parse_config_text(config_to_text(cfg)) == cfg
 
@@ -213,7 +222,6 @@ def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationRepor
     counts = {Stage.LOCAL: local, Stage.P2P: p2p, Stage.EDGE: edge, Stage.LLM: llm}
     rnd = RoundReport(
         round_index=0,
-        per_client={},
         outcomes={},
         outcome_counts=counts,
         thresholds_local={},
@@ -364,7 +372,15 @@ def test_cli_bad_config_exits_2(tmp_path):
     conf.write_text("partition.dirichlet_alpha = -1\n", encoding="utf-8")
     assert main(["run", "--config", str(conf)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 2
-    for text in ("learner.eta0 = nan", "profile.vocab_size = 1", "peer.embedding_seed = -1", "cost.c_llm = 1e308"):
+    for text in (
+        "learner.eta0 = nan",
+        "profile.vocab_size = 1",
+        "peer.embedding_seed = -1",
+        "cost.c_llm = 1e308",
+        "run.workers = 1",
+        "run.tokens_per_client = 1000000000000000000",
+        "profile.vocab_size = 100000000000",
+    ):
         conf.write_text(text + "\n", encoding="utf-8")
         assert main(["run", "--config", str(conf)]) == 2, text
 

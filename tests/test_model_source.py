@@ -1,14 +1,18 @@
 """Synthetic (small, large) distribution pairs and the logit trace format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedhlm.engine import SimulationConfig, _score
-from fedhlm.federation import ClusterTopology
+from fedhlm.engine import SimulationConfig, _score, run
+from fedhlm.federation import ClusterTopology, PartitionSpec
 from fedhlm.model_source import (
     NORMALIZATION_ATOL,
+    TRACE_NORMALIZATION_ATOL,
     LogitTrace,
     MalformedRow,
     ModelProfile,
@@ -223,3 +227,81 @@ def test_trace_reference_token_range(tmp_path):
     path.write_text("# vocab=2\n7,0.5,0.5,0.5,0.5\n", encoding="utf-8")
     with pytest.raises(MalformedRow):
         load_logit_trace(path, VocabSpec(2))
+
+
+# Keeps a drawn row's sum clear of the tolerance edge: the row's own
+# rounding is a few ulps, far below this.
+_SUM_MARGIN = 1e-12
+
+
+@st.composite
+def probability_cells(draw, size: int, valid: bool) -> list[str]:
+    """One distribution's cells: accepted ones if valid, else rejected ones.
+
+    Accepted: rows that sum to 1 within the trace tolerance, and one-hot
+    rows. Rejected: rows that miss the tolerance by a little more,
+    zero-mass rows and rows holding a NaN.
+    """
+    kind = draw(st.sampled_from(["near", "one-hot"] if valid else ["outside", "zero-mass", "nan"]))
+    if kind == "zero-mass":
+        return ["0.0"] * size
+    if kind in ("one-hot", "nan"):
+        hot = draw(st.integers(0, size - 1))
+        fill = "1.0" if kind == "one-hot" else "nan"
+        return [fill if i == hot else "0.0" for i in range(size)]
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(lambda w: sum(w) > 0))
+    edge = TRACE_NORMALIZATION_ATOL
+    if kind == "near":
+        gap = draw(st.floats(-(edge - _SUM_MARGIN), edge - _SUM_MARGIN))
+    else:
+        gap = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(edge + _SUM_MARGIN, 0.5))
+    total = sum(weights)
+    return [repr(w / total * (1.0 + gap)) for w in weights]
+
+
+def trace_row(vocab: int, valid: bool = True, bad_part: int = 0) -> st.SearchStrategy[str]:
+    """A reference token then the SLM and LLM cells; bad_part 0 or 1 is the invalid one."""
+    parts = [probability_cells(vocab, valid or part != bad_part) for part in (0, 1)]
+    return st.tuples(st.integers(0, vocab - 1), *parts).map(
+        lambda row: ",".join([str(row[0]), *row[1], *row[2]])
+    )
+
+
+@given(vocab=st.integers(2, 6), data=st.data())
+def test_trace_rows_replay_or_name_their_line(vocab, data):
+    rows = data.draw(st.lists(trace_row(vocab), min_size=1, max_size=4))
+    bad_at = data.draw(st.none() | st.integers(0, len(rows)))
+    if bad_at is not None:
+        rows.insert(bad_at, data.draw(trace_row(vocab, valid=False, bad_part=data.draw(st.integers(0, 1)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.trace")
+        path.write_text(f"# vocab={vocab}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        if bad_at is not None:
+            # The header is line 1, so row i is line i + 2.
+            with pytest.raises(MalformedRow, match=f"^line {bad_at + 2}:"):
+                load_logit_trace(path, VocabSpec(vocab))
+            return
+        assert len(load_logit_trace(path, VocabSpec(vocab))) == len(rows)
+        for kind in ("disagreement", "entropy"):
+            # A zero threshold escalates every uncertain token, so replayed
+            # rows also reach the cache, peers, edge and cloud.
+            cfg = SimulationConfig(
+                topology=ClusterTopology(num_clients=3, num_clusters=2),
+                partition=PartitionSpec(num_classes=2),
+                profile=ModelProfile(vocab=VocabSpec(vocab)),
+                rounds=2,
+                tokens_per_client=4,
+                initial_threshold=0.0,
+                uncertainty_kind=kind,
+                trace_path=str(path),
+            )
+            report = run(cfg)
+            assert report.total_tokens() == 2 * 3 * 4
+            for rnd in report.rounds:
+                assert sum(rnd.outcome_counts.values()) == 3 * 4
+                assert [len(outcomes) for outcomes in rnd.outcomes.values()] == [4, 4, 4]
+                assert all(
+                    0.0 <= o.uncertainty <= 1.0 and 0 <= o.final_token < vocab
+                    for outcomes in rnd.outcomes.values()
+                    for o in outcomes
+                )

@@ -19,7 +19,7 @@ from fedhlm.thresholds import (
 
 
 def fb(u: float, beta: float) -> RejectionFeedback:
-    return RejectionFeedback(uncertainty=u, rejection_prob=beta, token=0)
+    return RejectionFeedback(uncertainty=u, rejection_prob=beta)
 
 
 def random_feedback(rng: np.random.Generator, size: int) -> list[RejectionFeedback]:
@@ -51,9 +51,9 @@ def test_rejection_probability_floors_vanishing_denominator():
 
 def test_feedback_validation():
     with pytest.raises(ValueError):
-        RejectionFeedback(uncertainty=-0.1, rejection_prob=0.5, token=0)
+        RejectionFeedback(uncertainty=-0.1, rejection_prob=0.5)
     with pytest.raises(ValueError):
-        RejectionFeedback(uncertainty=0.5, rejection_prob=1.5, token=0)
+        RejectionFeedback(uncertainty=0.5, rejection_prob=1.5)
 
 
 def test_learner_config_validation():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedhlm.costs import PHitEstimator
-from fedhlm.engine import ClientRoundStats, ClientState, SimulationConfig, Stage, resolve_token
+from fedhlm.engine import ClientState, SimulationConfig, Stage, resolve_token
 from fedhlm.federation import ClusterTopology
 from fedhlm.model_source import TokenDistribution, VocabSpec, argmax_token, gen_distribution_pair
 from fedhlm.peers import TokenCache
@@ -133,23 +133,20 @@ def test_hard_route_boundary_retains():
         cache=TokenCache(capacity=cfg.cache_capacity),
         estimator=PHitEstimator(window=cfg.cost.p_hit_window),
     )
-    stats = ClientRoundStats(client_id=0)
 
     def stage(score: float) -> Stage:
-        return resolve_token(client, slm, llm, None, None, cfg, np.random.default_rng(0), stats, uncertainty=score).stage
+        return resolve_token(client, slm, llm, None, None, cfg, np.random.default_rng(0), uncertainty=score).stage
 
     assert stage(0.2) is Stage.LOCAL
     # a score exactly at the threshold stays local
     assert stage(0.5) is Stage.LOCAL
-    assert stats.transmitted_count == 0
     assert stage(0.7) is Stage.LLM
-    assert stats.transmitted_count == 1
 
 
 def soft_gate(score: float, threshold: float, gamma: float) -> float:
     # with rejection probability 0 and lambda 0 a feedback record's loss is
     # its soft gate alone, sigmoid(gamma * (score - threshold))
-    feedback = [RejectionFeedback(uncertainty=score, rejection_prob=0.0, token=0)]
+    feedback = [RejectionFeedback(uncertainty=score, rejection_prob=0.0)]
     return local_loss(feedback, threshold, LearnerConfig(gamma=gamma, lam=0.0))
 
 
