@@ -11,8 +11,9 @@ from fedhlm import Stage, compute_trr, default_config, run, summarize
 
 def main() -> None:
     rows = []
+    reports = {}
     for mode in ("fedhlm", "uhlm", "rand"):
-        report = run(default_config(mode=mode))
+        report = reports[mode] = run(default_config(mode=mode))
         totals = report.outcome_totals()
         n = report.total_tokens()
         cost = sum(rnd.total_cost for rnd in report.rounds)
@@ -31,7 +32,7 @@ def main() -> None:
     print()
     print(f"learned gating spends {saved:.1%} less transport than static-threshold offloading")
     print()
-    print(summarize(run(default_config())))
+    print(summarize(reports["fedhlm"]))
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ takes one path, resolve_token. A gate first decides whether the token
 escalates; a token that does not stays on device. In the learned `fedhlm`
 mode an escalated token opportunistically tries the client's semantic cache
 and then peer consensus, falls back to edge validation, and finally asks the
-cloud model to adjudicate. The `uhlm` (static threshold) and `rand` (coin
-flip) baselines differ only in the gate and send every escalated token
-straight to the cloud. In `fedhlm` mode cloud feedback drives one
+cloud model to adjudicate. Consensus and edge decisions depend only on the
+round's predicted tokens, so lateral_decisions takes them once per round
+for every client and timestep. The `uhlm` (static threshold) and `rand`
+(coin flip) baselines differ only in the gate and send every escalated
+token straight to the cloud. In `fedhlm` mode cloud feedback drives one
 threshold-learning step per client per round, followed by cluster-weighted
 and global averaging with a broadcast back to every client.
 
@@ -20,9 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ from .model_source import (
     load_logit_trace,
 )
 from .peers import (
+    _NORM_EPS,
     ConsensusDecision,
     EdgeDecision,
     Embedding,
@@ -83,8 +84,8 @@ _TAG_GEN = 3
 _TAG_RESOLVE = 4
 
 # Ceiling on the cells (floats, ints or token records) a run holds at once:
-# a round's SLM and LLM rows, the embedding table, the caches, the peer
-# index rows, one token's MC draws, the run's token records. 2**24 float64
+# a round's SLM and LLM rows, the embedding table, the caches, one cluster's
+# lateral tables, one token's MC draws, the run's token records. 2**24 float64
 # cells are 128 MiB; the stock run's largest term is 327,680 (its caches).
 MAX_CELLS = 2**24
 
@@ -166,7 +167,8 @@ class SimulationConfig:
         tokens = self.rounds * clients * self.tokens_per_client
         held = max(
             2 * clients * self.tokens_per_client * vocab, vocab * dim, clients * self.cache_capacity * dim,
-            clients * clients, self.sampler.num_samples, tokens,
+            clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
+            self.sampler.num_samples, tokens,
         )
         if held > MAX_CELLS:
             raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
@@ -339,11 +341,6 @@ class SimulationState:
         self.cluster_members = [
             cfg.topology.members(c) for c in range(cfg.topology.num_clusters)
         ]
-        # Each client's cluster peers, in cluster order, for one-gather peer views.
-        self.peer_indices = [
-            np.array([m for m in self.cluster_members[c.cluster_id] if m != c.client_id], dtype=np.intp)
-            for c in self.clients
-        ]
 
 
 def _zipf_cumulative(width: int, exponent: float) -> np.ndarray:
@@ -411,51 +408,70 @@ def _generate_workload(state: SimulationState, client: ClientState, round_index:
     return _Workload(slm_list, llm_list, predicted, uncertainty, reference)
 
 
-class _PeerView:
-    """Per-round view of every client's published prediction embeddings.
+def lateral_decisions(
+    predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consensus-accept and edge-accept flags for every (client, t) of a round.
 
     Clients publish the embedding of their predicted token at every
-    timestep, local or not, so peers and the edge tier always have a
-    same-timestep snapshot to compare against. The view holds the round's
-    (clients, T) matrix of predicted tokens and every cluster's centroid at
-    every timestep, computed once when the round starts. The per-token
-    views are built on demand: a client's peer rows only when one of its
-    tokens reaches peer consensus, and the neighbour centroid list only
-    when consensus escalates.
+    timestep, local or not. A client's peer centroid is its cluster's sum
+    less its own row (no peers escalate); the edge tier compares the own row
+    with every other cluster's mean, skipping empty clusters and means of
+    norm at most 1e-12. A float cosine decides only when it clears its
+    threshold by more than a bound on the rounding of this path and of the
+    exact per-token one; the bound grows as the peer sum cancels. Near ties
+    and centroids near the cutoff are re-decided by peer_consensus (fsum
+    centroid) or edge_validate, so the flags equal their decisions.
     """
-
-    def __init__(self, state: SimulationState, workloads: dict[int, _Workload]):
-        self._emb = state.embeddings
-        self._peers = state.peer_indices
-        self._predicted = np.stack([workloads[c.client_id].predicted for c in state.clients])
-        # A cluster mean that cancels to zero has no direction to compare with.
-        self._centroids = [
-            [
-                Embedding(mean) if float(np.linalg.norm(mean)) > 1e-12 else None
-                for mean in self._emb[self._predicted[members]].mean(axis=0)
-            ]
-            for members in state.cluster_members
+    eps, dim = np.finfo(np.float64).eps, emb.shape[1]
+    tol = (3 * dim + 8) * eps  # rounding of one cosine, on either path
+    thr, edge_thr = cfg.similarity_threshold, cfg.effective_edge_threshold()
+    empty = np.zeros((predicted.shape[1], dim))
+    means = np.stack([emb[predicted[m]].mean(axis=0) if m else empty for m in clusters])  # (clusters, T, d)
+    mnorm = np.linalg.norm(means, axis=-1).T  # (T, clusters)
+    valid, near_cut = mnorm > _NORM_EPS, np.abs(mnorm - _NORM_EPS) <= _NORM_EPS * tol
+    consensus, edge, redo_consensus, redo_edge = np.zeros((4, *predicted.shape), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, members in enumerate(clusters):
+            k, rows = len(members), emb[predicted[members]]  # (k, T, d)
+            own = np.linalg.norm(rows, axis=-1)
+            if k > 1:
+                peer_sum = rows.sum(axis=0) - rows
+                norm = np.linalg.norm(peer_sum, axis=-1)
+                cos = np.einsum("ktd,ktd->kt", rows, peer_sum) / (own * norm)
+                # err bounds the float peer sum's error and its norm's rounding: slack < exact norm.
+                err = (k + dim) * eps * own.sum(axis=0)
+                slack = norm - 2 * err
+                sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
+                consensus[members], redo_consensus[members] = sure & (cos >= thr), ~sure
+            cos = (rows.swapaxes(0, 1) @ means.transpose(1, 2, 0)).swapaxes(0, 1) / (own[..., None] * mnorm)
+            others = np.arange(len(clusters)) != c
+            live = valid & others
+            edge[members] = (live & (cos >= edge_thr)).any(axis=-1)
+            tie = (live & (np.abs(cos - edge_thr) <= tol)).any(axis=-1)
+            redo_edge[members] = tie | (near_cut & others).any(axis=-1)
+    cluster_of = {m: c for c, members in enumerate(clusters) for m in members}
+    for i, t in zip(*np.nonzero(redo_consensus)):
+        peers = [m for m in clusters[cluster_of[i]] if m != i]
+        decision = peer_consensus(Embedding(emb[predicted[i, t]]), emb[predicted[peers, t]], cfg)
+        consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
+    for i, t in zip(*np.nonzero(redo_edge)):
+        centers = [
+            Embedding(means[o, t])
+            for o in range(len(clusters))
+            if o != cluster_of[i] and float(np.linalg.norm(means[o, t])) > _NORM_EPS
         ]
-
-    def peer_embeddings(self, client_id: int, t: int) -> np.ndarray:
-        """(peers, d) rows: the embeddings of the client's cluster peers' tokens at t."""
-        return self._emb[self._predicted[self._peers[client_id], t]]
-
-    def edge_centroids(self, cluster_id: int, t: int) -> list[Embedding]:
-        """Every other cluster's centroid at t, skipping those that cancelled to zero."""
-        return [
-            by_t[t]
-            for other, by_t in enumerate(self._centroids)
-            if other != cluster_id and by_t[t] is not None
-        ]
+        edge[i, t] = edge_validate(Embedding(emb[predicted[i, t]]), centers, cfg) is EdgeDecision.ACCEPT
+    return consensus, edge
 
 
 def resolve_token(
     client: ClientState,
     slm: TokenDistribution,
     llm: TokenDistribution,
-    peer_embeddings: Callable[[], np.ndarray | list[Embedding]] | None,
-    edge_centroids: Callable[[], list[Embedding]] | None,
+    predicted: int,
+    consensus: bool,
+    edge: bool,
     cfg: SimulationConfig,
     rng: np.random.Generator,
     uncertainty: float,
@@ -465,15 +481,13 @@ def resolve_token(
 
     The gate escalates on a coin flip with probability cfg.p_offload in
     `rand` mode and when uncertainty exceeds the client's threshold
-    otherwise. Only `fedhlm` mode tries the lateral tiers; the baselines
-    take every escalated token straight to the cloud, so they may pass
-    None for the views. The peer and edge views are zero-argument
-    providers: peer_embeddings is called only after the cache misses and
-    edge_centroids only after consensus escalates. The outcome counts as
-    correct when its final token is the reference token, or the LLM's
-    argmax when there is none.
+    otherwise. predicted is the SLM's argmax. Only `fedhlm` mode tries the
+    lateral tiers, reading its round's lateral_decisions flags: consensus
+    counts only after the cache misses and edge only after consensus
+    escalates; the baselines take every escalated token straight to the
+    cloud and ignore both. The outcome counts as correct when its final
+    token is the reference token, or the LLM's argmax when there is none.
     """
-    predicted = argmax_token(slm)
     target = reference_token if reference_token is not None else argmax_token(llm)
     if cfg.mode == MODE_RAND:
         escalate = rng.random() < cfg.p_offload
@@ -492,12 +506,12 @@ def resolve_token(
         if hit.token is not None:
             client.estimator.record(True)
             return TokenOutcome(Stage.P2P, hit.token, cost.c_p2p, uncertainty, hit.token == target, p2p_attempted=True)
-        if peer_consensus(own, peer_embeddings(), cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
+        if consensus:
             client.estimator.record(True)
             client.cache.insert(own, predicted)
             return TokenOutcome(Stage.P2P, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
         client.estimator.record(False)
-        if edge_validate(own, edge_centroids(), cfg.peer) is EdgeDecision.ACCEPT:
+        if edge:
             client.cache.insert(own, predicted)
             return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
 
@@ -514,8 +528,13 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     cfg = state.cfg
     clients = state.clients
     workloads = {c.client_id: _generate_workload(state, c, round_index) for c in clients}
-    # The baselines never look at peers, so they get no view.
-    view = _PeerView(state, workloads) if cfg.mode == MODE_FEDHLM else None
+    predicted = np.stack([workloads[c.client_id].predicted for c in clients])
+    # The baselines never look at peers, so their flags stay False.
+    if cfg.mode == MODE_FEDHLM:
+        consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer)
+    else:
+        consensus = edge = np.zeros(predicted.shape, bool)
+    predicted, consensus, edge = predicted.tolist(), consensus.tolist(), edge.tolist()
 
     outcomes: dict[int, list[TokenOutcome]] = {}
     for client in clients:
@@ -527,8 +546,9 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
                 client,
                 work.slm[t],
                 work.llm[t],
-                partial(view.peer_embeddings, cid, t) if view is not None else None,
-                partial(view.edge_centroids, client.cluster_id, t) if view is not None else None,
+                predicted[cid][t],
+                consensus[cid][t],
+                edge[cid][t],
                 cfg,
                 rng,
                 float(work.uncertainty[t]),

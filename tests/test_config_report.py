@@ -125,6 +125,8 @@ def test_constraint_errors_name_the_key():
         "run.trace_path = /nonexistent/fedhlm.trace": "run.trace_path",
         "run.tokens_per_client = 1000000000000000000": "run.tokens_per_client",
         "profile.vocab_size = 100000000000": "profile.vocab_size",
+        # the lateral tables' clients x T x d term binds where the caches' does not
+        "peer.cache_capacity = 1\npeer.embedding_dim = 100000": "peer.embedding_dim",
     }
     for text, key in cases.items():
         with pytest.raises(InvalidValue) as err:

@@ -1,10 +1,13 @@
-"""Round execution, token routing, baselines, and determinism."""
+"""Round execution, token routing, lateral decisions, baselines, and determinism."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedhlm.cli import main
 from fedhlm.costs import CostModel, PHitEstimator
@@ -17,10 +20,10 @@ from fedhlm.engine import (
     Stage,
     TokenOutcome,
     _generate_workload,
-    _PeerView,
     _score,
     client_token_entropy,
     default_config,
+    lateral_decisions,
     resolve_token,
     run,
     run_round,
@@ -37,7 +40,19 @@ from fedhlm.model_source import (
     gen_distribution_pair,
     save_logit_trace,
 )
-from fedhlm.peers import Embedding, PeerConfig, TokenCache, embedding_matrix, token_embedding
+from fedhlm.peers import (
+    ConsensusDecision,
+    EdgeDecision,
+    Embedding,
+    PeerConfig,
+    TokenCache,
+    centroid,
+    cosine_similarity,
+    edge_validate,
+    embedding_matrix,
+    peer_consensus,
+    token_embedding,
+)
 from fedhlm.reporting import emit_metrics_csv, emit_trace
 
 
@@ -113,7 +128,9 @@ def test_resolve_retains_at_threshold_boundary():
     cfg = small_config()
     client = make_client(threshold=0.4, prior=0.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=1)
-    outcome = resolve_token(client, slm, llm, [], [], cfg, np.random.default_rng(0), uncertainty=0.4)
+    outcome = resolve_token(
+        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(0), uncertainty=0.4
+    )
     assert outcome.stage is Stage.LOCAL
     assert outcome.charged_cost == 0.0
     assert outcome.final_token == argmax_token(slm)
@@ -125,7 +142,9 @@ def test_resolve_skips_p2p_when_estimator_below_ratio():
     cfg = small_config()
     client = make_client(threshold=0.1, prior=0.0, cfg=cfg)  # 0.0 < c_p2p/c_llm
     slm, llm = crafted_pair(cfg, mode=2)
-    outcome = resolve_token(client, slm, llm, [], [], cfg, np.random.default_rng(1), uncertainty=0.9)
+    outcome = resolve_token(
+        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(1), uncertainty=0.9
+    )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
     assert outcome.charged_cost == cfg.cost.c_llm
@@ -139,7 +158,9 @@ def test_resolve_hits_primed_cache():
     predicted = argmax_token(slm)
     emb = embedding_matrix(cfg.profile.vocab, cfg.peer)
     client.cache.insert(Embedding(emb[predicted]), predicted)
-    outcome = resolve_token(client, slm, llm, [], [], cfg, np.random.default_rng(2), uncertainty=0.9)
+    outcome = resolve_token(
+        client, slm, llm, predicted, False, False, cfg, np.random.default_rng(2), uncertainty=0.9
+    )
     assert outcome.stage is Stage.P2P
     assert outcome.p2p_attempted is True
     assert outcome.charged_cost == cfg.cost.c_p2p
@@ -152,9 +173,8 @@ def test_resolve_peer_consensus_accepts_and_caches():
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=4)
     predicted = argmax_token(slm)
-    own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
     outcome = resolve_token(
-        client, slm, llm, lambda: [own], lambda: [], cfg, np.random.default_rng(3), uncertainty=0.9
+        client, slm, llm, predicted, True, False, cfg, np.random.default_rng(3), uncertainty=0.9
     )
     assert outcome.stage is Stage.P2P
     assert outcome.final_token == predicted
@@ -165,16 +185,8 @@ def test_resolve_edge_accepts_when_neighbors_align():
     cfg = small_config()
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=5)
-    predicted = argmax_token(slm)
-    own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
-    other = token_embedding(
-        (predicted + 1) % cfg.profile.vocab.size,
-        cfg.profile.vocab,
-        cfg.peer.embedding_dim,
-        cfg.peer.embedding_seed,
-    )
     outcome = resolve_token(
-        client, slm, llm, lambda: [other], lambda: [own], cfg, np.random.default_rng(4), uncertainty=0.9
+        client, slm, llm, argmax_token(slm), False, True, cfg, np.random.default_rng(4), uncertainty=0.9
     )
     assert outcome.stage is Stage.EDGE
     assert outcome.charged_cost == cfg.cost.c_p2p
@@ -185,15 +197,8 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     cfg = small_config()
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=6)
-    predicted = argmax_token(slm)
-    far = token_embedding(
-        (predicted + 2) % cfg.profile.vocab.size,
-        cfg.profile.vocab,
-        cfg.peer.embedding_dim,
-        cfg.peer.embedding_seed,
-    )
     outcome = resolve_token(
-        client, slm, llm, lambda: [far], lambda: [far], cfg, np.random.default_rng(5), uncertainty=0.9
+        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(5), uncertainty=0.9
     )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is True
@@ -203,74 +208,174 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     assert len(client.cache) == 1
 
 
-def _unreachable():
-    raise AssertionError("view provider called")
-
-
-def _resolve_with_providers(cfg, client, mode, peers, edge=_unreachable, uncertainty=0.9):
+def _resolve_with_both_flags(cfg, client, mode, uncertainty=0.9):
     slm, llm = crafted_pair(cfg, mode=mode)
-    return resolve_token(client, slm, llm, peers, edge, cfg, np.random.default_rng(mode), uncertainty)
+    return resolve_token(client, slm, llm, argmax_token(slm), True, True, cfg, np.random.default_rng(mode), uncertainty)
 
 
-def test_views_are_not_built_for_local_skipped_or_cached_tokens():
+def test_local_skipped_and_cached_tokens_ignore_both_flags():
     cfg = small_config()
     stays = make_client(threshold=0.5, prior=1.0, cfg=cfg)
-    assert _resolve_with_providers(cfg, stays, 1, _unreachable, uncertainty=0.2).stage is Stage.LOCAL
+    assert _resolve_with_both_flags(cfg, stays, 1, uncertainty=0.2).stage is Stage.LOCAL
     skips = make_client(threshold=0.1, prior=0.0, cfg=cfg)
-    skipped = _resolve_with_providers(cfg, skips, 2, _unreachable)
+    skipped = _resolve_with_both_flags(cfg, skips, 2)
     assert skipped.stage is Stage.LLM and skipped.p2p_attempted is False
 
+    # The cache stores another token under the predicted token's embedding,
+    # so only a cache hit can return it.
     cached = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     predicted = argmax_token(crafted_pair(cfg, mode=3)[0])
-    cached.cache.insert(token_embedding(predicted, cfg.profile.vocab), predicted)
-    hit = _resolve_with_providers(cfg, cached, 3, _unreachable)
-    assert hit.stage is Stage.P2P and hit.final_token == predicted
+    stored = (predicted + 1) % cfg.profile.vocab.size
+    cached.cache.insert(token_embedding(predicted, cfg.profile.vocab), stored)
+    hit = _resolve_with_both_flags(cfg, cached, 3)
+    assert hit.stage is Stage.P2P and hit.final_token == stored
 
 
-def test_edge_view_is_not_built_when_consensus_accepts():
+def test_consensus_accept_ignores_the_edge_flag():
     cfg = small_config()
     predicted = argmax_token(crafted_pair(cfg, mode=4)[0])
-    calls = []
-
-    def peers():
-        calls.append("peers")
-        return np.stack([token_embedding(predicted, cfg.profile.vocab).values] * 3)
-
-    outcome = _resolve_with_providers(cfg, make_client(threshold=0.1, prior=1.0, cfg=cfg), 4, peers)
+    outcome = _resolve_with_both_flags(cfg, make_client(threshold=0.1, prior=1.0, cfg=cfg), 4)
     assert outcome.stage is Stage.P2P and outcome.final_token == predicted
-    assert calls == ["peers"]
 
 
 @pytest.mark.parametrize("mode", ["uhlm", "rand"])
-def test_baselines_never_build_views(mode):
+def test_baselines_ignore_both_flags(mode):
     cfg = small_config(mode=mode, p_offload=1.0)
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    assert _resolve_with_providers(cfg, client, 5, _unreachable).stage is Stage.LLM
+    assert _resolve_with_both_flags(cfg, client, 5).stage is Stage.LLM
 
 
-def test_peer_view_matches_per_peer_construction():
-    # oracle: per-peer rows and per-timestep cluster means, bit for bit
-    cfg = small_config(topology=ClusterTopology(num_clients=7, num_clusters=3))
+def per_token_flags(predicted, emb, clusters, cfg):
+    """Oracle: peer_consensus on per-peer rows, edge_validate on the other clusters' round means at t."""
+    means = [emb[predicted[members]].mean(axis=0) if members else None for members in clusters]
+    consensus = np.zeros(predicted.shape, dtype=bool)
+    edge = np.zeros(predicted.shape, dtype=bool)
+    for c, members in enumerate(clusters):
+        for i in members:
+            for t in range(predicted.shape[1]):
+                own = Embedding(emb[predicted[i, t]])
+                rows = emb[[predicted[p, t] for p in members if p != i]]
+                consensus[i, t] = peer_consensus(own, rows, cfg) is ConsensusDecision.ACCEPT_LOCAL
+                centers = [
+                    Embedding(mean[t])
+                    for o, mean in enumerate(means)
+                    if o != c and mean is not None and float(np.linalg.norm(mean[t])) > 1e-12
+                ]
+                edge[i, t] = edge_validate(own, centers, cfg) is EdgeDecision.ACCEPT
+    return consensus, edge
+
+
+def _assert_flags_match_oracle(predicted, emb, clusters, cfg):
+    got = lateral_decisions(predicted, emb, clusters, cfg)
+    want = per_token_flags(predicted, emb, clusters, cfg)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return got
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        small_config(topology=ClusterTopology(num_clients=7, num_clusters=3)),
+        small_config(topology=ClusterTopology(num_clients=5, num_clusters=5)),
+        # the lateral golden config's settings, under which both tiers accept
+        small_config(
+            topology=ClusterTopology(num_clients=24, num_clusters=6),
+            zipf_exponent=4.0,
+            peer=PeerConfig(edge_threshold=0.6),
+            tokens_per_client=30,
+        ),
+    ],
+    ids=["7x3", "5x5", "lateral-pin"],
+)
+def test_lateral_decisions_match_per_token_oracle(cfg):
     state = SimulationState(cfg)
-    workloads = {c.client_id: _generate_workload(state, c, 0) for c in state.clients}
-    view = _PeerView(state, workloads)
-    emb = state.embeddings
-    for client in state.clients:
-        members = state.cluster_members[client.cluster_id]
-        for t in range(cfg.tokens_per_client):
-            expected = [emb[workloads[p].predicted[t]] for p in members if p != client.client_id]
-            rows = np.array(expected).reshape(-1, emb.shape[1])
-            assert np.array_equal(view.peer_embeddings(client.client_id, t), rows)
-    for cluster_id in range(cfg.topology.num_clusters):
-        for t in range(cfg.tokens_per_client):
-            expected = [
-                emb[[workloads[m].predicted[t] for m in state.cluster_members[other]]].mean(axis=0)
-                for other in range(cfg.topology.num_clusters)
-                if other != cluster_id
-            ]
-            got = [c.values for c in view.edge_centroids(cluster_id, t)]
-            assert len(got) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    seen = np.zeros((2, 2), dtype=bool)  # (consensus, edge) x (False, True)
+    for round_index in range(3):
+        predicted = np.stack([_generate_workload(state, c, round_index).predicted for c in state.clients])
+        flags = _assert_flags_match_oracle(predicted, state.embeddings, state.cluster_members, cfg.peer)
+        for tier, flag in enumerate(flags):
+            seen[tier, 0] |= not flag.all()
+            seen[tier, 1] |= flag.any()
+    if cfg.topology.num_clusters == 6:
+        assert seen.all()  # both outcomes of both tiers were compared
+
+
+@st.composite
+def near_ties(draw):
+    """A small table, clusters and predictions, with each threshold placed
+    within a few ulps of one cosine the exact path computes."""
+    dim = draw(st.integers(1, 4))
+    vocab = draw(st.integers(2, 5))
+    entries = st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim)
+    emb = np.array(draw(st.lists(entries, min_size=vocab, max_size=vocab)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    clusters = [list(range(sum(sizes[:c]), sum(sizes[: c + 1]))) for c in range(len(sizes))]
+    steps = draw(st.integers(1, 3))
+    rows = st.lists(st.integers(0, vocab - 1), min_size=steps, max_size=steps)
+    predicted = np.array(draw(st.lists(rows, min_size=sum(sizes), max_size=sum(sizes))))
+
+    def near(cos):
+        for _ in range(abs(ulps := draw(st.integers(-3, 3)))):
+            cos = np.nextafter(cos, np.sign(ulps) * np.inf)
+        return float(min(cos, 1.0))
+
+    c = draw(st.sampled_from([c for c, size in enumerate(sizes) if size > 1] or [0]))
+    i, t, o = draw(st.sampled_from(clusters[c])), draw(st.integers(0, steps - 1)), (c + 1) % len(sizes)
+    own = Embedding(emb[predicted[i, t]])
+    peers = [p for p in clusters[c] if p != i]
+    similarity = near(cosine_similarity(own, centroid(emb[predicted[peers, t]]))) if peers else 0.9
+    edge = near(cosine_similarity(own, Embedding(emb[predicted[clusters[o]]].mean(axis=0)[t])))
+    return predicted, emb, clusters, PeerConfig(similarity_threshold=similarity, edge_threshold=edge)
+
+
+@given(near_ties())
+def test_lateral_decisions_settle_near_ties_exactly(case):
+    _assert_flags_match_oracle(*case)
+
+
+def test_a_nearly_cancelling_peer_sum_is_decided_exactly():
+    # Client 0's peers nearly cancel: their sum is about 1e-9 long, while the
+    # float sum over the whole cluster carries rounding of order 1e-16.
+    emb = np.array([[0.6, 0.8], [1.0, 1e-3], [-1.0, -1e-3 + 1e-9]])
+    predicted = np.array([[0], [1], [2]])
+    exact = cosine_similarity(Embedding(emb[0]), centroid(emb[1:]))
+    for threshold in (exact, float(np.nextafter(exact, 2.0))):
+        cfg = PeerConfig(similarity_threshold=threshold)
+        consensus, _ = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2]], cfg)
+        assert consensus[0, 0] == (threshold == exact)
+
+
+def test_a_client_without_peers_escalates():
+    emb = np.eye(3)
+    predicted = np.array([[0, 1], [0, 1], [0, 1]])
+    consensus, _ = _assert_flags_match_oracle(predicted, emb, [[0], [1, 2]], PeerConfig())
+    assert not consensus[0].any()  # alone in its cluster, with no peers to agree with
+    assert consensus[1:].all()
+
+
+def test_an_empty_cluster_has_no_centroid():
+    emb = np.eye(2)
+    predicted = np.array([[0, 1], [0, 1], [0, 0]])
+    cfg = PeerConfig(edge_threshold=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no mean of an empty slice
+        with_empty = _assert_flags_match_oracle(predicted, emb, [[0, 1], [], [2]], cfg)
+    without = lateral_decisions(predicted, emb, [[0, 1], [2]], cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(with_empty, without))
+    assert with_empty[1].tolist() == [[True, False], [True, False], [True, False]]
+
+
+def test_cancelled_centroids_escalate_and_are_skipped():
+    # One dimension, tokens +1 and -1: a +1 and a -1 cancel exactly.
+    emb = np.array([[1.0], [-1.0]])
+    predicted = np.array([[0], [0], [1], [0], [1]])
+    cfg = PeerConfig(similarity_threshold=0.5, edge_threshold=0.5)
+    consensus, edge = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2], [3, 4]], cfg)
+    # Clients 0 and 1 see a cancelled peer sum; the rest disagree with theirs.
+    assert not consensus.any()
+    # Cluster 1's mean cancels, so cluster 0 has no neighbour to match; the
+    # mean of cluster 0 is +1/3, which client 3's +1 matches.
+    assert edge[:, 0].tolist() == [False, False, False, True, False]
 
 
 @pytest.mark.parametrize("mode", ["uhlm", "rand"])
@@ -282,7 +387,9 @@ def test_baseline_gates_skip_the_lateral_tiers(mode):
     predicted = argmax_token(slm)
     own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
     client.cache.insert(own, predicted)
-    outcome = resolve_token(client, slm, llm, [own], [own], cfg, np.random.default_rng(6), uncertainty=0.9)
+    outcome = resolve_token(
+        client, slm, llm, predicted, True, True, cfg, np.random.default_rng(6), uncertainty=0.9
+    )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
     assert outcome.charged_cost == cfg.cost.c_llm
@@ -294,7 +401,9 @@ def test_rand_gate_ignores_uncertainty():
     cfg = small_config(mode="rand", p_offload=0.0)
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=2)
-    outcome = resolve_token(client, slm, llm, [], [], cfg, np.random.default_rng(7), uncertainty=1.0)
+    outcome = resolve_token(
+        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(7), uncertainty=1.0
+    )
     assert outcome.stage is Stage.LOCAL
 
 

@@ -135,7 +135,9 @@ def test_hard_route_boundary_retains():
     )
 
     def stage(score: float) -> Stage:
-        return resolve_token(client, slm, llm, None, None, cfg, np.random.default_rng(0), uncertainty=score).stage
+        return resolve_token(
+            client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(0), uncertainty=score
+        ).stage
 
     assert stage(0.2) is Stage.LOCAL
     # a score exactly at the threshold stays local
