@@ -12,10 +12,15 @@ near-frozen threshold, a steep Zipf draw (peers often predict the same
 token) and a lower edge threshold. It gives 6 consensus accepts, 61 edge
 accepts and 1,079 p2p tokens. Its per-client metrics are pinned as well,
 because no output file holds them.
+
+The trace-replay pin runs a 997-row logit trace in disagreement mode. Replay
+spends randomness only on uncertainty scoring and the routing after it, so
+this pin holds across changes to the synthetic generator.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fedhlm.cli import main
@@ -56,6 +61,37 @@ LATERAL_GOLDEN = {
 }
 
 
+TRACE_CONFIG = """\
+topology.num_clients = 10
+topology.num_clusters = 2
+run.rounds = 10
+run.uncertainty_kind = disagreement
+"""
+
+TRACE_GOLDEN = {
+    "metrics.csv": "56f959f2046a2365948b5e8c588cba4de7fbeee2f51b7f54c719ea63a3669154",
+    "trace.jsonl": "3f5065d02d121cc3ecbc96ba54477456374f6d7fc15f5ddc5aad04d2ec6fc3a6",
+}
+
+
+def _write_replay_trace(path, rows=997, vocab=32):
+    """Rows drawn with numpy's own Dirichlet, so the pin does not depend on
+    fedhlm's generator: a peaked SLM row, and an LLM row peaked on the same
+    token four times in five."""
+    rng = np.random.default_rng(2024)
+    lines = [f"# vocab={vocab}"]
+    for _ in range(rows):
+        mode, other = rng.integers(vocab, size=2)
+        alpha = np.full(vocab, 0.1)
+        alpha[mode] += rng.uniform(1.0, 60.0)
+        slm = rng.dirichlet(alpha)
+        alpha = np.full(vocab, 0.1)
+        alpha[mode if rng.random() < 0.8 else other] += 200.0
+        llm = rng.dirichlet(alpha)
+        lines.append(",".join([str(int(llm.argmax())), *map(repr, slm.tolist()), *map(repr, llm.tolist())]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
@@ -85,3 +121,14 @@ def test_lateral_client_metrics_match_golden_hash():
         for c, m in sorted(metrics.items())
     )
     assert hashlib.sha256(text.encode()).hexdigest() == LATERAL_CLIENT_METRICS
+
+
+def test_trace_replay_outputs_match_golden_hashes(tmp_path, capsys):
+    trace_path = tmp_path / "replay.trace"
+    _write_replay_trace(trace_path)
+    cfg_path = tmp_path / "replay.cfg"
+    cfg_path.write_text(TRACE_CONFIG + f"run.trace_path = {trace_path}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert _digests(out, TRACE_GOLDEN) == TRACE_GOLDEN
