@@ -1,7 +1,7 @@
 """Walk one token through every routing tier by hand.
 
-Draws a small/large distribution pair, scores the small model's
-uncertainty, consults the transmission gate, and shows what the cache,
+Draws a small/large distribution pair (one row of the arrays the engine
+draws per client-round), scores the small model's uncertainty, consults the transmission gate, and shows what the cache,
 peer consensus, edge check, and cloud adjudication each decide. The
 simulation engine performs these exact steps; here every intermediate
 quantity is printed.
@@ -10,20 +10,21 @@ quantity is printed.
 import numpy as np
 
 from fedhlm import (
+    KIND_DISAGREEMENT,
     CostModel,
     ModelProfile,
     PeerConfig,
     SamplerConfig,
     TokenCache,
+    TokenDistribution,
     VocabSpec,
-    argmax_token,
     edge_validate,
     expected_cost,
-    gen_distribution_pair,
+    gen_distribution_rows,
     llm_adjudicate,
-    mc_disagreement,
     peer_consensus,
     rejection_probability,
+    score_rows,
     token_embedding,
 )
 
@@ -38,16 +39,16 @@ def main() -> None:
     costs = CostModel()
     rng = np.random.default_rng(99)
 
-    slm, llm = gen_distribution_pair(profile, rng)
-    token = argmax_token(slm)
-    print(f"small model proposes token {token} with p={slm.probs[token]:.3f}")
+    slm_rows, llm_rows = gen_distribution_rows(profile, rng.integers(vocab.size, size=1), rng)
+    token = int(slm_rows[0].argmax())
+    print(f"small model proposes token {token} with p={slm_rows[0, token]:.3f}")
 
-    score = mc_disagreement(slm, sampler, rng)
-    print(f"disagreement across {sampler.num_samples} softened samples: {score.value:.2f}")
+    score = float(score_rows(slm_rows, KIND_DISAGREEMENT, sampler, rng)[0])
+    print(f"disagreement across {sampler.num_samples} softened samples: {score:.2f}")
 
     threshold = 0.1
     # a score exactly at the threshold stays local
-    transmit = score.value > threshold
+    transmit = score > threshold
     print(f"gate at threshold {threshold}: {'transmit' if transmit else 'resolve locally'}")
     if not transmit:
         print("token stays on the device at zero transport cost")
@@ -68,6 +69,7 @@ def main() -> None:
     edge = edge_validate(own, centroids, peer_cfg)
     print(f"edge centroid check: {edge.name}")
 
+    slm, llm = TokenDistribution(slm_rows[0]), TokenDistribution(llm_rows[0])
     beta = rejection_probability(slm, llm, token)
     result = llm_adjudicate(slm, llm, token, rng)
     print(

@@ -45,8 +45,7 @@ from .model_source import (
     TraceStep,
     VocabMismatch,
     VocabSpec,
-    argmax_token,
-    gen_distribution_pair,
+    gen_distribution_rows,
     load_logit_trace,
     save_logit_trace,
 )
@@ -82,13 +81,6 @@ from .thresholds import (
     rejection_probability,
     sgd_step,
 )
-from .uncertainty import (
-    SamplerConfig,
-    ScoreKind,
-    UncertaintyScore,
-    entropy_score,
-    mc_disagreement,
-    soften,
-)
+from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 __version__ = "0.1.0"

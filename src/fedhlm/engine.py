@@ -1,7 +1,9 @@
 """Round-based simulation of uncertainty-gated token routing.
 
 Each round every client predicts a fixed number of tokens, and every token
-takes one path, resolve_token. A gate first decides whether the token
+takes one path, resolve_token. A client-round's distributions are drawn,
+or gathered from a replayed trace, as (T, V) arrays and scored in one pass
+before any token is routed. A gate first decides whether the token
 escalates; a token that does not stays on device. In the learned `fedhlm`
 mode an escalated token opportunistically tries the client's semantic cache
 and then peer consensus, falls back to edge validation, and finally asks the
@@ -40,12 +42,10 @@ from .federation import (
 )
 from .model_source import (
     MAX_CONCENTRATION,
-    LogitTrace,
     ModelProfile,
-    TokenDistribution,
     VocabSpec,
-    argmax_token,
-    gen_distribution_pair,
+    _unchecked_distribution,
+    gen_distribution_rows,
     load_logit_trace,
 )
 from .peers import (
@@ -67,15 +67,12 @@ from .thresholds import (
     lr_schedule,
     sgd_step,
 )
-from .uncertainty import SamplerConfig, entropy_score, mc_disagreement
+from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 MODE_FEDHLM = "fedhlm"
 MODE_RAND = "rand"
 MODE_UHLM = "uhlm"
 MODES = (MODE_FEDHLM, MODE_RAND, MODE_UHLM)
-
-KIND_DISAGREEMENT = "disagreement"
-KIND_ENTROPY = "entropy"
 
 # Named sub-stream tags; every consumer of randomness gets its own lane.
 _TAG_PARTITION = 1
@@ -85,8 +82,9 @@ _TAG_RESOLVE = 4
 
 # Ceiling on the cells (floats, ints or token records) a run holds at once:
 # a round's SLM and LLM rows, the embedding table, the caches, one cluster's
-# lateral tables, one token's MC draws, the run's token records. 2**24 float64
-# cells are 128 MiB; the stock run's largest term is 327,680 (its caches).
+# lateral tables, a client-round's MC search (T x samples x V), the run's
+# token records. 2**24 float64 cells are 128 MiB; the stock run's largest
+# term is 327,680 (its caches).
 MAX_CELLS = 2**24
 
 
@@ -168,7 +166,7 @@ class SimulationConfig:
         held = max(
             2 * clients * self.tokens_per_client * vocab, vocab * dim, clients * self.cache_capacity * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
-            self.sampler.num_samples, tokens,
+            self.tokens_per_client * self.sampler.num_samples * vocab, tokens,
         )
         if held > MAX_CELLS:
             raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
@@ -272,13 +270,16 @@ def client_token_entropy(history: list[int], vocab: VocabSpec) -> float:
 
 @dataclass
 class _Workload:
-    """One client-round of pre-generated prediction steps."""
+    """One client-round of prediction steps: a row or an entry per timestep.
 
-    slm: list[TokenDistribution]
-    llm: list[TokenDistribution]
+    target is the reference token when replaying a trace, else the LLM's argmax.
+    """
+
+    slm: np.ndarray
+    llm: np.ndarray
     predicted: np.ndarray
+    target: np.ndarray
     uncertainty: np.ndarray
-    reference: np.ndarray | None = None
 
 
 class SimulationState:
@@ -297,17 +298,29 @@ class SimulationState:
         multipliers = multipliers.tolist()
 
         self.embeddings = embedding_matrix(vocab, cfg.peer)
-        self.class_regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
-        self.zipf_cums = [_zipf_cumulative(len(region), cfg.zipf_exponent) for region in self.class_regions]
+        # Class c owns a contiguous run of tokens; row c of zipf holds its
+        # Zipf CDF, padded with inf past the run's width.
+        regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
+        self.class_starts = np.array([region[0] for region in regions])
+        self.class_widths = np.array([len(region) for region in regions])
+        self.zipf = np.full((len(regions), self.class_widths.max()), np.inf)
+        for c, width in enumerate(self.class_widths):
+            self.zipf[c, :width] = _zipf_cumulative(width, cfg.zipf_exponent)
 
-        self.trace: LogitTrace | None = None
+        # A replayed trace, stacked once: SLM rows, LLM rows, reference tokens.
+        self.trace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if cfg.trace_path is not None:
             try:
-                self.trace = load_logit_trace(cfg.trace_path, vocab)
+                steps = load_logit_trace(cfg.trace_path, vocab).steps
             except (OSError, ValueError) as exc:
                 raise ConfigInvalid(f"trace file {cfg.trace_path}: {exc}") from None
-            if len(self.trace) == 0:
+            if not steps:
                 raise ConfigInvalid("trace file contains no steps")
+            self.trace = (
+                np.stack([step.slm.probs for step in steps]),
+                np.stack([step.llm.probs for step in steps]),
+                np.array([step.reference_token for step in steps]),
+            )
 
         start = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
         self.clients: list[ClientState] = []
@@ -354,42 +367,20 @@ def _draw_modes(state: SimulationState, client: ClientState, rng: np.random.Gene
     count = state.cfg.tokens_per_client
     classes = rng.choice(state.cfg.partition.num_classes, size=count, p=client.mixture)
     picks = rng.random(count)
-    modes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        region = state.class_regions[classes[i]]
-        idx = int(np.searchsorted(state.zipf_cums[classes[i]], picks[i], side="right"))
-        modes[i] = region[min(idx, len(region) - 1)]
-    return modes
-
-
-def _score(cfg: SimulationConfig, dist: TokenDistribution, rng: np.random.Generator) -> float:
-    if cfg.uncertainty_kind == KIND_ENTROPY:
-        # Normalized by ln(V) so the score is comparable with thresholds in
-        # [0, 1]; a uniform row can round to just above 1.
-        return min(entropy_score(dist).value / math.log(cfg.profile.vocab.size), 1.0)
-    return mc_disagreement(dist, cfg.sampler, rng).value
+    # A right-sided search of each class's CDF: the count of entries at or below the pick.
+    ranks = np.count_nonzero(state.zipf[classes] <= picks[:, None], axis=1)
+    return state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
 
 
 def _generate_workload(state: SimulationState, client: ClientState, round_index: int) -> _Workload:
     cfg = state.cfg
     rng = substream(cfg.seed, _TAG_GEN, client.client_id, round_index)
     count = cfg.tokens_per_client
-    slm_list: list[TokenDistribution] = []
-    llm_list: list[TokenDistribution] = []
-    predicted = np.empty(count, dtype=np.int64)
-    uncertainty = np.empty(count, dtype=np.float64)
-    reference: np.ndarray | None = None
-
     if state.trace is not None:
-        reference = np.empty(count, dtype=np.int64)
+        slm_rows, llm_rows, references = state.trace
         base = (client.client_id * cfg.rounds + round_index) * count
-        for t in range(count):
-            step = state.trace.steps[(base + t) % len(state.trace)]
-            slm_list.append(step.slm)
-            llm_list.append(step.llm)
-            reference[t] = step.reference_token
-            predicted[t] = argmax_token(step.slm)
-            uncertainty[t] = _score(cfg, step.slm, rng)
+        steps = (base + np.arange(count)) % len(references)
+        slm, llm, target = slm_rows[steps], llm_rows[steps], references[steps]
     else:
         modes = _draw_modes(state, client, rng)
         # A weaker small model sometimes lands on the wrong token entirely,
@@ -399,13 +390,10 @@ def _generate_workload(state: SimulationState, client: ClientState, round_index:
             flips = rng.random(count) < miss_rate
             scattered = rng.integers(cfg.profile.vocab.size, size=count)
             modes = np.where(flips, scattered, modes)
-        for t in range(count):
-            slm, llm = gen_distribution_pair(client.profile, rng, mode=int(modes[t]))
-            slm_list.append(slm)
-            llm_list.append(llm)
-            predicted[t] = argmax_token(slm)
-            uncertainty[t] = _score(cfg, slm, rng)
-    return _Workload(slm_list, llm_list, predicted, uncertainty, reference)
+        slm, llm = gen_distribution_rows(client.profile, modes, rng)
+        target = llm.argmax(axis=1)
+    uncertainty = score_rows(slm, cfg.uncertainty_kind, cfg.sampler, rng)
+    return _Workload(slm, llm, slm.argmax(axis=1), target, uncertainty)
 
 
 def lateral_decisions(
@@ -467,28 +455,28 @@ def lateral_decisions(
 
 def resolve_token(
     client: ClientState,
-    slm: TokenDistribution,
-    llm: TokenDistribution,
+    slm: np.ndarray,
+    llm: np.ndarray,
     predicted: int,
+    target: int,
     consensus: bool,
     edge: bool,
     cfg: SimulationConfig,
     rng: np.random.Generator,
     uncertainty: float,
-    reference_token: int | None = None,
 ) -> TokenOutcome:
     """Route one token through the gate / cache / consensus / edge / cloud pipeline.
 
     The gate escalates on a coin flip with probability cfg.p_offload in
     `rand` mode and when uncertainty exceeds the client's threshold
-    otherwise. predicted is the SLM's argmax. Only `fedhlm` mode tries the
-    lateral tiers, reading its round's lateral_decisions flags: consensus
-    counts only after the cache misses and edge only after consensus
-    escalates; the baselines take every escalated token straight to the
-    cloud and ignore both. The outcome counts as correct when its final
-    token is the reference token, or the LLM's argmax when there is none.
+    otherwise. slm and llm are the step's two probability rows, and
+    predicted is the SLM's argmax. Only `fedhlm` mode tries the lateral
+    tiers, reading its round's lateral_decisions flags: consensus counts
+    only after the cache misses and edge only after consensus escalates; the
+    baselines take every escalated token straight to the cloud and ignore
+    both. The outcome counts as correct when its final token is target: the
+    reference token when replaying a trace, else the LLM's argmax.
     """
-    target = reference_token if reference_token is not None else argmax_token(llm)
     if cfg.mode == MODE_RAND:
         escalate = rng.random() < cfg.p_offload
     else:
@@ -515,7 +503,7 @@ def resolve_token(
             client.cache.insert(own, predicted)
             return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
 
-    result = llm_adjudicate(slm, llm, predicted, rng)
+    result = llm_adjudicate(_unchecked_distribution(slm), _unchecked_distribution(llm), predicted, rng)
     final = result.final_token
     if lateral:
         client.cache.insert(Embedding(emb_row[final]), final)
@@ -541,20 +529,13 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
         cid = client.client_id
         work = workloads[cid]
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
+        steps = zip(
+            work.slm, work.llm, predicted[cid], work.target.tolist(), consensus[cid], edge[cid],
+            work.uncertainty.tolist(),
+        )
         outcomes[cid] = [
-            resolve_token(
-                client,
-                work.slm[t],
-                work.llm[t],
-                predicted[cid][t],
-                consensus[cid][t],
-                edge[cid][t],
-                cfg,
-                rng,
-                float(work.uncertainty[t]),
-                int(work.reference[t]) if work.reference is not None else None,
-            )
-            for t in range(cfg.tokens_per_client)
+            resolve_token(client, slm, llm, pred, target, cons, edge_ok, cfg, rng, score)
+            for slm, llm, pred, target, cons, edge_ok, score in steps
         ]
 
     thresholds_local: dict[int, float] = {}

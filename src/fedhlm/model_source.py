@@ -1,10 +1,12 @@
 """Paired token probability distributions for a small and a large model.
 
 The simulator never runs a real language model. Each prediction step instead
-draws a pair of probability vectors over a shared vocabulary: one for the
-on-device small model (SLM) and one for the cloud large model (LLM). Pairs
-are either generated synthetically from a ModelProfile or replayed from a
-logit-trace file.
+has a pair of probability vectors over a shared vocabulary: one for the
+on-device small model (SLM) and one for the cloud large model (LLM). A
+client-round's steps are drawn at once, as two (T, V) arrays of rows, by
+gen_distribution_rows from a ModelProfile, or replayed from a logit-trace
+file. A TokenDistribution wraps one row where a single step is judged on
+its own, as at the cloud.
 """
 
 from __future__ import annotations
@@ -90,15 +92,10 @@ class ModelProfile:
             raise ValueError("confidence_coupling must be nonnegative")
 
 
-def _clamp_renormalize(p: np.ndarray) -> np.ndarray:
-    p = np.maximum(p, PROB_FLOOR)
-    return p / p.sum()
-
-
 def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
-    """Wrap a float64 vector this module has just floored and renormalized.
+    """Wrap a float64 row this module has drawn, or a validated trace row.
 
-    Skips the public constructor's checks, which such a vector passes by
+    Skips the public constructor's checks, which such a row passes by
     construction; outside input goes through TokenDistribution(...).
     """
     dist = object.__new__(TokenDistribution)
@@ -106,58 +103,57 @@ def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
     return dist
 
 
-def _peaked_distribution(
-    vocab: VocabSpec, mode: int, sharpness: float, background: float, rng: np.random.Generator
-) -> TokenDistribution:
-    """Dirichlet draw concentrated on `mode`, with `mode` forced to be the argmax."""
-    alpha = np.full(vocab.size, background)
-    alpha[mode] += sharpness
-    p = rng.dirichlet(alpha)
-    # Swap the largest coordinate into the mode slot so argmax == mode on
-    # every draw, not merely in expectation.
-    top = int(np.argmax(p))
-    if top != mode:
-        p[mode], p[top] = p[top], p[mode]
-    return _unchecked_distribution(_clamp_renormalize(p))
+def _peaked_rows(
+    size: int, modes: np.ndarray, sharpness: float, background: float, rng: np.random.Generator
+) -> np.ndarray:
+    """One Dirichlet row per mode, concentrated on it, with the mode forced to be the row's argmax.
+
+    A row is one standard_gamma draw over its alpha row, normalized. A row
+    whose variates all underflow to 0 becomes one-hot at its mode.
+    """
+    rows = np.arange(modes.size)
+    alpha = np.full((modes.size, size), background)
+    alpha[rows, modes] += sharpness
+    p = rng.standard_gamma(alpha)
+    total = p.sum(axis=1)
+    empty = total == 0.0
+    p[empty, modes[empty]] = total[empty] = 1.0
+    p /= total[:, None]
+    # Swap each row's largest coordinate into its mode slot so argmax == mode
+    # on every row, not merely in expectation.
+    top = p.argmax(axis=1)
+    p[rows, top], p[rows, modes] = p[rows, modes], p[rows, top]
+    np.maximum(p, PROB_FLOOR, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
-def gen_distribution_pair(
-    profile: ModelProfile,
-    rng: np.random.Generator,
-    mode: int | None = None,
-) -> tuple[TokenDistribution, TokenDistribution]:
-    """Draw one synthetic (slm, llm) pair.
+def gen_distribution_rows(
+    profile: ModelProfile, modes: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one synthetic (slm, llm) row pair per entry of `modes`, as two (T, V) arrays.
 
-    The SLM mode is `mode` when given, else uniform over the vocabulary. The
-    LLM shares that mode with probability
-    profile.agreement * slm_top_prob ** profile.confidence_coupling, so the
-    two models disagree most on exactly the tokens the small model is itself
-    unsure about. With confidence_coupling = 0 the agreement rate is the
-    constant profile.agreement. Disagreeing pairs use a uniformly chosen
-    different mode for the LLM.
+    SLM row t peaks on modes[t]. Its LLM row shares that mode with
+    probability profile.agreement * slm_top_prob ** profile.confidence_coupling,
+    so the two models disagree most on exactly the tokens the small model is
+    itself unsure about. With confidence_coupling = 0 the agreement rate is
+    the constant profile.agreement. Disagreeing rows use a uniformly chosen
+    different mode for the LLM. The draws come in this order: the SLM rows,
+    the agreement uniforms, the disagreeing modes, the LLM rows. Every row
+    is floored at PROB_FLOOR, sums to 1 within NORMALIZATION_ATOL and has
+    its mode as argmax.
     """
     v = profile.vocab.size
-    if mode is None:
-        slm_mode = int(rng.integers(v))
-    else:
-        if not 0 <= mode < v:
-            raise ValueError(f"mode {mode} outside vocabulary of size {v}")
-        slm_mode = mode
-    slm = _peaked_distribution(profile.vocab, slm_mode, profile.slm_sharpness, profile.background, rng)
-    agree = profile.agreement * float(slm.probs[slm_mode]) ** profile.confidence_coupling
-    if rng.random() < agree:
-        llm_mode = slm_mode
-    else:
-        llm_mode = int(rng.integers(v - 1))
-        if llm_mode >= slm_mode:
-            llm_mode += 1
-    llm = _peaked_distribution(profile.vocab, llm_mode, profile.llm_sharpness, profile.background, rng)
+    modes = np.asarray(modes, dtype=np.int64)
+    if modes.size and not (0 <= modes.min() and modes.max() < v):
+        raise ValueError(f"modes must lie in the vocabulary of size {v}")
+    slm = _peaked_rows(v, modes, profile.slm_sharpness, profile.background, rng)
+    top = slm[np.arange(modes.size), modes]
+    agrees = rng.random(modes.size) < profile.agreement * top**profile.confidence_coupling
+    other = rng.integers(v - 1, size=modes.size)
+    other += other >= modes
+    llm = _peaked_rows(v, np.where(agrees, modes, other), profile.llm_sharpness, profile.background, rng)
     return slm, llm
-
-
-def argmax_token(dist: TokenDistribution) -> int:
-    """Index of the most probable token; ties break to the lowest index."""
-    return int(np.argmax(dist.probs))
 
 
 @dataclass(frozen=True)

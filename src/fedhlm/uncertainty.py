@@ -1,18 +1,18 @@
-"""Per-token uncertainty scores: predictive entropy and Monte-Carlo disagreement."""
+"""Uncertainty scores of a client-round's SLM rows: Monte-Carlo disagreement or entropy.
+
+score_rows scores a (T, V) array of probability rows in one array pass and
+returns one score in [0, 1] per row.
+"""
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model_source import TokenDistribution, argmax_token
-
-
-class ScoreKind(enum.Enum):
-    ENTROPY = "entropy"
-    MC_DISAGREEMENT = "disagreement"
+KIND_DISAGREEMENT = "disagreement"
+KIND_ENTROPY = "entropy"
 
 
 @dataclass(frozen=True)
@@ -29,44 +29,32 @@ class SamplerConfig:
             raise ValueError("temperature must be > 1")
 
 
-@dataclass(frozen=True)
-class UncertaintyScore:
-    value: float
-    kind: ScoreKind
+def score_rows(probs: np.ndarray, kind: str, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    """One uncertainty score per row of probs, a (T, V) array of distributions.
 
+    KIND_ENTROPY: the row's Shannon entropy (0*ln(0) counts as 0) divided by
+    ln(V), clamped at 1 because a uniform row can round to just above it.
+    Draws no randomness.
 
-def entropy_score(dist: TokenDistribution) -> UncertaintyScore:
-    """Shannon entropy of the distribution in nats; 0*ln(0) counts as 0."""
-    p = dist.probs
-    nz = p[p > 0.0]
-    value = float(-(nz * np.log(nz)).sum())
-    return UncertaintyScore(max(value, 0.0), ScoreKind.ENTROPY)
-
-
-def soften(dist: TokenDistribution, temperature: float) -> np.ndarray:
-    """Temperature-flattened probabilities: p_i^(1/T), renormalized."""
-    q = dist.probs ** (1.0 / temperature)
-    return q / q.sum()
-
-
-def mc_disagreement(
-    dist: TokenDistribution, cfg: SamplerConfig, rng: np.random.Generator
-) -> UncertaintyScore:
-    """Fraction of temperature-softened samples that disagree with the argmax.
-
-    Draws cfg.num_samples tokens from the softened distribution and counts
-    how many differ from the unsoftened argmax. The score is a multiple of
-    1/num_samples in [0, 1].
-
-    Each sample costs one uniform, inverted through the softened CDF
-    (rescaled to end at exactly 1) by a right-sided search. This is the
-    draw Generator.choice(p=...) makes internally, without re-validating a
-    vector that is a distribution by construction: same uniforms, same
-    tokens, same generator state afterwards.
+    KIND_DISAGREEMENT: the fraction of cfg.num_samples draws from the
+    temperature-softened row, p_i^(1/T) renormalized, that differ from the
+    unsoftened argmax; a multiple of 1/num_samples. One (T, num_samples)
+    uniform matrix is drawn, in row order, and each uniform is inverted
+    through its row's softened CDF (rescaled to end at exactly 1) by a
+    right-sided search: the count of CDF entries at or below it. Row by row
+    this is the draw Generator.choice(V, size=num_samples, p=softened) makes,
+    from the same uniforms, so it picks the same tokens and leaves the
+    generator in the same state.
     """
-    predicted = argmax_token(dist)
-    cdf = np.add.accumulate(soften(dist, cfg.temperature))
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(rng.random(cfg.num_samples), side="right")
-    disagreements = int(np.count_nonzero(draws != predicted))
-    return UncertaintyScore(disagreements / cfg.num_samples, ScoreKind.MC_DISAGREEMENT)
+    if kind == KIND_ENTROPY:
+        logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+        entropy = np.maximum(-(probs * logs).sum(axis=1), 0.0)
+        return np.minimum(entropy / math.log(probs.shape[1]), 1.0)
+    soft = probs ** (1.0 / cfg.temperature)
+    soft /= soft.sum(axis=1, keepdims=True)
+    cdf = np.add.accumulate(soft, axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random((probs.shape[0], cfg.num_samples))
+    draws = np.count_nonzero(cdf[:, None, :] <= uniforms[:, :, None], axis=2)
+    disagreements = np.count_nonzero(draws != probs.argmax(axis=1)[:, None], axis=1)
+    return disagreements / cfg.num_samples

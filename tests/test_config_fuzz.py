@@ -33,10 +33,10 @@ from fedhlm.engine import ConfigInvalid, Stage, run
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
+    TokenDistribution,
     TraceStep,
     VocabSpec,
-    argmax_token,
-    gen_distribution_pair,
+    gen_distribution_rows,
     save_logit_trace,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
@@ -131,10 +131,8 @@ def trace_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("traces")
     vocab = VocabSpec(32)
     rng = np.random.default_rng(0)
-    steps = []
-    for _ in range(5):
-        slm, llm = gen_distribution_pair(ModelProfile(vocab=vocab), rng)
-        steps.append(TraceStep(argmax_token(llm), slm, llm))
+    slm, llm = gen_distribution_rows(ModelProfile(vocab=vocab), rng.integers(vocab.size, size=5), rng)
+    steps = [TraceStep(int(l.argmax()), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
     save_logit_trace(directory / "valid.trace", LogitTrace(vocab, steps), decimals=10)
     (directory / "malformed.trace").write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")
     return directory

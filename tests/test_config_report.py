@@ -127,6 +127,8 @@ def test_constraint_errors_name_the_key():
         "profile.vocab_size = 100000000000": "profile.vocab_size",
         # the lateral tables' clients x T x d term binds where the caches' does not
         "peer.cache_capacity = 1\npeer.embedding_dim = 100000": "peer.embedding_dim",
+        # a client-round's MC search holds T x num_samples x V cells
+        "sampler.num_samples = 100000": "sampler.num_samples",
     }
     for text, key in cases.items():
         with pytest.raises(InvalidValue) as err:
@@ -382,6 +384,7 @@ def test_cli_bad_config_exits_2(tmp_path):
         "run.workers = 1",
         "run.tokens_per_client = 1000000000000000000",
         "profile.vocab_size = 100000000000",
+        "sampler.num_samples = 100000",
     ):
         conf.write_text(text + "\n", encoding="utf-8")
         assert main(["run", "--config", str(conf)]) == 2, text

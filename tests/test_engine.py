@@ -20,7 +20,6 @@ from fedhlm.engine import (
     Stage,
     TokenOutcome,
     _generate_workload,
-    _score,
     client_token_entropy,
     default_config,
     lateral_decisions,
@@ -36,8 +35,7 @@ from fedhlm.model_source import (
     TokenDistribution,
     TraceStep,
     VocabSpec,
-    argmax_token,
-    gen_distribution_pair,
+    gen_distribution_rows,
     save_logit_trace,
 )
 from fedhlm.peers import (
@@ -54,6 +52,7 @@ from fedhlm.peers import (
     token_embedding,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
+from fedhlm.uncertainty import KIND_ENTROPY, SamplerConfig, score_rows
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -78,9 +77,14 @@ def make_client(threshold: float, prior: float, cfg: SimulationConfig) -> Client
     )
 
 
-def crafted_pair(cfg: SimulationConfig, mode: int) -> tuple[TokenDistribution, TokenDistribution]:
+def crafted_pair(cfg: SimulationConfig, mode: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(100 + mode)
-    return gen_distribution_pair(cfg.profile, rng, mode=mode)
+    (slm,), (llm,) = gen_distribution_rows(cfg.profile, np.array([mode]), rng)
+    return slm, llm
+
+
+def argmax(row: np.ndarray) -> int:
+    return int(row.argmax())
 
 
 def test_config_validation_errors():
@@ -129,11 +133,12 @@ def test_resolve_retains_at_threshold_boundary():
     client = make_client(threshold=0.4, prior=0.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=1)
     outcome = resolve_token(
-        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(0), uncertainty=0.4
+        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(0),
+        uncertainty=0.4,
     )
     assert outcome.stage is Stage.LOCAL
     assert outcome.charged_cost == 0.0
-    assert outcome.final_token == argmax_token(slm)
+    assert outcome.final_token == argmax(slm)
     assert outcome.p2p_attempted is False
     assert outcome.rejection_prob is None
 
@@ -143,7 +148,8 @@ def test_resolve_skips_p2p_when_estimator_below_ratio():
     client = make_client(threshold=0.1, prior=0.0, cfg=cfg)  # 0.0 < c_p2p/c_llm
     slm, llm = crafted_pair(cfg, mode=2)
     outcome = resolve_token(
-        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(1), uncertainty=0.9
+        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(1),
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
@@ -155,11 +161,11 @@ def test_resolve_hits_primed_cache():
     cfg = small_config()
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=3)
-    predicted = argmax_token(slm)
+    predicted = argmax(slm)
     emb = embedding_matrix(cfg.profile.vocab, cfg.peer)
     client.cache.insert(Embedding(emb[predicted]), predicted)
     outcome = resolve_token(
-        client, slm, llm, predicted, False, False, cfg, np.random.default_rng(2), uncertainty=0.9
+        client, slm, llm, predicted, argmax(llm), False, False, cfg, np.random.default_rng(2), uncertainty=0.9
     )
     assert outcome.stage is Stage.P2P
     assert outcome.p2p_attempted is True
@@ -172,9 +178,9 @@ def test_resolve_peer_consensus_accepts_and_caches():
     cfg = small_config()
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=4)
-    predicted = argmax_token(slm)
+    predicted = argmax(slm)
     outcome = resolve_token(
-        client, slm, llm, predicted, True, False, cfg, np.random.default_rng(3), uncertainty=0.9
+        client, slm, llm, predicted, argmax(llm), True, False, cfg, np.random.default_rng(3), uncertainty=0.9
     )
     assert outcome.stage is Stage.P2P
     assert outcome.final_token == predicted
@@ -186,7 +192,8 @@ def test_resolve_edge_accepts_when_neighbors_align():
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=5)
     outcome = resolve_token(
-        client, slm, llm, argmax_token(slm), False, True, cfg, np.random.default_rng(4), uncertainty=0.9
+        client, slm, llm, argmax(slm), argmax(llm), False, True, cfg, np.random.default_rng(4),
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.EDGE
     assert outcome.charged_cost == cfg.cost.c_p2p
@@ -198,7 +205,8 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=6)
     outcome = resolve_token(
-        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(5), uncertainty=0.9
+        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(5),
+        uncertainty=0.9,
     )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is True
@@ -210,7 +218,9 @@ def test_resolve_escalates_to_llm_after_failed_attempt():
 
 def _resolve_with_both_flags(cfg, client, mode, uncertainty=0.9):
     slm, llm = crafted_pair(cfg, mode=mode)
-    return resolve_token(client, slm, llm, argmax_token(slm), True, True, cfg, np.random.default_rng(mode), uncertainty)
+    return resolve_token(
+        client, slm, llm, argmax(slm), argmax(llm), True, True, cfg, np.random.default_rng(mode), uncertainty
+    )
 
 
 def test_local_skipped_and_cached_tokens_ignore_both_flags():
@@ -224,7 +234,7 @@ def test_local_skipped_and_cached_tokens_ignore_both_flags():
     # The cache stores another token under the predicted token's embedding,
     # so only a cache hit can return it.
     cached = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    predicted = argmax_token(crafted_pair(cfg, mode=3)[0])
+    predicted = argmax(crafted_pair(cfg, mode=3)[0])
     stored = (predicted + 1) % cfg.profile.vocab.size
     cached.cache.insert(token_embedding(predicted, cfg.profile.vocab), stored)
     hit = _resolve_with_both_flags(cfg, cached, 3)
@@ -233,7 +243,7 @@ def test_local_skipped_and_cached_tokens_ignore_both_flags():
 
 def test_consensus_accept_ignores_the_edge_flag():
     cfg = small_config()
-    predicted = argmax_token(crafted_pair(cfg, mode=4)[0])
+    predicted = argmax(crafted_pair(cfg, mode=4)[0])
     outcome = _resolve_with_both_flags(cfg, make_client(threshold=0.1, prior=1.0, cfg=cfg), 4)
     assert outcome.stage is Stage.P2P and outcome.final_token == predicted
 
@@ -384,11 +394,11 @@ def test_baseline_gates_skip_the_lateral_tiers(mode):
     cfg = small_config(mode=mode, p_offload=1.0)
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=3)
-    predicted = argmax_token(slm)
+    predicted = argmax(slm)
     own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
     client.cache.insert(own, predicted)
     outcome = resolve_token(
-        client, slm, llm, predicted, True, True, cfg, np.random.default_rng(6), uncertainty=0.9
+        client, slm, llm, predicted, argmax(llm), True, True, cfg, np.random.default_rng(6), uncertainty=0.9
     )
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
@@ -402,7 +412,8 @@ def test_rand_gate_ignores_uncertainty():
     client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
     slm, llm = crafted_pair(cfg, mode=2)
     outcome = resolve_token(
-        client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(7), uncertainty=1.0
+        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(7),
+        uncertainty=1.0,
     )
     assert outcome.stage is Stage.LOCAL
 
@@ -453,10 +464,8 @@ def test_trace_driven_workload(tmp_path):
     vocab = VocabSpec(8)
     profile = ModelProfile(vocab=vocab, slm_sharpness=40.0, llm_sharpness=120.0, background=0.2)
     rng = np.random.default_rng(17)
-    steps = []
-    for _ in range(40):
-        slm, llm = gen_distribution_pair(profile, rng)
-        steps.append(TraceStep(argmax_token(llm), slm, llm))
+    slm, llm = gen_distribution_rows(profile, rng.integers(vocab.size, size=40), rng)
+    steps = [TraceStep(argmax(l), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
     path = tmp_path / "trace.csv"
     save_logit_trace(path, LogitTrace(vocab, steps), decimals=10)
 
@@ -514,12 +523,8 @@ def test_entropy_score_of_uniform_rows_stays_in_unit_interval():
     # ln(V) / ln(V) rounds to 1.0000000000000002 for hundreds of V in this range.
     rng = np.random.default_rng(0)
     for size in range(2, 2000):
-        cfg = small_config(
-            uncertainty_kind="entropy",
-            profile=ModelProfile(vocab=VocabSpec(size)),
-            partition=PartitionSpec(num_classes=2),
-        )
-        assert _score(cfg, TokenDistribution(np.full(size, 1.0 / size)), rng) <= 1.0, size
+        uniform = np.full((2, size), 1.0 / size)
+        assert np.all(score_rows(uniform, KIND_ENTROPY, SamplerConfig(), rng) <= 1.0), size
 
 
 def test_entropy_mode_escalates_uniform_trace_rows_to_the_cloud(tmp_path, capsys):

@@ -1,21 +1,25 @@
-"""Golden outputs of the stock configuration and of a lateral-tier config.
+"""Golden outputs of the stock configuration, a lateral-tier config and a replayed trace.
 
 The sha256 of each byte-stable output file is pinned, so any change to the
 RNG stream, the routing decisions or the file layout shows up here. The
-`uhlm` baseline sends 8,454 tokens through cloud adjudication, so its pins
-are the ones a changed resample draw would break; the `rand` pins fix the
-coin-flip gate, which draws one uniform per token before adjudication.
+stream is the columnar one: each client-round's distributions are drawn as
+(T, V) arrays and scored in one pass. The `uhlm` baseline sends 8,379
+tokens through cloud adjudication, so its pins are the ones a changed
+resample draw would break; the `rand` pins fix the coin-flip gate, which
+draws one uniform per token before adjudication.
 
 The stock run settles almost nothing at the peer or edge tier, so the
 lateral pin uses a config where both accept: 24 clients in 6 clusters, a
 near-frozen threshold, a steep Zipf draw (peers often predict the same
-token) and a lower edge threshold. It gives 6 consensus accepts, 61 edge
-accepts and 1,079 p2p tokens. Its per-client metrics are pinned as well,
+token) and a lower edge threshold. It gives 7 consensus accepts, 63 edge
+accepts and 1,052 p2p tokens. Its per-client metrics are pinned as well,
 because no output file holds them.
 
 The trace-replay pin runs a 997-row logit trace in disagreement mode. Replay
-spends randomness only on uncertainty scoring and the routing after it, so
-this pin holds across changes to the synthetic generator.
+spends randomness only on uncertainty scoring and the routing after it, and
+the batched (T, S) scoring draw takes the same uniforms in the same order as
+one draw of S per token did, so this pin predates the columnar stream and
+holds across changes to the synthetic generator.
 """
 
 import hashlib
@@ -29,16 +33,16 @@ from fedhlm.engine import run
 
 GOLDEN = {
     ("run",): {
-        "metrics.csv": "257c0c80b5a1c963ab366374513d4827101c77b7d2538020c1f6a990de599567",
-        "trace.jsonl": "f36906bd41affb1454be04a9411ac2ff5a0f4a0cfd3119ba5f233d2469d05ef9",
+        "metrics.csv": "d31716ae879c734f823b1a73ba2e89b694dc20335f8efaee65497dcefd46c99c",
+        "trace.jsonl": "ba5527dad0b26fd67c68695e0471940bd2a19ae19c4837a7a3d85b38a763239c",
     },
     ("baseline", "--mode", "uhlm"): {
-        "metrics.csv": "f43045d32da8375bc521d5b60ae5d8d33c78fd98b7df972be66e9d28696d530d",
-        "trace.jsonl": "733ca0f9f4ba440c7b891bc48567b3f84b3fcf0240af613fc418c1f8f86dd4f5",
+        "metrics.csv": "1fc156f614bcc32e2aba0c0debfe9a1d3eb261f16bb251513afaf12a00127c6d",
+        "trace.jsonl": "2beebcdaaf303c3f2cfe1eef1c26aa98b477c1f415855acf94613d31ffae07aa",
     },
     ("baseline", "--mode", "rand"): {
-        "metrics.csv": "afc6e69708316a7f761dafe0195b629fa3fa873da57b4c57f27680870a0f5da2",
-        "trace.jsonl": "cfacaa30437c8e19259d0f59ddfeea21d856dac40698ee81bc4ed8bff3060a85",
+        "metrics.csv": "15d945588185795b0654ecc80b377c0fabe9b8d1a632734f00bb0a3db3ea76b5",
+        "trace.jsonl": "a08ccd9e77f7592adde019aee53957b6d93a2d7081aa0b0fea744bc5d0038dc7",
     },
 }
 
@@ -53,11 +57,11 @@ peer.edge_threshold = 0.6
 
 # sha256 of one line per client: token entropy, cache hit ratio, LLM token
 # count and accuracy, floats by repr.
-LATERAL_CLIENT_METRICS = "0d21084417f6f8a6c6193d04652eac009fe4c6cb941d3d5784b925b3c4af30f2"
+LATERAL_CLIENT_METRICS = "8c87970fe0448e19c8e9c85182241699f9f3a6482ae0a6e4c99162a62ffd33c3"
 
 LATERAL_GOLDEN = {
-    "metrics.csv": "f6fceb32e7ae96325387891f8376ef4fd66f14c905e86e59c498fd12ca4eb5b6",
-    "trace.jsonl": "36e50ec9733e689d8ca566b41bba6fc30714affecdf72162d9c6c0543e8acea1",
+    "metrics.csv": "3cb0511fd351e6bebbd65d5933d0cea157d3c31028fced3137b597e9b70fd600",
+    "trace.jsonl": "a6338481e58c6afa1d0d2494bd89db3e43a4419973cb24895330ee5b3843421e",
 }
 
 
@@ -111,7 +115,7 @@ def test_lateral_outputs_match_golden_hashes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     summary = capsys.readouterr().out
     assert _digests(out, LATERAL_GOLDEN) == LATERAL_GOLDEN
-    assert "p2p=1079 " in summary and "edge=61 " in summary
+    assert "p2p=1052 " in summary and "edge=63 " in summary
 
 
 def test_lateral_client_metrics_match_golden_hash():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedhlm.engine import SimulationConfig, _score, run
+from fedhlm.engine import SimulationConfig, run
 from fedhlm.federation import ClusterTopology, PartitionSpec
 from fedhlm.model_source import (
     NORMALIZATION_ATOL,
@@ -20,12 +20,11 @@ from fedhlm.model_source import (
     TraceStep,
     VocabMismatch,
     VocabSpec,
-    argmax_token,
-    gen_distribution_pair,
+    gen_distribution_rows,
     load_logit_trace,
     save_logit_trace,
 )
-from fedhlm.uncertainty import entropy_score
+from fedhlm.uncertainty import KIND_ENTROPY, SamplerConfig, score_rows
 
 
 def fixed_agreement_profile(agreement: float, vocab: int = 16) -> ModelProfile:
@@ -59,15 +58,20 @@ def test_profile_validation():
         ModelProfile(vocab=VocabSpec(8), confidence_coupling=-0.1)
 
 
+def uniform_modes(profile: ModelProfile, rng: np.random.Generator, count: int) -> np.ndarray:
+    return rng.integers(profile.vocab.size, size=count)
+
+
 def test_pairs_are_normalized_and_argmax_forced():
     profile = ModelProfile(vocab=VocabSpec(12))
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        slm, llm = gen_distribution_pair(profile, rng)
-        assert abs(float(slm.probs.sum()) - 1.0) <= 1e-9
-        assert abs(float(llm.probs.sum()) - 1.0) <= 1e-9
-        assert 0 <= argmax_token(slm) < 12
-        assert 0 <= argmax_token(llm) < 12
+    modes = uniform_modes(profile, rng, 200)
+    slm, llm = gen_distribution_rows(profile, modes, rng)
+    assert slm.shape == llm.shape == (200, 12)
+    assert np.all(np.abs(slm.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.all(np.abs(llm.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.array_equal(slm.argmax(axis=1), modes)
+    assert np.all((0 <= llm.argmax(axis=1)) & (llm.argmax(axis=1) < 12))
 
 
 @given(
@@ -77,11 +81,12 @@ def test_pairs_are_normalized_and_argmax_forced():
     llm_sharpness=st.floats(1e-6, 1e4),
     background=st.floats(1e-3, 2.0),
     agreement=st.sampled_from([0.0, 1.0]),
+    rows=st.integers(1, 6),
 )
 def test_generated_pairs_are_valid_distributions(
-    seed, vocab, slm_sharpness, llm_sharpness, background, agreement
+    seed, vocab, slm_sharpness, llm_sharpness, background, agreement, rows
 ):
-    # the pairs skip the public constructor's checks, so check what they skip
+    # the rows skip the public constructor's checks, so check what they skip
     profile = ModelProfile(
         vocab=VocabSpec(vocab),
         agreement=agreement,
@@ -91,33 +96,42 @@ def test_generated_pairs_are_valid_distributions(
         confidence_coupling=0.0,
     )
     rng = np.random.default_rng(seed)
-    mode = int(rng.integers(vocab))
-    slm, llm = gen_distribution_pair(profile, rng, mode=mode)
-    for dist in (slm, llm):
-        assert dist.probs.dtype == np.float64 and dist.probs.shape == (vocab,)
-        assert np.all(dist.probs >= 0.0)
-        assert abs(float(dist.probs.sum()) - 1.0) <= NORMALIZATION_ATOL
-    assert argmax_token(slm) == mode
+    modes = uniform_modes(profile, rng, rows)
+    slm, llm = gen_distribution_rows(profile, modes, rng)
+    for probs in (slm, llm):
+        assert probs.dtype == np.float64 and probs.shape == (rows, vocab)
+        assert np.all(probs >= 0.0)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)
+    assert np.array_equal(slm.argmax(axis=1), modes)
     # with the coupling off, agreement 1 always shares the mode and 0 never does
-    assert (argmax_token(llm) == mode) == (agreement == 1.0)
+    assert np.all((llm.argmax(axis=1) == modes) == (agreement == 1.0))
+
+
+def test_rows_whose_variates_all_underflow_are_one_hot_at_their_mode():
+    # Gamma variates of shape 1e-6 are 0.0 in float64 almost always.
+    profile = ModelProfile(vocab=VocabSpec(3), slm_sharpness=1e-6, llm_sharpness=1e-6, background=1e-6)
+    modes = np.array([0, 1, 2, 2])
+    slm, llm = gen_distribution_rows(profile, modes, np.random.default_rng(0))
+    assert np.array_equal(slm.argmax(axis=1), modes)
+    assert np.all(np.abs(slm.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)
+    assert np.allclose(slm[np.arange(4), modes], 1.0) and np.all(np.isfinite(llm))
 
 
 def test_full_agreement_forces_shared_argmax():
     profile = fixed_agreement_profile(1.0)
     rng = np.random.default_rng(11)
-    for _ in range(500):
-        slm, llm = gen_distribution_pair(profile, rng)
-        assert argmax_token(slm) == argmax_token(llm)
+    slm, llm = gen_distribution_rows(profile, uniform_modes(profile, rng, 500), rng)
+    assert np.array_equal(slm.argmax(axis=1), llm.argmax(axis=1))
 
 
 def test_requested_mode_is_respected():
     profile = ModelProfile(vocab=VocabSpec(10))
     rng = np.random.default_rng(5)
-    for mode in (0, 3, 9):
-        slm, _ = gen_distribution_pair(profile, rng, mode=mode)
-        assert argmax_token(slm) == mode
-    with pytest.raises(ValueError):
-        gen_distribution_pair(profile, rng, mode=10)
+    slm, _ = gen_distribution_rows(profile, np.array([0, 3, 9]), rng)
+    assert slm.argmax(axis=1).tolist() == [0, 3, 9]
+    for modes in ([3, 10], [-1]):
+        with pytest.raises(ValueError):
+            gen_distribution_rows(profile, np.array(modes), rng)
 
 
 def test_agreement_rate_monte_carlo():
@@ -127,11 +141,8 @@ def test_agreement_rate_monte_carlo():
     profile = fixed_agreement_profile(0.7)
     rng = np.random.default_rng(42)
     draws = 100_000
-    matches = 0
-    for _ in range(draws):
-        slm, llm = gen_distribution_pair(profile, rng)
-        matches += argmax_token(slm) == argmax_token(llm)
-    rate = matches / draws
+    slm, llm = gen_distribution_rows(profile, uniform_modes(profile, rng, draws), rng)
+    rate = np.count_nonzero(slm.argmax(axis=1) == llm.argmax(axis=1)) / draws
     assert 0.69 <= rate <= 0.71
 
 
@@ -139,34 +150,30 @@ def test_pair_generation_is_deterministic():
     profile = ModelProfile(vocab=VocabSpec(8))
     a = np.random.default_rng(9)
     b = np.random.default_rng(9)
-    for _ in range(50):
-        slm_a, llm_a = gen_distribution_pair(profile, a)
-        slm_b, llm_b = gen_distribution_pair(profile, b)
-        assert np.array_equal(slm_a.probs, slm_b.probs)
-        assert np.array_equal(llm_a.probs, llm_b.probs)
+    for _ in range(5):
+        slm_a, llm_a = gen_distribution_rows(profile, uniform_modes(profile, a, 10), a)
+        slm_b, llm_b = gen_distribution_rows(profile, uniform_modes(profile, b, 10), b)
+        assert np.array_equal(slm_a, slm_b)
+        assert np.array_equal(llm_a, llm_b)
 
 
 def test_normalized_entropy_limit_is_log_vocab():
-    # a uniform row attains the entropy ceiling ln(V); the engine's entropy
-    # score divides by that ceiling, so the row scores 1
+    # a uniform row attains the entropy ceiling ln(V), and the entropy score
+    # divides by that ceiling, so the row scores 1; a row split evenly over
+    # two tokens has entropy ln(2), so it scores ln(2) / ln(32) = 1/5
     vocab = VocabSpec(32)
-    uniform = TokenDistribution(np.full(vocab.size, 1.0 / vocab.size))
-    assert entropy_score(uniform).value == pytest.approx(np.log(32.0))
-    cfg = SimulationConfig(
-        topology=ClusterTopology(num_clients=2, num_clusters=1),
-        profile=ModelProfile(vocab=vocab),
-        uncertainty_kind="entropy",
-    )
-    assert _score(cfg, uniform, np.random.default_rng(0)) == pytest.approx(1.0)
+    half = np.zeros(vocab.size)
+    half[[3, 17]] = 0.5
+    rows = np.stack([np.full(vocab.size, 1.0 / vocab.size), half])
+    scores = score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))
+    assert scores.tolist() == pytest.approx([1.0, 0.2])
 
 
 def _tiny_trace(vocab: VocabSpec, steps: int, seed: int = 0) -> LogitTrace:
     rng = np.random.default_rng(seed)
     profile = ModelProfile(vocab=vocab)
-    rows = []
-    for _ in range(steps):
-        slm, llm = gen_distribution_pair(profile, rng)
-        rows.append(TraceStep(argmax_token(llm), slm, llm))
+    slm, llm = gen_distribution_rows(profile, uniform_modes(profile, rng, steps), rng)
+    rows = [TraceStep(int(l.argmax()), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
     return LogitTrace(vocab, rows)
 
 

@@ -10,22 +10,28 @@ from hypothesis import strategies as st
 from fedhlm.costs import PHitEstimator
 from fedhlm.engine import ClientState, SimulationConfig, Stage, resolve_token
 from fedhlm.federation import ClusterTopology
-from fedhlm.model_source import TokenDistribution, VocabSpec, argmax_token, gen_distribution_pair
+from fedhlm.model_source import gen_distribution_rows
 from fedhlm.peers import TokenCache
 from fedhlm.thresholds import LearnerConfig, RejectionFeedback, local_loss
-from fedhlm.uncertainty import (
-    SamplerConfig,
-    ScoreKind,
-    entropy_score,
-    mc_disagreement,
-    soften,
-)
+from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 
-def one_hot(size: int, index: int) -> TokenDistribution:
-    p = np.zeros(size)
-    p[index] = 1.0
-    return TokenDistribution(p)
+def one_hot_rows(size: int, indices: list[int]) -> np.ndarray:
+    return np.eye(size)[indices]
+
+
+def disagreement(probs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    return score_rows(probs, KIND_DISAGREEMENT, cfg, rng)
+
+
+def entropy(probs: np.ndarray) -> np.ndarray:
+    return score_rows(probs, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))
+
+
+def softened(probs: np.ndarray, temperature: float) -> np.ndarray:
+    # reference: p_i^(1/T), renormalized, one 1-d row at a time
+    q = probs ** (1.0 / temperature)
+    return q / q.sum()
 
 
 def test_sampler_config_validation():
@@ -40,22 +46,24 @@ def test_sampler_config_validation():
 
 def test_one_hot_distribution_never_disagrees():
     rng = np.random.default_rng(0)
-    dist = one_hot(8, 3)
+    rows = one_hot_rows(8, [3, 0, 7])
     for k in (1, 10, 100):
-        score = mc_disagreement(dist, SamplerConfig(num_samples=k), rng)
-        assert score.value == 0.0
-        assert score.kind is ScoreKind.MC_DISAGREEMENT
+        before = rng.bit_generator.state
+        assert disagreement(rows, SamplerConfig(num_samples=k), rng).tolist() == [0.0, 0.0, 0.0]
+        # the disagreement kind spends exactly one uniform per sample of each row
+        ref = np.random.default_rng(0)
+        ref.bit_generator.state = before
+        ref.random((3, k))
+        assert ref.random() == rng.random()
 
 
 def test_disagreement_is_quantized_to_sample_count():
     rng = np.random.default_rng(7)
     cfg = SamplerConfig(num_samples=10)
-    for _ in range(100):
-        p = rng.dirichlet(np.full(6, 0.5))
-        score = mc_disagreement(TokenDistribution(p), cfg, rng)
-        scaled = score.value * cfg.num_samples
-        assert abs(scaled - round(scaled)) < 1e-12
-        assert 0.0 <= score.value <= 1.0
+    scores = disagreement(rng.dirichlet(np.full(6, 0.5), size=100), cfg, rng)
+    scaled = scores * cfg.num_samples
+    assert np.all(np.abs(scaled - np.round(scaled)) < 1e-12)
+    assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
 def test_uniform_disagreement_matches_analytic_rate():
@@ -65,24 +73,24 @@ def test_uniform_disagreement_matches_analytic_rate():
     # rate over 10^5 draws must sit within 0.01 of 0.75.
     vocab = 4
     expected = (vocab - 1) / vocab
-    dist = TokenDistribution(np.full(vocab, 1.0 / vocab))
+    rows = np.full((1, vocab), 1.0 / vocab)
     rng = np.random.default_rng(42)
-    score = mc_disagreement(dist, SamplerConfig(num_samples=100_000), rng)
-    assert abs(score.value - expected) <= 0.01
+    score = disagreement(rows, SamplerConfig(num_samples=100_000), rng)[0]
+    assert abs(score - expected) <= 0.01
 
 
 def test_disagreement_determinism():
-    dist = TokenDistribution(np.array([0.5, 0.3, 0.2]))
+    rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
     cfg = SamplerConfig()
-    a = mc_disagreement(dist, cfg, np.random.default_rng(123))
-    b = mc_disagreement(dist, cfg, np.random.default_rng(123))
-    assert a.value == b.value
+    a = disagreement(rows, cfg, np.random.default_rng(123))
+    b = disagreement(rows, cfg, np.random.default_rng(123))
+    assert np.array_equal(a, b)
 
 
-def _choice_disagreement(dist: TokenDistribution, cfg: SamplerConfig, rng: np.random.Generator) -> float:
-    # reference: the same score drawn through Generator.choice
-    draws = rng.choice(dist.size, size=cfg.num_samples, p=soften(dist, cfg.temperature))
-    return int(np.count_nonzero(draws != argmax_token(dist))) / cfg.num_samples
+def _choice_disagreement(probs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> float:
+    # reference: one row's score drawn through Generator.choice
+    draws = rng.choice(probs.size, size=cfg.num_samples, p=softened(probs, cfg.temperature))
+    return int(np.count_nonzero(draws != probs.argmax())) / cfg.num_samples
 
 
 @given(
@@ -91,39 +99,51 @@ def _choice_disagreement(dist: TokenDistribution, cfg: SamplerConfig, rng: np.ra
     num_samples=st.integers(1, 64),
     temperature=st.floats(1.0, 8.0, exclude_min=True),
     seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 4),
 )
-def test_scoring_draw_matches_generator_choice(vocab, alpha, num_samples, temperature, seed):
-    # score for score, and the generator left in the same state
+def test_scoring_draw_matches_generator_choice(vocab, alpha, num_samples, temperature, seed, rows):
+    # score for score, row by row, and the generator left in the same state
     cfg = SamplerConfig(num_samples=num_samples, temperature=temperature)
-    dist = TokenDistribution(np.random.default_rng(seed).dirichlet(np.full(vocab, alpha)))
+    probs = np.random.default_rng(seed).dirichlet(np.full(vocab, alpha), size=rows)
     ours = np.random.default_rng(seed + 1)
     ref = np.random.default_rng(seed + 1)
     for _ in range(3):
-        assert mc_disagreement(dist, cfg, ours).value == _choice_disagreement(dist, cfg, ref)
+        assert disagreement(probs, cfg, ours).tolist() == [_choice_disagreement(p, cfg, ref) for p in probs]
     assert ours.random() == ref.random()
 
 
 def test_soften_flattens_toward_uniform():
-    dist = TokenDistribution(np.array([0.7, 0.2, 0.1]))
-    same = soften(dist, 1.0)
-    assert np.allclose(same, dist.probs)
-    flat = soften(dist, 100.0)
-    assert flat.max() - flat.min() < dist.probs.max() - dist.probs.min()
+    # Oracle: a row disagrees with its argmax at rate 1 - q_0, where q is the
+    # softened row; near T = 1 that is 1 - 0.7, and it grows toward the
+    # uniform rate 2/3 as T grows. 10^5 samples put each rate within 0.01.
+    row = np.array([[0.7, 0.2, 0.1]])
+    rates = []
+    for temperature in (1.0 + 1e-9, 2.0, 100.0):
+        expected = 1.0 - softened(row[0], temperature)[0]
+        rate = disagreement(row, SamplerConfig(100_000, temperature), np.random.default_rng(5))[0]
+        assert abs(rate - expected) <= 0.01
+        rates.append(rate)
+    assert abs(rates[0] - 0.3) <= 0.01
+    assert rates[0] < rates[1] < rates[2] < 2 / 3
+    flat = softened(row[0], 100.0)
+    assert flat.max() - flat.min() < row.max() - row.min()
     assert abs(float(flat.sum()) - 1.0) <= 1e-12
 
 
 def test_entropy_score_limits():
-    assert entropy_score(one_hot(5, 0)).value == 0.0
-    uniform = TokenDistribution(np.full(8, 0.125))
-    assert entropy_score(uniform).value == pytest.approx(math.log(8))
-    assert entropy_score(uniform).kind is ScoreKind.ENTROPY
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    rows = np.vstack([one_hot_rows(8, [0]), np.full((1, 8), 0.125)])
+    # one-hot rows have no entropy; a uniform row's ln(8) is the ceiling, so it scores 1
+    assert score_rows(rows, KIND_ENTROPY, SamplerConfig(), rng).tolist() == [0.0, pytest.approx(1.0)]
+    assert rng.bit_generator.state == before  # the entropy kind draws no randomness
 
 
 def test_hard_route_boundary_retains():
     # the gate in resolve_token: retain when the score is at or below the
     # threshold, escalate only when it is strictly above
     cfg = SimulationConfig(topology=ClusterTopology(num_clients=2, num_clusters=1), mode="uhlm")
-    slm, llm = gen_distribution_pair(cfg.profile, np.random.default_rng(3), mode=1)
+    (slm,), (llm,) = gen_distribution_rows(cfg.profile, np.array([1]), np.random.default_rng(3))
     client = ClientState(
         client_id=0,
         cluster_id=0,
@@ -136,7 +156,8 @@ def test_hard_route_boundary_retains():
 
     def stage(score: float) -> Stage:
         return resolve_token(
-            client, slm, llm, argmax_token(slm), False, False, cfg, np.random.default_rng(0), uncertainty=score
+            client, slm, llm, int(slm.argmax()), int(llm.argmax()), False, False, cfg,
+            np.random.default_rng(0), uncertainty=score,
         ).stage
 
     assert stage(0.2) is Stage.LOCAL
