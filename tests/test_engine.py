@@ -19,6 +19,7 @@ from fedhlm.engine import (
     SimulationState,
     Stage,
     TokenOutcome,
+    _draw_modes,
     _generate_workload,
     client_token_entropy,
     default_config,
@@ -85,6 +86,29 @@ def crafted_pair(cfg: SimulationConfig, mode: int) -> tuple[np.ndarray, np.ndarr
 
 def argmax(row: np.ndarray) -> int:
     return int(row.argmax())
+
+
+@pytest.mark.parametrize("vocab,classes,exponent", [(32, 4, 1.5), (10, 3, 0.0), (7, 7, 4.0), (50, 1, 1.1)])
+def test_drawn_modes_match_a_per_token_search(vocab, classes, exponent):
+    # reference: each token's class region and Zipf CDF, searched on its own
+    cfg = small_config(
+        profile=ModelProfile(vocab=VocabSpec(vocab)),
+        partition=PartitionSpec(num_classes=classes),
+        zipf_exponent=exponent,
+        tokens_per_client=200,
+    )
+    state = SimulationState(cfg)
+    client = state.clients[0]
+    regions = np.array_split(np.arange(vocab), classes)
+    rng = np.random.default_rng(3)
+    classes_drawn = rng.choice(classes, size=200, p=client.mixture)
+    picks = rng.random(200)
+    want = []
+    for c, pick in zip(classes_drawn, picks):
+        ranks = np.arange(1, len(regions[c]) + 1) ** -exponent
+        idx = int(np.searchsorted(np.cumsum(ranks / ranks.sum()), pick, side="right"))
+        want.append(int(regions[c][min(idx, len(regions[c]) - 1)]))
+    assert _draw_modes(state, client, np.random.default_rng(3)).tolist() == want
 
 
 def test_config_validation_errors():
