@@ -15,6 +15,7 @@ from .costs import (
 from .engine import (
     ConfigInvalid,
     EmptyHistory,
+    RoundOutcomes,
     RoundReport,
     SimulationConfig,
     SimulationReport,

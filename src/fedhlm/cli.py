@@ -133,20 +133,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         totals = report.outcome_totals()
         total = report.total_tokens()
         final_threshold = report.rounds[-1].global_threshold
-        summary.append(
-            ",".join(
-                (
-                    f"{value}",
-                    f"{totals[engine.Stage.LOCAL] / total:.6f}",
-                    f"{totals[engine.Stage.P2P] / total:.6f}",
-                    f"{totals[engine.Stage.EDGE] / total:.6f}",
-                    f"{totals[engine.Stage.LLM] / total:.6f}",
-                    f"{compute_trr(report):.6f}",
-                    f"{report.total_cost():.6f}",
-                    f"{final_threshold:.6f}",
-                )
-            )
-        )
+        # Stage order is local, p2p, edge, llm, as in the header.
+        fractions = [f"{totals[stage] / total:.6f}" for stage in engine.Stage]
+        trailer = (compute_trr(report), report.total_cost(), final_threshold)
+        summary.append(",".join([f"{value}", *fractions, *(f"{v:.6f}" for v in trailer)]))
         if args.out_dir is not None:
             point_dir = args.out_dir / f"{label}_{value}"
             _write_outputs(point_cfg, report, point_dir)

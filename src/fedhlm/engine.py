@@ -1,19 +1,21 @@
 """Round-based simulation of uncertainty-gated token routing.
 
-Each round every client predicts a fixed number of tokens, and every token
-takes one path, resolve_token. A client-round's distributions are drawn,
-or gathered from a replayed trace, as (T, V) arrays and scored in one pass
-before any token is routed. A gate first decides whether the token
-escalates; a token that does not stays on device. In the learned `fedhlm`
-mode an escalated token opportunistically tries the client's semantic cache
-and then peer consensus, falls back to edge validation, and finally asks the
-cloud model to adjudicate. Consensus and edge decisions depend only on the
-round's predicted tokens, so lateral_decisions takes them once per round
-for every client and timestep. The `uhlm` (static threshold) and `rand`
-(coin flip) baselines differ only in the gate and send every escalated
-token straight to the cloud. In `fedhlm` mode cloud feedback drives one
-threshold-learning step per client per round, followed by cluster-weighted
-and global averaging with a broadcast back to every client.
+Each round every client predicts a fixed number of tokens. A client-round's
+distributions are drawn, or gathered from a replayed trace, as (T, V)
+arrays and scored in one pass. A gate then decides, in one comparison per
+client-round, which tokens escalate; the rest stay on device. Only escalated
+tokens take the one routing path, resolve_token, except in `rand` mode,
+which routes every token there since its gate coin shares a stream with the
+cloud's draws. In the learned `fedhlm` mode an escalated token tries the
+client's semantic cache and then peer consensus, falls back to edge
+validation, and finally asks the cloud model to adjudicate. Consensus and
+edge decisions depend only on the round's predicted tokens, so
+lateral_decisions takes them once per round for every client and timestep.
+The `uhlm` (static threshold) and `rand` (coin flip) baselines differ only
+in the gate and send every escalated token straight to the cloud. A round's
+outcomes are kept as (clients, T) columns. In `fedhlm` mode the cloud's
+feedback drives one threshold-learning step per client per round, followed
+by cluster-weighted and global averaging with a broadcast to every client.
 
 All randomness flows from one seed through named per-client, per-round
 streams, so reruns are bit-identical.
@@ -24,8 +26,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +84,10 @@ _TAG_PROFILES = 2
 _TAG_GEN = 3
 _TAG_RESOLVE = 4
 
-# Ceiling on the cells (floats, ints or token records) a run holds at once:
-# a round's SLM and LLM rows, the embedding table, the caches, one cluster's
-# lateral tables, a client-round's MC search (T x samples x V), the run's
-# token records. 2**24 float64 cells are 128 MiB; the stock run's largest
+# Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
+# and LLM rows, the embedding table, the caches, one cluster's lateral
+# tables, a client-round's MC search (T x samples x V), the run's outcome
+# columns. 2**24 float64 cells are 128 MiB; the stock run's largest
 # term is 327,680 (its caches).
 MAX_CELLS = 2**24
 
@@ -101,6 +105,12 @@ class Stage(enum.Enum):
     P2P = "p2p"
     EDGE = "edge"
     LLM = "llm"
+
+
+# A stage column holds each token's index into STAGES.
+STAGES = tuple(Stage)
+_CODE = {stage: code for code, stage in enumerate(STAGES)}
+_LOCAL, _P2P, _LLM = _CODE[Stage.LOCAL], _CODE[Stage.P2P], _CODE[Stage.LLM]
 
 
 @dataclass(frozen=True)
@@ -182,19 +192,15 @@ def default_config(**overrides) -> SimulationConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-@dataclass(frozen=True)
-class TokenOutcome:
+class TokenOutcome(NamedTuple):
+    """Where resolve_token sent one token; run_round copies it into its round's columns."""
+
     stage: Stage
     final_token: int
     charged_cost: float
-    uncertainty: float
     correct: bool
     rejection_prob: float | None = None
     p2p_attempted: bool = False
-
-    def __post_init__(self) -> None:
-        if self.stage is Stage.LOCAL and self.charged_cost != 0.0:
-            raise ValueError("local outcomes carry zero cost")
 
 
 @dataclass
@@ -219,9 +225,26 @@ class ClientMetrics:
 
 
 @dataclass
+class RoundOutcomes:
+    """One round's tokens as (clients, T) columns, row i for client i. stage indexes STAGES; cost is 0
+    for a local token; beta, the cloud's rejection probability, is NaN for a token the cloud did not see."""
+
+    stage: np.ndarray
+    final_token: np.ndarray
+    cost: np.ndarray
+    uncertainty: np.ndarray
+    beta: np.ndarray
+    correct: np.ndarray
+    p2p_attempted: np.ndarray
+
+
+@dataclass
 class RoundReport:
+    """One round: its outcome columns, and the counts, totals and means read from them (rejection_rate
+    over the cloud's tokens), the thresholds after local learning, after the broadcast and per cluster."""
+
     round_index: int
-    outcomes: dict[int, list[TokenOutcome]]
+    outcomes: RoundOutcomes
     outcome_counts: dict[Stage, int]
     thresholds_local: dict[int, float]
     thresholds_after: dict[int, float]
@@ -240,11 +263,7 @@ class SimulationReport:
     client_metrics: dict[int, ClientMetrics]
 
     def outcome_totals(self) -> dict[Stage, int]:
-        totals = {stage: 0 for stage in Stage}
-        for rnd in self.rounds:
-            for stage in Stage:
-                totals[stage] += rnd.outcome_counts[stage]
-        return totals
+        return {stage: sum(rnd.outcome_counts[stage] for rnd in self.rounds) for stage in Stage}
 
     def total_tokens(self) -> int:
         return sum(self.outcome_totals().values())
@@ -258,7 +277,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
 
 
-def client_token_entropy(history: list[int], vocab: VocabSpec) -> float:
+def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
     """Empirical entropy of accepted tokens, normalized into [0, 1] by ln(V)."""
     if len(history) == 0:
         raise EmptyHistory("client accepted no tokens")
@@ -268,12 +287,8 @@ def client_token_entropy(history: list[int], vocab: VocabSpec) -> float:
     return min(max(entropy / math.log(vocab.size), 0.0), 1.0)
 
 
-@dataclass
-class _Workload:
-    """One client-round of prediction steps: a row or an entry per timestep.
-
-    target is the reference token when replaying a trace, else the LLM's argmax.
-    """
+class _Workload(NamedTuple):
+    """One client-round, a row or an entry per timestep; target is the trace's reference or the LLM's argmax."""
 
     slm: np.ndarray
     llm: np.ndarray
@@ -469,20 +484,21 @@ def resolve_token(
 
     The gate escalates on a coin flip with probability cfg.p_offload in
     `rand` mode and when uncertainty exceeds the client's threshold
-    otherwise. slm and llm are the step's two probability rows, and
-    predicted is the SLM's argmax. Only `fedhlm` mode tries the lateral
-    tiers, reading its round's lateral_decisions flags: consensus counts
-    only after the cache misses and edge only after consensus escalates; the
-    baselines take every escalated token straight to the cloud and ignore
-    both. The outcome counts as correct when its final token is target: the
-    reference token when replaying a trace, else the LLM's argmax.
+    otherwise (run_round applies that comparison to a client-round first).
+    slm and llm are the step's two probability rows, and predicted is the
+    SLM's argmax. Only `fedhlm` mode tries the lateral tiers, reading its
+    round's lateral_decisions flags: consensus counts only after the cache
+    misses and edge only after consensus escalates; the baselines take
+    every escalated token straight to the cloud and ignore both. The
+    outcome counts as correct when its final token is target: the reference
+    token when replaying a trace, else the LLM's argmax.
     """
     if cfg.mode == MODE_RAND:
         escalate = rng.random() < cfg.p_offload
     else:
         escalate = uncertainty > client.threshold
     if not escalate:
-        return TokenOutcome(Stage.LOCAL, predicted, 0.0, uncertainty, predicted == target)
+        return TokenOutcome(Stage.LOCAL, predicted, 0.0, predicted == target)
 
     cost = cfg.cost
     lateral = cfg.mode == MODE_FEDHLM
@@ -493,70 +509,76 @@ def resolve_token(
         hit = client.cache.lookup(own, cfg.peer)
         if hit.token is not None:
             client.estimator.record(True)
-            return TokenOutcome(Stage.P2P, hit.token, cost.c_p2p, uncertainty, hit.token == target, p2p_attempted=True)
+            return TokenOutcome(Stage.P2P, hit.token, cost.c_p2p, hit.token == target, p2p_attempted=True)
         if consensus:
             client.estimator.record(True)
             client.cache.insert(own, predicted)
-            return TokenOutcome(Stage.P2P, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
+            return TokenOutcome(Stage.P2P, predicted, cost.c_p2p, predicted == target, p2p_attempted=True)
         client.estimator.record(False)
         if edge:
             client.cache.insert(own, predicted)
-            return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, uncertainty, predicted == target, p2p_attempted=True)
+            return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, predicted == target, p2p_attempted=True)
 
     result = llm_adjudicate(_unchecked_distribution(slm), _unchecked_distribution(llm), predicted, rng)
     final = result.final_token
     if lateral:
         client.cache.insert(Embedding(emb_row[final]), final)
     charged = cost.c_p2p + cost.c_llm if attempted else cost.c_llm
-    return TokenOutcome(Stage.LLM, final, charged, uncertainty, final == target, result.rejection_prob, attempted)
+    return TokenOutcome(Stage.LLM, final, charged, final == target, result.rejection_prob, attempted)
 
 
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
     clients = state.clients
-    workloads = {c.client_id: _generate_workload(state, c, round_index) for c in clients}
-    predicted = np.stack([workloads[c.client_id].predicted for c in clients])
+    slm, llm, *columns = zip(*(_generate_workload(state, c, round_index) for c in clients))
+    predicted, target, uncertainty = map(np.stack, columns)
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
         consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer)
     else:
         consensus = edge = np.zeros(predicted.shape, bool)
-    predicted, consensus, edge = predicted.tolist(), consensus.tolist(), edge.tolist()
 
-    outcomes: dict[int, list[TokenOutcome]] = {}
+    # Every token starts as a local one; a routed token overwrites its cells.
+    out = RoundOutcomes(
+        np.full(predicted.shape, _LOCAL, np.int8), predicted.copy(), np.zeros(predicted.shape), uncertainty,
+        np.full(predicted.shape, np.nan), predicted == target, np.zeros(predicted.shape, bool),
+    )
+    rows = [m.tolist() for m in (predicted, target, consensus, edge, uncertainty)]
     for client in clients:
         cid = client.client_id
-        work = workloads[cid]
+        # rand's gate coin shares the cloud's stream, so rand routes every token.
+        if cfg.mode == MODE_RAND:
+            routed = range(cfg.tokens_per_client)
+        elif not (routed := np.flatnonzero(uncertainty[cid] > client.threshold).tolist()):
+            continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
-        steps = zip(
-            work.slm, work.llm, predicted[cid], work.target.tolist(), consensus[cid], edge[cid],
-            work.uncertainty.tolist(),
-        )
-        outcomes[cid] = [
-            resolve_token(client, slm, llm, pred, target, cons, edge_ok, cfg, rng, score)
-            for slm, llm, pred, target, cons, edge_ok, score in steps
-        ]
+        pred, tgt, cons, edge_ok, score = (row[cid] for row in rows)
+        for t in routed:
+            o = resolve_token(
+                client, slm[cid][t], llm[cid][t], pred[t], tgt[t], cons[t], edge_ok[t], cfg, rng, score[t]
+            )
+            out.stage[cid, t], out.final_token[cid, t], out.cost[cid, t] = _CODE[o.stage], o.final_token, o.charged_cost
+            out.correct[cid, t], out.p2p_attempted[cid, t] = o.correct, o.p2p_attempted
+            out.beta[cid, t] = np.nan if o.rejection_prob is None else o.rejection_prob
 
+    to_cloud = out.stage == _LLM
     thresholds_local: dict[int, float] = {}
     if cfg.mode == MODE_FEDHLM:
         eta = lr_schedule(cfg.learner.eta0, round_index)
         for client in clients:
-            feedback = [
-                RejectionFeedback(o.uncertainty, o.rejection_prob)
-                for o in outcomes[client.client_id]
-                if o.stage is Stage.LLM
-            ]
-            grad = loss_gradient(feedback, client.threshold, cfg.learner)
+            mine = to_cloud[client.client_id]
+            scores, betas = uncertainty[client.client_id, mine].tolist(), out.beta[client.client_id, mine].tolist()
+            grad = loss_gradient(list(map(RejectionFeedback, scores, betas)), client.threshold, cfg.learner)
             thresholds_local[client.client_id] = sgd_step(Threshold(client.threshold), grad, eta).value
 
+        # A client's weight is the number of tokens it transmitted.
+        transmitted = np.count_nonzero(out.stage != _LOCAL, axis=1).tolist()
         cluster_values: list[float] = []
         for cluster_id, members in enumerate(state.cluster_members):
             values = [thresholds_local[m] for m in members]
-            # A client's weight is the number of tokens it transmitted.
-            weights = [sum(o.stage is not Stage.LOCAL for o in outcomes[m]) for m in members]
             try:
-                cluster_values.append(cluster_aggregate(values, weights))
+                cluster_values.append(cluster_aggregate(values, [transmitted[m] for m in members]))
             except AllWeightsZero:
                 cluster_values.append(state.cluster_thresholds[cluster_id])
         state.cluster_thresholds = cluster_values
@@ -568,25 +590,20 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
             thresholds_local[client.client_id] = client.threshold
         global_threshold = clients[0].threshold
 
-    thresholds_after = {c.client_id: c.threshold for c in clients}
-
-    flat = [o for c in clients for o in outcomes[c.client_id]]
-    llm = [o for o in flat if o.stage is Stage.LLM]
-    counts = {stage: 0 for stage in Stage}
-    for outcome in flat:
-        counts[outcome.stage] += 1
+    # fsum is exact, so these totals do not depend on the order of the cells.
+    llm_count = int(np.count_nonzero(to_cloud))
     return RoundReport(
         round_index=round_index,
-        outcomes=outcomes,
-        outcome_counts=counts,
+        outcomes=out,
+        outcome_counts=dict(zip(STAGES, np.bincount(out.stage.ravel(), minlength=len(STAGES)).tolist())),
         thresholds_local=thresholds_local,
-        thresholds_after=thresholds_after,
+        thresholds_after={c.client_id: c.threshold for c in clients},
         cluster_thresholds=tuple(state.cluster_thresholds),
         global_threshold=global_threshold,
-        total_cost=math.fsum(o.charged_cost for o in flat),
-        avg_uncertainty=math.fsum(o.uncertainty for o in flat) / len(flat),
-        rejection_rate=math.fsum(o.rejection_prob for o in llm) / len(llm) if llm else 0.0,
-        llm_after_p2p=sum(o.p2p_attempted for o in llm),
+        total_cost=math.fsum(out.cost.ravel().tolist()),
+        avg_uncertainty=math.fsum(uncertainty.ravel().tolist()) / uncertainty.size,
+        rejection_rate=math.fsum(out.beta[to_cloud].tolist()) / llm_count if llm_count else 0.0,
+        llm_after_p2p=int(np.count_nonzero(out.p2p_attempted & to_cloud)),
     )
 
 
@@ -594,15 +611,19 @@ def run(cfg: SimulationConfig) -> SimulationReport:
     """Run cfg.rounds rounds of the policy cfg.mode selects."""
     state = SimulationState(cfg)
     rounds = [run_round(state, r) for r in range(cfg.rounds)]
-    metrics: dict[int, ClientMetrics] = {}
-    for client_id in range(cfg.topology.num_clients):
-        mine = [o for rnd in rounds for o in rnd.outcomes[client_id]]
-        stages = [o.stage for o in mine]
-        attempts = sum(o.p2p_attempted for o in mine)
-        metrics[client_id] = ClientMetrics(
-            token_entropy=client_token_entropy([o.final_token for o in mine], cfg.profile.vocab),
-            cache_hit_ratio=stages.count(Stage.P2P) / attempts if attempts else 0.0,
-            llm_token_count=stages.count(Stage.LLM),
-            accuracy=sum(o.correct for o in mine) / len(mine),
+    # The run's columns as (clients, rounds x T), and per-client counts of them.
+    stage, final, correct, attempted = (
+        np.hstack([getattr(rnd.outcomes, k) for rnd in rounds])
+        for k in ("stage", "final_token", "correct", "p2p_attempted")
+    )
+    counts = zip(*(np.count_nonzero(m, axis=1).tolist() for m in (stage == _P2P, stage == _LLM, attempted, correct)))
+    metrics = {
+        client_id: ClientMetrics(
+            token_entropy=client_token_entropy(final[client_id], cfg.profile.vocab),
+            cache_hit_ratio=p2p / attempts if attempts else 0.0,
+            llm_token_count=to_cloud,
+            accuracy=right / stage.shape[1],
         )
+        for client_id, (p2p, to_cloud, attempts, right) in enumerate(counts)
+    }
     return SimulationReport(cfg, rounds, metrics)

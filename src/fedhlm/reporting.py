@@ -1,16 +1,16 @@
 """Metrics tables and per-token trace emission.
 
 Output files are deterministic: the same report object always serializes to
-byte-identical CSV and JSON-lines content.
+byte-identical CSV and JSON-lines content. The trace is written from each
+round's outcome columns with one format template per line.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .engine import RoundReport, SimulationReport, Stage
+from .engine import STAGES, RoundReport, SimulationReport, Stage
 
 CSV_COLUMNS = (
     "round",
@@ -86,46 +86,37 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+# How each CSV column is written: counts as integers, the rest by _fmt.
+_CSV_FORMATS = (str, _fmt, str, str, str, str, _fmt, _fmt, _fmt, _fmt, _fmt)
+
+
 def emit_metrics_csv(report: SimulationReport, path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in metrics_rows(report):
-        lines.append(
-            ",".join(
-                (
-                    str(row.round_index),
-                    _fmt(row.global_threshold),
-                    str(row.local_count),
-                    str(row.p2p_count),
-                    str(row.edge_count),
-                    str(row.llm_count),
-                    _fmt(row.transmission_rate),
-                    _fmt(row.avg_uncertainty),
-                    _fmt(row.rejection_rate),
-                    _fmt(row.total_cost),
-                    _fmt(row.trr),
-                )
-            )
-        )
+        lines.append(",".join(fmt(value) for fmt, value in zip(_CSV_FORMATS, astuple(row))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# One trace line, as json.dumps(record, separators=(",", ":")) writes it: a
+# finite float's repr is its JSON text, and the key order is fixed.
+TRACE_LINE = '{"round":%d,"client":%d,"timestep":%d,"stage":"%s","uncertainty":%r,"beta":%s,"cost":%r,"correct":%s}'
+
+
 def emit_trace(report: SimulationReport, path: str | Path) -> None:
-    """One JSON object per resolved token, ordered by round, client, timestep."""
+    """One JSON object per token, ordered by round, client, timestep.
+
+    beta is null for a token the cloud did not adjudicate (NaN in its column).
+    """
+    names = [stage.value for stage in STAGES]
     lines: list[str] = []
-    for round_report in report.rounds:
-        for client_id in sorted(round_report.outcomes):
-            for timestep, outcome in enumerate(round_report.outcomes[client_id]):
-                record = {
-                    "round": round_report.round_index,
-                    "client": client_id,
-                    "timestep": timestep,
-                    "stage": outcome.stage.value,
-                    "uncertainty": outcome.uncertainty,
-                    "beta": outcome.rejection_prob,
-                    "cost": outcome.charged_cost,
-                    "correct": outcome.correct,
-                }
-                lines.append(json.dumps(record, separators=(",", ":")))
+    for rnd in report.rounds:
+        o, r = rnd.outcomes, rnd.round_index
+        columns = (o.stage.tolist(), o.uncertainty.tolist(), o.beta.tolist(), o.cost.tolist(), o.correct.tolist())
+        for client, row in enumerate(zip(*columns)):
+            lines += [
+                TRACE_LINE % (r, client, t, names[s], u, "null" if b != b else repr(b), c, "true" if ok else "false")
+                for t, (s, u, b, c, ok) in enumerate(zip(*row))
+            ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -137,10 +128,7 @@ def summarize(report: SimulationReport) -> str:
         return "no tokens resolved"
     parts = [
         f"tokens={total}",
-        f"local={totals[Stage.LOCAL]} ({totals[Stage.LOCAL] / total:.1%})",
-        f"p2p={totals[Stage.P2P]} ({totals[Stage.P2P] / total:.1%})",
-        f"edge={totals[Stage.EDGE]} ({totals[Stage.EDGE] / total:.1%})",
-        f"llm={totals[Stage.LLM]} ({totals[Stage.LLM] / total:.1%})",
+        *(f"{stage.value}={totals[stage]} ({totals[stage] / total:.1%})" for stage in STAGES),
         f"trr={compute_trr(report):.4f}",
         f"cost={report.total_cost():.1f}",
         f"final_threshold={report.rounds[-1].global_threshold:.4f}" if report.rounds else "",

@@ -2,10 +2,14 @@
 
 import json
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedhlm.cli import main
 from fedhlm.config import (
@@ -17,6 +21,8 @@ from fedhlm.config import (
     parse_config_text,
 )
 from fedhlm.engine import (
+    STAGES,
+    RoundOutcomes,
     RoundReport,
     SimulationConfig,
     SimulationReport,
@@ -222,11 +228,10 @@ def test_assignment_length_must_match():
 # --- transmission reduction rate ---
 
 
-def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationReport:
-    counts = {Stage.LOCAL: local, Stage.P2P: p2p, Stage.EDGE: edge, Stage.LLM: llm}
+def _report(counts: dict[Stage, int], outcomes: RoundOutcomes, round_index: int = 0) -> SimulationReport:
     rnd = RoundReport(
-        round_index=0,
-        outcomes={},
+        round_index=round_index,
+        outcomes=outcomes,
         outcome_counts=counts,
         thresholds_local={},
         thresholds_after={},
@@ -238,6 +243,11 @@ def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationRepor
         llm_after_p2p=0,
     )
     return SimulationReport(default_config(), [rnd], {})
+
+
+def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationReport:
+    counts = {Stage.LOCAL: local, Stage.P2P: p2p, Stage.EDGE: edge, Stage.LLM: llm}
+    return _report(counts, RoundOutcomes(*(np.empty((0, 0)) for _ in fields(RoundOutcomes))))
 
 
 def test_trr_endpoints():
@@ -273,6 +283,53 @@ def test_metrics_csv_layout(tmp_path, tiny_report):
     assert lines[0] == ",".join(CSV_COLUMNS)
     for line in lines[1:]:
         assert len(line.split(",")) == len(CSV_COLUMNS)
+
+
+# Floats the trace must spell as json does: subnormals, the smallest normal,
+# a sum that rounds, the largest double below 1.
+AWKWARD = st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1 - 2**-53])
+# (c_p2p, c_llm) pairs, the stock prices first.
+PRICES = st.sampled_from([(1.0, 4.0), (1e-7, 1e16), (1e-7, 1.0), (3.0, 1e16), (0.3, 0.7)])
+
+
+@st.composite
+def trace_grids(draw):
+    """A round index and a (clients, T) grid of trace records without their keys."""
+    c_p2p, c_llm = draw(PRICES)
+    cell = st.builds(
+        lambda *values: dict(zip(("stage", "uncertainty", "beta", "cost", "correct"), values)),
+        st.sampled_from([stage.value for stage in STAGES]),
+        st.one_of(st.floats(0.0, 1.0), AWKWARD),
+        st.one_of(st.none(), st.floats(0.0, 1.0), AWKWARD),
+        st.sampled_from([0.0, c_p2p, c_llm, c_p2p + c_llm]),
+        st.booleans(),
+    )
+    row = st.lists(cell, min_size=(steps := draw(st.integers(1, 5))), max_size=steps)
+    return draw(st.integers(0, 40)), draw(st.lists(row, min_size=1, max_size=3))
+
+
+@given(trace_grids())
+def test_trace_lines_are_what_json_dumps_writes(case):
+    round_index, grid = case
+    column = lambda read, dtype=None: np.array([[read(cell) for cell in row] for row in grid], dtype)  # noqa: E731
+    outcomes = RoundOutcomes(
+        stage=column(lambda cell: STAGES.index(Stage(cell["stage"])), np.int8),
+        final_token=column(lambda cell: 0),
+        cost=column(lambda cell: cell["cost"], float),
+        uncertainty=column(lambda cell: cell["uncertainty"], float),
+        beta=column(lambda cell: np.nan if cell["beta"] is None else cell["beta"], float),
+        correct=column(lambda cell: cell["correct"], bool),
+        p2p_attempted=column(lambda cell: False, bool),
+    )
+    want = [
+        json.dumps({"round": round_index, "client": client, "timestep": t, **cell}, separators=(",", ":"))
+        for client, row in enumerate(grid)
+        for t, cell in enumerate(row)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.jsonl")
+        emit_trace(_report({}, outcomes, round_index), path)
+        assert path.read_text(encoding="utf-8").splitlines() == want
 
 
 def test_metrics_csv_byte_stable(tmp_path):

@@ -1,6 +1,7 @@
 """Synthetic (small, large) distribution pairs and the logit trace format."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -301,9 +302,7 @@ def test_trace_rows_replay_or_name_their_line(vocab, data):
             assert report.total_tokens() == 2 * 3 * 4
             for rnd in report.rounds:
                 assert sum(rnd.outcome_counts.values()) == 3 * 4
-                assert [len(outcomes) for outcomes in rnd.outcomes.values()] == [4, 4, 4]
-                assert all(
-                    0.0 <= o.uncertainty <= 1.0 and 0 <= o.final_token < vocab
-                    for outcomes in rnd.outcomes.values()
-                    for o in outcomes
-                )
+                columns = rnd.outcomes
+                assert all(getattr(columns, f.name).shape == (3, 4) for f in fields(columns))
+                assert ((0.0 <= columns.uncertainty) & (columns.uncertainty <= 1.0)).all()
+                assert ((0 <= columns.final_token) & (columns.final_token < vocab)).all()
