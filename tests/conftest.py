@@ -6,18 +6,53 @@ replays them after the run so the pass/fail ledger survives output capture.
 Property tests run under one derandomized hypothesis profile: every run
 tries the same examples and keeps no example database, so the suite stays
 deterministic.
+
+The stock-size runs that acceptance criteria 4, 5, 6, 9 and 10 and the
+baseline and heterogeneity demos all read are session fixtures, so each is
+run once per session.
 """
 
 from __future__ import annotations
 
 import re
+import time
+from dataclasses import replace
 
+import pytest
 from hypothesis import settings
+
+from fedhlm.engine import SimulationConfig, SimulationReport, default_config, run
 
 settings.register_profile("fedhlm", derandomize=True, database=None, deadline=None, max_examples=200)
 settings.load_profile("fedhlm")
 
 _CRITERION_LINES: list[str] = []
+
+# The Dirichlet alphas of criterion 5 and the heterogeneity demo; 10 is the stock default.
+ALPHAS = (10.0, 1.0, 0.1)
+
+
+def with_alpha(alpha: float) -> SimulationConfig:
+    cfg = default_config()
+    return replace(cfg, partition=replace(cfg.partition, dirichlet_alpha=alpha))
+
+
+@pytest.fixture(scope="session")
+def stock_runs() -> dict[str, tuple[SimulationReport, float]]:
+    """The stock config in `fedhlm` and `uhlm` mode: mode -> (report, seconds the run took)."""
+    runs = {}
+    for mode in ("fedhlm", "uhlm"):
+        start = time.monotonic()
+        report = run(default_config(mode=mode))
+        runs[mode] = report, time.monotonic() - start
+    return runs
+
+
+@pytest.fixture(scope="session")
+def alpha_reports(stock_runs) -> dict[float, SimulationReport]:
+    """The stock config at each of ALPHAS; the stock `fedhlm` run stands for its own alpha."""
+    stock = stock_runs["fedhlm"][0]
+    return {alpha: stock if with_alpha(alpha) == stock.config else run(with_alpha(alpha)) for alpha in ALPHAS}
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:

@@ -11,9 +11,18 @@ DEMOS = {p.stem: p for p in sorted((Path(__file__).resolve().parent.parent / "de
 
 
 @pytest.fixture(scope="module")
-def demo_output():
-    """Run a demo's main() once per module and return what it printed."""
+def demo_output(stock_runs, alpha_reports):
+    """Run a demo's main() once per module and return what it printed.
+
+    The baseline and heterogeneity demos are handed the session's stock-size
+    runs, so they print their tables from the same reports the acceptance
+    criteria check.
+    """
     printed: dict[str, str] = {}
+    precomputed = {
+        "baseline_comparison": {mode: report for mode, (report, _) in stock_runs.items()},
+        "heterogeneity_sweep": alpha_reports,
+    }
 
     def get(stem: str) -> str:
         if stem not in printed:
@@ -22,7 +31,8 @@ def demo_output():
             spec.loader.exec_module(module)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                module.main()
+                args = [precomputed[stem]] if stem in precomputed else []
+                module.main(*args)
             printed[stem] = out.getvalue()
         return printed[stem]
 
