@@ -20,6 +20,10 @@ spends randomness only on uncertainty scoring and the routing after it, and
 the batched (T, S) scoring draw takes the same uniforms in the same order as
 one draw of S per token did, so this pin predates the columnar stream and
 holds across changes to the synthetic generator.
+
+The entropy pin runs the stock config with entropy scoring, the one scoring
+kind the other pins do not use: 93 tokens reach the cloud and 195 settle at
+the peer tier.
 """
 
 import hashlib
@@ -75,6 +79,13 @@ run.uncertainty_kind = disagreement
 TRACE_GOLDEN = {
     "metrics.csv": "56f959f2046a2365948b5e8c588cba4de7fbeee2f51b7f54c719ea63a3669154",
     "trace.jsonl": "3f5065d02d121cc3ecbc96ba54477456374f6d7fc15f5ddc5aad04d2ec6fc3a6",
+}
+
+ENTROPY_CONFIG = "run.uncertainty_kind = entropy\n"
+
+ENTROPY_GOLDEN = {
+    "metrics.csv": "553a5dd16f0af6714d786146746e316e3cd5ddf4398e166c05729141473b38f2",
+    "trace.jsonl": "8a571346a408809e53b9c6b0b75f50086584777dda8359e97117a6ed16b44b82",
 }
 
 
@@ -136,3 +147,13 @@ def test_trace_replay_outputs_match_golden_hashes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert _digests(out, TRACE_GOLDEN) == TRACE_GOLDEN
+
+
+def test_entropy_outputs_match_golden_hashes(tmp_path, capsys):
+    cfg_path = tmp_path / "entropy.cfg"
+    cfg_path.write_text(ENTROPY_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert _digests(out, ENTROPY_GOLDEN) == ENTROPY_GOLDEN
+    assert "p2p=195 " in summary and "llm=93 " in summary
