@@ -16,6 +16,7 @@ from fedhlm import (
     TokenCache,
     VocabSpec,
     cache_hit_curve,
+    expected_cost,
     fit_cache_alpha,
     should_attempt_p2p,
     token_embedding,
@@ -29,9 +30,8 @@ def cost_table() -> None:
     print(f"{'p_hit':>6} {'attempt':>9} {'skip':>6} {'policy':>8}")
     for k in range(0, 11):
         p = k / 10
-        attempt = (1 - p) * (model.c_p2p + model.c_llm) + p * model.c_p2p
         choice = "attempt" if should_attempt_p2p(p, model) else "skip"
-        print(f"{p:>6.1f} {attempt:>9.2f} {model.c_llm:>6.2f} {choice:>8}")
+        print(f"{p:>6.1f} {expected_cost(p, model):>9.2f} {model.c_llm:>6.2f} {choice:>8}")
 
 
 def cache_curve() -> None:

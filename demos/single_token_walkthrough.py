@@ -61,7 +61,7 @@ def main() -> None:
     print(f"semantic cache: {'hit' if hit.token is not None else 'miss (cache is cold)'}")
 
     # two agreeable peers and one dissenter
-    peers = [own, own, token_embedding((token + 1) % vocab.size, vocab)]
+    peers = np.stack([own.values, own.values, token_embedding((token + 1) % vocab.size, vocab).values])
     verdict = peer_consensus(own, peers, peer_cfg)
     print(f"peer consensus over {len(peers)} neighbors: {verdict.name}")
 

@@ -1,87 +1,18 @@
 """Deterministic simulator for uncertainty-gated token routing across
 device, peer cluster, edge, and cloud tiers, with federated learning of
-per-client transmission thresholds."""
+per-client transmission thresholds.
 
-from .adjudication import AdjudicationResult, Verdict, llm_adjudicate
-from .config import ConfigError, InvalidValue, MissingFile, config_to_text, parse_config, parse_config_text
-from .costs import (
-    CostModel,
-    PHitEstimator,
-    cache_hit_curve,
-    expected_cost,
-    fit_cache_alpha,
-    should_attempt_p2p,
-)
-from .engine import (
-    ConfigInvalid,
-    EmptyHistory,
-    RoundOutcomes,
-    RoundReport,
-    SimulationConfig,
-    SimulationReport,
-    SimulationState,
-    Stage,
-    TokenOutcome,
-    client_token_entropy,
-    default_config,
-    resolve_token,
-    run,
-    run_round,
-    substream,
-)
-from .federation import (
-    AllWeightsZero,
-    ClusterTopology,
-    PartitionSpec,
-    cluster_aggregate,
-    dirichlet_partition,
-    global_aggregate,
-    mixture_skew,
-)
-from .model_source import (
-    LogitTrace,
-    MalformedRow,
-    ModelProfile,
-    TokenDistribution,
-    TraceStep,
-    VocabMismatch,
-    VocabSpec,
-    gen_distribution_rows,
-    load_logit_trace,
-    save_logit_trace,
-)
-from .peers import (
-    EMBEDDING_SEED,
-    CacheResult,
-    ConsensusDecision,
-    Embedding,
-    NoPeers,
-    PeerConfig,
-    TokenCache,
-    centroid,
-    cosine_similarity,
-    edge_validate,
-    peer_consensus,
-    token_embedding,
-)
-from .reporting import (
-    MetricsRow,
-    compute_trr,
-    emit_metrics_csv,
-    emit_trace,
-    metrics_rows,
-    summarize,
-)
-from .thresholds import (
-    LearnerConfig,
-    RejectionFeedback,
-    Threshold,
-    lr_schedule,
-    local_loss,
-    loss_gradient,
-    rejection_probability,
-    sgd_step,
-)
-from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
+The package exports what README.md and the demos use; everything else is
+imported from its module, as in `from fedhlm.engine import run_round`.
+"""
+
+from .adjudication import llm_adjudicate
+from .costs import CostModel, cache_hit_curve, expected_cost, fit_cache_alpha, should_attempt_p2p
+from .engine import SimulationReport, Stage, default_config, run
+from .model_source import ModelProfile, TokenDistribution, VocabSpec, gen_distribution_rows
+from .peers import PeerConfig, TokenCache, edge_validate, peer_consensus, token_embedding
+from .reporting import compute_trr, summarize
+from .thresholds import lr_schedule, rejection_probability
+from .uncertainty import KIND_DISAGREEMENT, SamplerConfig, score_rows
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from . import engine
 from .config import ConfigError, InvalidValue, config_to_text, parse_config
 from .costs import cache_hit_curve, expected_cost, should_attempt_p2p
 from .engine import MODE_FEDHLM, MODE_RAND, MODE_UHLM, ConfigInvalid, default_config
-from .reporting import compute_trr, emit_metrics_csv, emit_trace, metrics_rows, summarize
+from .reporting import compute_trr, emit_metrics_csv, emit_trace, summarize
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,7 @@ from .federation import (
 )
 from .model_source import (
     MAX_CONCENTRATION,
+    LogitTrace,
     ModelProfile,
     VocabSpec,
     _unchecked_distribution,
@@ -63,14 +64,7 @@ from .peers import (
     embedding_matrix,
     peer_consensus,
 )
-from .thresholds import (
-    LearnerConfig,
-    RejectionFeedback,
-    Threshold,
-    loss_gradient,
-    lr_schedule,
-    sgd_step,
-)
+from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
 from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 MODE_FEDHLM = "fedhlm"
@@ -322,20 +316,14 @@ class SimulationState:
         for c, width in enumerate(self.class_widths):
             self.zipf[c, :width] = _zipf_cumulative(width, cfg.zipf_exponent)
 
-        # A replayed trace, stacked once: SLM rows, LLM rows, reference tokens.
-        self.trace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.trace: LogitTrace | None = None
         if cfg.trace_path is not None:
             try:
-                steps = load_logit_trace(cfg.trace_path, vocab).steps
+                self.trace = load_logit_trace(cfg.trace_path, vocab)
             except (OSError, ValueError) as exc:
                 raise ConfigInvalid(f"trace file {cfg.trace_path}: {exc}") from None
-            if not steps:
+            if not len(self.trace.reference):
                 raise ConfigInvalid("trace file contains no steps")
-            self.trace = (
-                np.stack([step.slm.probs for step in steps]),
-                np.stack([step.llm.probs for step in steps]),
-                np.array([step.reference_token for step in steps]),
-            )
 
         start = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
         self.clients: list[ClientState] = []
@@ -392,10 +380,10 @@ def _generate_workload(state: SimulationState, client: ClientState, round_index:
     rng = substream(cfg.seed, _TAG_GEN, client.client_id, round_index)
     count = cfg.tokens_per_client
     if state.trace is not None:
-        slm_rows, llm_rows, references = state.trace
+        trace = state.trace
         base = (client.client_id * cfg.rounds + round_index) * count
-        steps = (base + np.arange(count)) % len(references)
-        slm, llm, target = slm_rows[steps], llm_rows[steps], references[steps]
+        steps = (base + np.arange(count)) % len(trace.reference)
+        slm, llm, target = trace.slm[steps], trace.llm[steps], trace.reference[steps]
     else:
         modes = _draw_modes(state, client, rng)
         # A weaker small model sometimes lands on the wrong token entirely,
@@ -567,10 +555,9 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     if cfg.mode == MODE_FEDHLM:
         eta = lr_schedule(cfg.learner.eta0, round_index)
         for client in clients:
-            mine = to_cloud[client.client_id]
-            scores, betas = uncertainty[client.client_id, mine].tolist(), out.beta[client.client_id, mine].tolist()
-            grad = loss_gradient(list(map(RejectionFeedback, scores, betas)), client.threshold, cfg.learner)
-            thresholds_local[client.client_id] = sgd_step(Threshold(client.threshold), grad, eta).value
+            cid, mine = client.client_id, to_cloud[client.client_id]
+            grad = loss_gradient(uncertainty[cid, mine], out.beta[cid, mine], client.threshold, cfg.learner)
+            thresholds_local[cid] = sgd_step(client.threshold, grad, eta)
 
         # A client's weight is the number of tokens it transmitted.
         transmitted = np.count_nonzero(out.stage != _LOCAL, axis=1).tolist()

@@ -5,14 +5,16 @@ has a pair of probability vectors over a shared vocabulary: one for the
 on-device small model (SLM) and one for the cloud large model (LLM). A
 client-round's steps are drawn at once, as two (T, V) arrays of rows, by
 gen_distribution_rows from a ModelProfile, or replayed from a logit-trace
-file. A TokenDistribution wraps one row where a single step is judged on
-its own, as at the cloud.
+file, which load_logit_trace reads into one LogitTrace of stacked rows. A
+TokenDistribution wraps one row where a single step is judged on its own,
+as at the cloud.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,22 +158,13 @@ def gen_distribution_rows(
     return slm, llm
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One replayed prediction step from a logit-trace file."""
+class LogitTrace(NamedTuple):
+    """A replayed trace, row i for step i: the (N,) int64 reference tokens and the (N, V) float64 SLM
+    and LLM rows."""
 
-    reference_token: int
-    slm: TokenDistribution
-    llm: TokenDistribution
-
-
-@dataclass(frozen=True)
-class LogitTrace:
-    vocab: VocabSpec
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+    reference: np.ndarray
+    slm: np.ndarray
+    llm: np.ndarray
 
 
 def _parse_probs(cells: list[str], line_no: int) -> np.ndarray:
@@ -209,7 +202,7 @@ def load_logit_trace(path: str | Path, vocab: VocabSpec) -> LogitTrace:
     if declared != vocab.size:
         raise VocabMismatch(f"trace declares vocab={declared}, expected {vocab.size}")
 
-    steps: list[TraceStep] = []
+    references, slm, llm = [], [], []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -231,19 +224,17 @@ def load_logit_trace(path: str | Path, vocab: VocabSpec) -> LogitTrace:
             raise MalformedRow(f"line {line_no}: non-integer reference token") from exc
         if not 0 <= reference < vocab.size:
             raise MalformedRow(f"line {line_no}: reference token {reference} outside vocabulary")
-        slm = TokenDistribution(_parse_probs(cells[1 : 1 + vocab.size], line_no))
-        llm = TokenDistribution(_parse_probs(cells[1 + vocab.size :], line_no))
-        steps.append(TraceStep(reference, slm, llm))
-    return LogitTrace(vocab, steps)
+        references.append(reference)
+        slm.append(_parse_probs(cells[1 : 1 + vocab.size], line_no))
+        llm.append(_parse_probs(cells[1 + vocab.size :], line_no))
+    rows = (np.array(r, dtype=np.float64).reshape(-1, vocab.size) for r in (slm, llm))
+    return LogitTrace(np.array(references, dtype=np.int64), *rows)
 
 
 def save_logit_trace(path: str | Path, trace: LogitTrace, decimals: int = 8) -> None:
     """Write a trace in the same format load_logit_trace reads."""
     fmt = f"%.{decimals}f"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# vocab={trace.vocab.size}\n")
-        for step in trace.steps:
-            cells = [str(step.reference_token)]
-            cells += [fmt % p for p in step.slm.probs]
-            cells += [fmt % p for p in step.llm.probs]
-            fh.write(",".join(cells) + "\n")
+        fh.write(f"# vocab={trace.slm.shape[1]}\n")
+        for reference, slm, llm in zip(trace.reference.tolist(), trace.slm, trace.llm):
+            fh.write(",".join([str(reference), *(fmt % p for p in slm), *(fmt % p for p in llm)]) + "\n")

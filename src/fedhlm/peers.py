@@ -92,27 +92,12 @@ def token_embedding(
     return Embedding(_embedding_matrix(vocab.size, dim, seed)[token])
 
 
-def _peer_rows(peers: np.ndarray | list[Embedding]) -> np.ndarray:
-    """Peer vectors as one (count, dim) array, from rows or from Embeddings of one dimension."""
-    if isinstance(peers, np.ndarray):
-        if peers.ndim != 2:
-            raise ValueError("peer rows must form a 2-d array")
-        return peers
-    if not peers:
-        return np.empty((0, 0))
-    dim = peers[0].values.size
-    if any(p.values.size != dim for p in peers):
-        raise ValueError("peer embeddings must share one dimension")
-    return np.stack([p.values for p in peers])
-
-
-def centroid(peers: np.ndarray | list[Embedding]) -> Embedding:
-    """Elementwise mean of peer embeddings, given as Embeddings or as (count, dim) rows.
+def centroid(rows: np.ndarray) -> Embedding:
+    """Elementwise mean of (count, dim) peer rows.
 
     Each coordinate is an exactly rounded sum, so any reordering of the
     peers yields the identical vector. Raises NoPeers when there are none.
     """
-    rows = _peer_rows(peers)
     count = len(rows)
     if count == 0:
         raise NoPeers("cannot take the centroid of zero peers")
@@ -131,16 +116,12 @@ class ConsensusDecision(enum.Enum):
     ESCALATE = "escalate"
 
 
-def peer_consensus(
-    own: Embedding, peers: np.ndarray | list[Embedding], cfg: PeerConfig
-) -> ConsensusDecision:
-    """Accept the local token when it aligns with the peers' mean embedding.
+def peer_consensus(own: Embedding, rows: np.ndarray, cfg: PeerConfig) -> ConsensusDecision:
+    """Accept the local token when it aligns with the mean of the peers' (count, dim) rows.
 
-    Peers are Embeddings or (count, dim) rows. Similarity at least
-    cfg.similarity_threshold accepts; no peers or a degenerate (mutually
-    cancelling) centroid escalates.
+    Similarity at least cfg.similarity_threshold accepts; no peers or a
+    degenerate (mutually cancelling) centroid escalates.
     """
-    rows = _peer_rows(peers)
     if len(rows) == 0:
         return ConsensusDecision.ESCALATE
     if rows.shape[1] != own.values.size:
@@ -171,14 +152,10 @@ def edge_validate(
     return EdgeDecision.FORWARD
 
 
-class CacheLookup(enum.Enum):
-    HIT = "hit"
-    MISS = "miss"
-
-
 @dataclass(frozen=True)
 class CacheResult:
-    outcome: CacheLookup
+    """A hit's stored token and similarity; a miss has token None."""
+
     token: int | None = None
     similarity: float | None = None
 
@@ -219,15 +196,15 @@ class TokenCache:
 
     def lookup(self, query: Embedding, cfg: PeerConfig) -> CacheResult:
         if not self._tokens:
-            return CacheResult(CacheLookup.MISS)
+            return CacheResult()
         n = len(self._tokens)
         sims = self._vectors[:n] @ (query.values / query.norm)
         best = int(np.argmax(sims))
         similarity = float(sims[best])
         if similarity < cfg.similarity_threshold:
-            return CacheResult(CacheLookup.MISS)
+            return CacheResult()
         self._stamps[best] = self._tick()
-        return CacheResult(CacheLookup.HIT, token=self._tokens[best], similarity=min(similarity, 1.0))
+        return CacheResult(self._tokens[best], min(similarity, 1.0))
 
     def insert(self, embedding: Embedding, token: int) -> None:
         self._ensure_storage(embedding.values.size)

@@ -1,11 +1,12 @@
 """Per-client learning of the transmission threshold.
 
-Each round a client collects feedback for the tokens the cloud model
-adjudicated: the uncertainty the token carried when it was sent and the
-rejection probability the cloud reported. The local loss penalizes sending
-tokens the cloud was likely to accept, so its gradient only ever pushes the
-threshold upward (toward keeping more tokens on device). One projected SGD
-step runs per round with a 1/(1+round) learning-rate decay.
+Each round a client learns from the tokens the cloud model adjudicated.
+Its feedback is two arrays in token order: the uncertainty each token
+carried when it was sent, and the rejection probability the cloud reported
+for it. The local loss penalizes sending tokens the cloud was likely to
+accept, so its gradient only ever pushes the threshold upward (toward
+keeping more tokens on device). One projected SGD step runs per round with
+a 1/(1+round) learning-rate decay.
 """
 
 from __future__ import annotations
@@ -15,20 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_source import PROB_FLOOR, TokenDistribution
-
-
-@dataclass(frozen=True)
-class RejectionFeedback:
-    """Cloud verdict for one transmitted token."""
-
-    uncertainty: float
-    rejection_prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.uncertainty <= 1.0:
-            raise ValueError("uncertainty must lie in [0, 1]")
-        if not 0.0 <= self.rejection_prob <= 1.0:
-            raise ValueError("rejection_prob must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -44,17 +31,6 @@ class LearnerConfig:
             raise ValueError("lam must be nonnegative")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Current transmission threshold."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
 
 
 def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token: int) -> float:
@@ -75,13 +51,12 @@ def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token:
     return 0.0 if beta < 0.0 else beta
 
 
-def _weights(feedback: list[RejectionFeedback], lam: float) -> np.ndarray:
-    rej = np.array([f.rejection_prob for f in feedback], dtype=np.float64)
-    return (1.0 - rej) ** 2 + lam
+def _weights(betas: np.ndarray, lam: float) -> np.ndarray:
+    return (1.0 - np.asarray(betas, dtype=np.float64)) ** 2 + lam
 
 
-def _soft_gates(feedback: list[RejectionFeedback], threshold: float, gamma: float) -> np.ndarray:
-    z = gamma * (np.array([f.uncertainty for f in feedback], dtype=np.float64) - threshold)
+def _soft_gates(scores: np.ndarray, threshold: float, gamma: float) -> np.ndarray:
+    z = gamma * (np.asarray(scores, dtype=np.float64) - threshold)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -90,35 +65,30 @@ def _soft_gates(feedback: list[RejectionFeedback], threshold: float, gamma: floa
     return out
 
 
-def local_loss(feedback: list[RejectionFeedback], threshold: float, cfg: LearnerConfig) -> float:
-    """Sum over feedback of sigmoid(gamma*(u - threshold)) * ((1-rej)^2 + lam)."""
-    if not feedback:
-        return 0.0
-    gates = _soft_gates(feedback, threshold, cfg.gamma)
-    return float(np.dot(gates, _weights(feedback, cfg.lam)))
+def local_loss(scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: LearnerConfig) -> float:
+    """Sum over the cloud's tokens of sigmoid(gamma*(score - threshold)) * ((1-beta)^2 + lam)."""
+    return float(np.dot(_soft_gates(scores, threshold, cfg.gamma), _weights(betas, cfg.lam)))
 
 
-def loss_gradient(feedback: list[RejectionFeedback], threshold: float, cfg: LearnerConfig) -> float:
+def loss_gradient(scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: LearnerConfig) -> float:
     """d(local_loss)/d(threshold); every term is <= 0, so the step only raises the threshold.
 
     Extreme gamma or lambda can overflow the sum to -inf, which the
     projected step turns into a threshold of 1.
     """
-    if not feedback:
+    if len(scores) == 0:
         return 0.0
-    gates = _soft_gates(feedback, threshold, cfg.gamma)
-    terms = gates * (1.0 - gates) * _weights(feedback, cfg.lam)
+    gates = _soft_gates(scores, threshold, cfg.gamma)
+    terms = gates * (1.0 - gates) * _weights(betas, cfg.lam)
     with np.errstate(over="ignore"):
         return float(-cfg.gamma * np.sum(terms))
 
 
-def sgd_step(threshold: Threshold, gradient: float, learning_rate: float) -> Threshold:
+def sgd_step(threshold: float, gradient: float, learning_rate: float) -> float:
     """One projected gradient step, clamped back into [0, 1]."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    value = threshold.value - learning_rate * gradient
-    value = min(max(value, 0.0), 1.0)
-    return Threshold(value)
+    return min(max(threshold - learning_rate * gradient, 0.0), 1.0)
 
 
 def lr_schedule(eta0: float, round_index: int) -> float:
@@ -126,15 +96,3 @@ def lr_schedule(eta0: float, round_index: int) -> float:
     if round_index < 0:
         raise ValueError("round_index must be >= 0")
     return eta0 / (1.0 + round_index)
-
-
-__all__ = [
-    "RejectionFeedback",
-    "LearnerConfig",
-    "Threshold",
-    "rejection_probability",
-    "local_loss",
-    "loss_gradient",
-    "sgd_step",
-    "lr_schedule",
-]

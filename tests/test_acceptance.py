@@ -27,7 +27,7 @@ from fedhlm.federation import cluster_aggregate, global_aggregate
 from fedhlm.model_source import TokenDistribution, VocabSpec
 from fedhlm.peers import Embedding, PeerConfig, TokenCache, embedding_matrix
 from fedhlm.reporting import emit_metrics_csv, emit_trace
-from fedhlm.thresholds import LearnerConfig, RejectionFeedback, local_loss, loss_gradient
+from fedhlm.thresholds import LearnerConfig, local_loss, loss_gradient
 
 
 def check(number: int, ok: bool, detail: str) -> None:
@@ -58,15 +58,12 @@ def test_criterion_1_gradient_matches_finite_differences():
     for _ in range(40):
         for gamma in (1.0, 10.0, 50.0):
             size = int(rng.integers(1, 51))
-            records = [
-                RejectionFeedback(uncertainty=float(rng.random()), rejection_prob=float(rng.random()))
-                for _ in range(size)
-            ]
+            scores, betas = rng.random((size, 2)).T  # the draws of size (score, beta) pairs
             cfg = LearnerConfig(gamma=gamma, lam=float(rng.choice([0.0, 0.01, 0.1])))
             threshold = float(rng.random())
 
-            u = np.array([r.uncertainty for r in records], dtype=np.longdouble)
-            w = (1.0 - np.array([r.rejection_prob for r in records], dtype=np.longdouble)) ** 2
+            u = scores.astype(np.longdouble)
+            w = (1.0 - betas.astype(np.longdouble)) ** 2
             w = w + np.longdouble(cfg.lam)
 
             def loss_ld(t: float) -> np.longdouble:
@@ -74,13 +71,13 @@ def test_criterion_1_gradient_matches_finite_differences():
                 return (w / (1.0 + np.exp(-z))).sum()
 
             fd = float((loss_ld(threshold + step) - loss_ld(threshold - step)) / (2 * step))
-            analytic = loss_gradient(records, threshold, cfg)
+            analytic = loss_gradient(scores, betas, threshold, cfg)
             rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
             worst = max(worst, rel)
             sets += 1
             # analytic never exceeds zero and the loss itself agrees too
             assert analytic <= 0.0
-            assert local_loss(records, threshold, cfg) >= 0.0
+            assert local_loss(scores, betas, threshold, cfg) >= 0.0
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and sets >= 100 and elapsed < 5.0
     check(1, ok, f"gradient vs finite differences: {sets} sets, worst rel err {worst:.2e}, {elapsed:.1f}s")

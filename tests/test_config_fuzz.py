@@ -33,8 +33,6 @@ from fedhlm.engine import ConfigInvalid, Stage, run
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
-    TokenDistribution,
-    TraceStep,
     VocabSpec,
     gen_distribution_rows,
     save_logit_trace,
@@ -132,8 +130,7 @@ def trace_dir(tmp_path_factory) -> Path:
     vocab = VocabSpec(32)
     rng = np.random.default_rng(0)
     slm, llm = gen_distribution_rows(ModelProfile(vocab=vocab), rng.integers(vocab.size, size=5), rng)
-    steps = [TraceStep(int(l.argmax()), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
-    save_logit_trace(directory / "valid.trace", LogitTrace(vocab, steps), decimals=10)
+    save_logit_trace(directory / "valid.trace", LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
     (directory / "malformed.trace").write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")
     return directory
 

@@ -1,4 +1,4 @@
-"""Every demo in demos/ runs to completion against the current API."""
+"""Every demo in demos/ and README.md's library snippet run to completion against the current API."""
 
 import contextlib
 import importlib.util
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = {p.stem: p for p in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = {p.stem: p for p in sorted((ROOT / "demos").glob("*.py"))}
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +54,14 @@ def test_heterogeneity_conclusion_follows_its_table(demo_output):
     local = {float(row.split()[0]): float(row.split()[1].rstrip("%")) for row in lines[1:4]}
     expected = "less" if local[0.1] < local[10.0] else "more" if local[0.1] > local[10.0] else "the same"
     assert f"= {expected} local resolution" in lines[-1]
+
+
+def test_readme_library_snippet_runs():
+    # The ```python block under "The same thing as a library", run as printed.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("The same thing as a library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md library snippet", "exec"), {})
+    summary, totals = out.getvalue().splitlines()
+    assert summary.startswith("tokens=18000 ") and "Stage.LOCAL" in totals

@@ -27,15 +27,12 @@ from fedhlm.engine import (
     lateral_decisions,
     resolve_token,
     run,
-    run_round,
     substream,
 )
 from fedhlm.federation import ClusterTopology, PartitionSpec
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
-    TokenDistribution,
-    TraceStep,
     VocabSpec,
     gen_distribution_rows,
     save_logit_trace,
@@ -54,6 +51,7 @@ from fedhlm.peers import (
     token_embedding,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
+from fedhlm.thresholds import loss_gradient, lr_schedule, sgd_step
 from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 
@@ -484,6 +482,7 @@ def test_round_columns_hold_their_invariants(cfg):
     report, fresh = run(cfg), SimulationState(cfg)
     stage_of = {stage: STAGES.index(stage) for stage in Stage}
     c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
+    prev = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
     for rnd in report.rounds:
         works = [_generate_workload(fresh, c, rnd.round_index) for c in fresh.clients]
         predicted, target = np.stack([w.predicted for w in works]), np.stack([w.target for w in works])
@@ -509,6 +508,15 @@ def test_round_columns_hold_their_invariants(cfg):
         assert np.array_equal(o.cost, priced)
         assert rnd.total_cost == math.fsum(priced.ravel().tolist())
         assert rnd.llm_after_p2p == int(np.count_nonzero(o.p2p_attempted & llm))
+        # fedhlm learns from exactly its cloud tokens' scores and betas, from the last broadcast;
+        # the baselines keep their threshold
+        for c in range(cfg.topology.num_clients):
+            want = prev
+            if cfg.mode == "fedhlm":
+                grad = loss_gradient(o.uncertainty[c, llm[c]], o.beta[c, llm[c]], prev, cfg.learner)
+                want = sgd_step(prev, grad, lr_schedule(cfg.learner.eta0, rnd.round_index))
+            assert rnd.thresholds_local[c] == want
+        prev = rnd.global_threshold
 
 
 def test_broadcast_thresholds_are_uniform():
@@ -541,9 +549,8 @@ def test_trace_driven_workload(tmp_path):
     profile = ModelProfile(vocab=vocab, slm_sharpness=40.0, llm_sharpness=120.0, background=0.2)
     rng = np.random.default_rng(17)
     slm, llm = gen_distribution_rows(profile, rng.integers(vocab.size, size=40), rng)
-    steps = [TraceStep(argmax(l), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
     path = tmp_path / "trace.csv"
-    save_logit_trace(path, LogitTrace(vocab, steps), decimals=10)
+    save_logit_trace(path, LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
 
     cfg = SimulationConfig(
         topology=ClusterTopology(num_clients=2, num_clusters=1),
@@ -605,13 +612,10 @@ def test_entropy_score_of_uniform_rows_stays_in_unit_interval():
 def test_entropy_mode_escalates_uniform_trace_rows_to_the_cloud(tmp_path, capsys):
     vocab = VocabSpec(12)
     rng = np.random.default_rng(3)
-    steps = []
-    for _ in range(20):
-        llm = rng.dirichlet(np.full(vocab.size, 0.6))
-        uniform = TokenDistribution(np.full(vocab.size, 1.0 / vocab.size))
-        steps.append(TraceStep(int(llm.argmax()), uniform, TokenDistribution(llm)))
+    llm = rng.dirichlet(np.full(vocab.size, 0.6), size=20)
+    uniform = np.full((20, vocab.size), 1.0 / vocab.size)
     trace_path = tmp_path / "uniform.trace"
-    save_logit_trace(trace_path, LogitTrace(vocab, steps))
+    save_logit_trace(trace_path, LogitTrace(llm.argmax(axis=1), uniform, llm))
     cfg_path = tmp_path / "run.cfg"
     # c_p2p near c_llm keeps the estimator from trying peers, so every
     # escalated token reaches cloud feedback with its score.

@@ -18,7 +18,6 @@ from fedhlm.model_source import (
     MalformedRow,
     ModelProfile,
     TokenDistribution,
-    TraceStep,
     VocabMismatch,
     VocabSpec,
     gen_distribution_rows,
@@ -169,8 +168,7 @@ def _tiny_trace(vocab: VocabSpec, steps: int, seed: int = 0) -> LogitTrace:
     rng = np.random.default_rng(seed)
     profile = ModelProfile(vocab=vocab)
     slm, llm = gen_distribution_rows(profile, uniform_modes(profile, rng, steps), rng)
-    rows = [TraceStep(int(l.argmax()), TokenDistribution(s), TokenDistribution(l)) for s, l in zip(slm, llm)]
-    return LogitTrace(vocab, rows)
+    return LogitTrace(llm.argmax(axis=1), slm, llm)
 
 
 def test_trace_roundtrip(tmp_path):
@@ -179,11 +177,10 @@ def test_trace_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     save_logit_trace(path, trace, decimals=12)
     loaded = load_logit_trace(path, vocab)
-    assert len(loaded) == 3
-    for orig, back in zip(trace.steps, loaded.steps):
-        assert back.reference_token == orig.reference_token
-        assert np.allclose(back.slm.probs, orig.slm.probs, atol=1e-9)
-        assert np.allclose(back.llm.probs, orig.llm.probs, atol=1e-9)
+    assert loaded.reference.dtype == np.int64 and loaded.slm.shape == loaded.llm.shape == (3, vocab.size)
+    assert np.array_equal(loaded.reference, trace.reference)
+    assert np.allclose(loaded.slm, trace.slm, atol=1e-9)
+    assert np.allclose(loaded.llm, trace.llm, atol=1e-9)
 
 
 def test_trace_rejects_negative_probability(tmp_path):
@@ -284,7 +281,7 @@ def test_trace_rows_replay_or_name_their_line(vocab, data):
             with pytest.raises(MalformedRow, match=f"^line {bad_at + 2}:"):
                 load_logit_trace(path, VocabSpec(vocab))
             return
-        assert len(load_logit_trace(path, VocabSpec(vocab))) == len(rows)
+        assert len(load_logit_trace(path, VocabSpec(vocab)).reference) == len(rows)
         for kind in ("disagreement", "entropy"):
             # A zero threshold escalates every uncertain token, so replayed
             # rows also reach the cache, peers, edge and cloud.

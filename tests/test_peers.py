@@ -7,7 +7,6 @@ import pytest
 
 from fedhlm.model_source import VocabSpec
 from fedhlm.peers import (
-    CacheLookup,
     ConsensusDecision,
     EdgeDecision,
     Embedding,
@@ -24,6 +23,11 @@ from fedhlm.peers import (
 
 def vec(*values: float) -> Embedding:
     return Embedding(np.array(values, dtype=np.float64))
+
+
+def rows(*peers: Embedding) -> np.ndarray:
+    """Peer embeddings stacked as the (count, dim) rows centroid and peer_consensus take."""
+    return np.stack([p.values for p in peers]) if peers else np.empty((0, 2))
 
 
 def test_embedding_rejects_zero_vector():
@@ -53,44 +57,41 @@ def test_distinct_tokens_are_nearly_orthogonal():
 
 def test_centroid_examples():
     v = vec(0.6, 0.8)
-    both = centroid([v, vec(0.6, 0.8)])
+    both = centroid(rows(v, vec(0.6, 0.8)))
     assert np.allclose(both.values, [0.6, 0.8])
-    mid = centroid([vec(1.0, 0.0), vec(0.0, 1.0)])
+    mid = centroid(rows(vec(1.0, 0.0), vec(0.0, 1.0)))
     assert np.allclose(mid.values, [0.5, 0.5])
     with pytest.raises(NoPeers):
-        centroid([])
-    with pytest.raises(ValueError):
-        centroid([vec(1.0, 0.0), Embedding(np.ones(3))])
+        centroid(rows())
 
 
 def test_centroid_permutation_invariant_exactly():
     rng = np.random.default_rng(3)
-    peers = [Embedding(rng.normal(size=8)) for _ in range(7)]
+    peers = rng.normal(size=(7, 8))
     base = centroid(peers).values
     order = list(range(7))
     for _ in range(10):
         rng.shuffle(order)
-        assert np.array_equal(centroid([peers[i] for i in order]).values, base)
+        assert np.array_equal(centroid(peers[order]).values, base)
 
 
-def _generator_fsum_centroid(peers: list[Embedding]) -> np.ndarray:
+def _generator_fsum_centroid(peers: np.ndarray) -> np.ndarray:
     # oracle: one exactly rounded sum per coordinate over numpy scalars
-    count = len(peers)
-    return np.array([math.fsum(p.values[i] for p in peers) / count for i in range(peers[0].values.size)])
+    count, dim = peers.shape
+    return np.array([math.fsum(row[i] for row in peers) / count for i in range(dim)])
 
 
-def test_centroid_rows_and_list_agree_bit_for_bit():
+def test_centroid_is_the_fsum_mean_and_consensus_its_cosine():
     rng = np.random.default_rng(8)
     for count in (1, 2, 5, 49, 130):
         for dim in (1, 3, 64):
-            rows = rng.normal(size=(count, dim))
-            peers = [Embedding(row) for row in rows]
-            from_rows = centroid(rows).values
-            assert np.array_equal(from_rows, centroid(peers).values)
-            assert np.array_equal(from_rows, _generator_fsum_centroid(peers))
+            peers = rng.normal(size=(count, dim))
+            center = centroid(peers)
+            assert np.array_equal(center.values, _generator_fsum_centroid(peers))
             own = Embedding(rng.normal(size=dim))
             cfg = PeerConfig(similarity_threshold=0.3)
-            assert peer_consensus(own, rows, cfg) is peer_consensus(own, peers, cfg)
+            accepts = cosine_similarity(own, center) >= cfg.similarity_threshold
+            assert (peer_consensus(own, peers, cfg) is ConsensusDecision.ACCEPT_LOCAL) == accepts
 
 
 def test_peer_consensus_on_rows_escalates_without_peers_and_checks_dimension():
@@ -116,29 +117,29 @@ def test_cosine_similarity_reference_points():
 def test_peer_consensus_boundary_accepts():
     cfg = PeerConfig(similarity_threshold=0.85)
     own = vec(1.0, 0.0)
-    assert peer_consensus(own, [own], cfg) is ConsensusDecision.ACCEPT_LOCAL
+    assert peer_consensus(own, rows(own), cfg) is ConsensusDecision.ACCEPT_LOCAL
     exactly_at = vec(0.85, math.sqrt(1.0 - 0.85 * 0.85))
     assert cosine_similarity(own, exactly_at) == 0.85
-    assert peer_consensus(own, [exactly_at], cfg) is ConsensusDecision.ACCEPT_LOCAL
+    assert peer_consensus(own, rows(exactly_at), cfg) is ConsensusDecision.ACCEPT_LOCAL
     below = vec(0.85 - 1e-9, math.sqrt(1.0 - (0.85 - 1e-9) ** 2))
-    assert peer_consensus(own, [below], cfg) is ConsensusDecision.ESCALATE
+    assert peer_consensus(own, rows(below), cfg) is ConsensusDecision.ESCALATE
 
 
 def test_peer_consensus_empty_and_degenerate_escalate():
     cfg = PeerConfig()
     own = vec(1.0, 0.0)
-    assert peer_consensus(own, [], cfg) is ConsensusDecision.ESCALATE
-    cancelling = [vec(0.0, 1.0), vec(0.0, -1.0)]
+    assert peer_consensus(own, rows(), cfg) is ConsensusDecision.ESCALATE
+    cancelling = rows(vec(0.0, 1.0), vec(0.0, -1.0))
     assert peer_consensus(own, cancelling, cfg) is ConsensusDecision.ESCALATE
     with pytest.raises(ValueError):
-        peer_consensus(own, [Embedding(np.ones(3))], cfg)
+        peer_consensus(own, rows(Embedding(np.ones(3))), cfg)
 
 
 def test_peer_consensus_permutation_invariant():
     rng = np.random.default_rng(5)
     cfg = PeerConfig(similarity_threshold=0.2)
     own = Embedding(rng.normal(size=6))
-    peers = [Embedding(rng.normal(size=6)) for _ in range(5)]
+    peers = rng.normal(size=(5, 6))
     base = peer_consensus(own, peers, cfg)
     for _ in range(10):
         rng.shuffle(peers)
@@ -159,7 +160,7 @@ def test_separate_edge_threshold_honored():
     own = vec(1.0, 0.0)
     halfway = vec(0.5, math.sqrt(0.75))
     assert edge_validate(own, [halfway], cfg) is EdgeDecision.ACCEPT
-    assert peer_consensus(own, [halfway], cfg) is ConsensusDecision.ESCALATE
+    assert peer_consensus(own, rows(halfway), cfg) is ConsensusDecision.ESCALATE
 
 
 def test_peer_config_validation():
@@ -176,15 +177,13 @@ def test_cache_insert_then_lookup_hits():
     e = vec(1.0, 0.0)
     cache.insert(e, 7)
     result = cache.lookup(e, cfg)
-    assert result.outcome is CacheLookup.HIT
     assert result.token == 7
     assert result.similarity >= cfg.similarity_threshold
 
 
 def test_empty_cache_misses():
     result = TokenCache(capacity=2).lookup(vec(1.0, 0.0), PeerConfig())
-    assert result.outcome is CacheLookup.MISS
-    assert result.token is None
+    assert result.token is None and result.similarity is None
 
 
 def test_lookup_prefers_highest_similarity_entry():
@@ -194,7 +193,6 @@ def test_lookup_prefers_highest_similarity_entry():
     cache.insert(vec(0.90, math.sqrt(1 - 0.90**2)), 1)
     cache.insert(vec(0.95, math.sqrt(1 - 0.95**2)), 2)
     result = cache.lookup(vec(1.0, 0.0), cfg)
-    assert result.outcome is CacheLookup.HIT
     assert result.token == 2
 
 
@@ -276,7 +274,7 @@ def test_cache_agrees_with_reference_model_under_random_ops():
             if rng.random() < 0.5:
                 got = cache.lookup(Embedding(vectors[token]), cfg)
                 want = model.lookup(vectors[token])
-                assert (got.token if got.outcome is CacheLookup.HIT else None) == want
+                assert got.token == want
             else:
                 cache.insert(Embedding(vectors[token]), token)
                 model.insert(token, vectors[token])

@@ -1,4 +1,4 @@
-"""Rejection feedback, the soft-gated loss, and threshold updates."""
+"""Rejection probabilities, the soft-gated loss over (scores, betas) arrays, and threshold updates."""
 
 import math
 
@@ -8,8 +8,6 @@ import pytest
 from fedhlm.model_source import TokenDistribution
 from fedhlm.thresholds import (
     LearnerConfig,
-    RejectionFeedback,
-    Threshold,
     local_loss,
     loss_gradient,
     lr_schedule,
@@ -18,12 +16,17 @@ from fedhlm.thresholds import (
 )
 
 
-def fb(u: float, beta: float) -> RejectionFeedback:
-    return RejectionFeedback(uncertainty=u, rejection_prob=beta)
+def one(u: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback for one cloud token: its score and its rejection probability."""
+    return np.array([u]), np.array([beta])
 
 
-def random_feedback(rng: np.random.Generator, size: int) -> list[RejectionFeedback]:
-    return [fb(float(rng.random()), float(rng.random())) for _ in range(size)]
+def random_feedback(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    scores, betas = rng.random((size, 2)).T  # one (score, beta) pair at a time
+    return scores, betas
+
+
+NONE = (np.empty(0), np.empty(0))
 
 
 def test_rejection_probability_cases():
@@ -49,13 +52,6 @@ def test_rejection_probability_floors_vanishing_denominator():
     assert rejection_probability(slm2, llm2, 1) == 1.0
 
 
-def test_feedback_validation():
-    with pytest.raises(ValueError):
-        RejectionFeedback(uncertainty=-0.1, rejection_prob=0.5)
-    with pytest.raises(ValueError):
-        RejectionFeedback(uncertainty=0.5, rejection_prob=1.5)
-
-
 def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(gamma=0.0)
@@ -71,22 +67,22 @@ def test_loss_at_gate_midpoint():
     # sigmoid(0) = 0.5 and (1 - 0.2)^2 = 0.64, so one boundary record with
     # lambda 0 contributes exactly 0.32
     cfg = LearnerConfig(gamma=10.0, lam=0.0)
-    assert local_loss([fb(0.4, 0.2)], 0.4, cfg) == pytest.approx(0.32)
+    assert local_loss(*one(0.4, 0.2), 0.4, cfg) == pytest.approx(0.32)
 
 
 def test_loss_saturated_gate_magnitude():
     cfg = LearnerConfig(gamma=10.0, lam=0.01)
-    value = local_loss([fb(1.0, 0.2)], 0.0, cfg)
+    value = local_loss(*one(1.0, 0.2), 0.0, cfg)
     assert value == pytest.approx(0.65, abs=1e-3)
 
 
 def test_loss_empty_and_nonnegative():
     cfg = LearnerConfig()
-    assert local_loss([], 0.5, cfg) == 0.0
+    assert local_loss(*NONE, 0.5, cfg) == 0.0
     rng = np.random.default_rng(1)
     for _ in range(50):
         records = random_feedback(rng, int(rng.integers(1, 20)))
-        assert local_loss(records, float(rng.random()), cfg) >= 0.0
+        assert local_loss(*records, float(rng.random()), cfg) >= 0.0
 
 
 def test_loss_nonincreasing_in_threshold():
@@ -94,22 +90,22 @@ def test_loss_nonincreasing_in_threshold():
     rng = np.random.default_rng(2)
     records = random_feedback(rng, 30)
     grid = np.linspace(0.0, 1.0, 41)
-    values = [local_loss(records, float(t), cfg) for t in grid]
+    values = [local_loss(*records, float(t), cfg) for t in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_gradient_at_gate_midpoint():
     cfg = LearnerConfig(gamma=10.0, lam=0.0)
-    assert loss_gradient([fb(0.4, 0.2)], 0.4, cfg) == pytest.approx(-1.6)
+    assert loss_gradient(*one(0.4, 0.2), 0.4, cfg) == pytest.approx(-1.6)
 
 
 def test_gradient_empty_and_nonpositive():
     cfg = LearnerConfig()
-    assert loss_gradient([], 0.3, cfg) == 0.0
+    assert loss_gradient(*NONE, 0.3, cfg) == 0.0
     rng = np.random.default_rng(3)
     for _ in range(200):
         records = random_feedback(rng, int(rng.integers(1, 50)))
-        g = loss_gradient(records, float(rng.random()), cfg)
+        g = loss_gradient(*records, float(rng.random()), cfg)
         assert g <= 0.0
 
 
@@ -122,41 +118,29 @@ def test_gradient_matches_finite_difference_spot_checks():
         records = random_feedback(rng, 12)
         th = 0.37
         h = 1e-6
-        fd = (local_loss(records, th + h, cfg) - local_loss(records, th - h, cfg)) / (2 * h)
-        analytic = loss_gradient(records, th, cfg)
+        fd = (local_loss(*records, th + h, cfg) - local_loss(*records, th - h, cfg)) / (2 * h)
+        analytic = loss_gradient(*records, th, cfg)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_sgd_step_moves_and_clamps():
-    th = Threshold(value=0.5)
-    up = sgd_step(th, gradient=-2.0, learning_rate=0.1)
-    assert up.value == pytest.approx(0.7)
-    clamped_high = sgd_step(Threshold(0.95), gradient=-10.0, learning_rate=0.1)
-    assert clamped_high.value == 1.0
-    clamped_low = sgd_step(Threshold(0.05), gradient=10.0, learning_rate=0.1)
-    assert clamped_low.value == 0.0
+    assert sgd_step(0.5, gradient=-2.0, learning_rate=0.1) == pytest.approx(0.7)
+    assert sgd_step(0.95, gradient=-10.0, learning_rate=0.1) == 1.0
+    assert sgd_step(0.05, gradient=10.0, learning_rate=0.1) == 0.0
     with pytest.raises(ValueError):
-        sgd_step(th, gradient=-1.0, learning_rate=0.0)
+        sgd_step(0.5, gradient=-1.0, learning_rate=0.0)
 
 
 def test_nonpositive_gradients_never_lower_threshold():
     rng = np.random.default_rng(5)
     cfg = LearnerConfig()
-    th = Threshold(0.1)
+    th = 0.1
     for round_index in range(40):
         records = random_feedback(rng, int(rng.integers(1, 30)))
-        g = loss_gradient(records, th.value, cfg)
+        g = loss_gradient(*records, th, cfg)
         new = sgd_step(th, g, lr_schedule(cfg.eta0, round_index))
-        assert new.value >= th.value
-        assert 0.0 <= new.value <= 1.0
+        assert th <= new <= 1.0
         th = new
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        Threshold(-0.01)
-    with pytest.raises(ValueError):
-        Threshold(1.01)
 
 
 def test_lr_schedule_values_and_errors():

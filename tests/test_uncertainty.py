@@ -12,7 +12,7 @@ from fedhlm.engine import ClientState, SimulationConfig, Stage, resolve_token
 from fedhlm.federation import ClusterTopology
 from fedhlm.model_source import gen_distribution_rows
 from fedhlm.peers import TokenCache
-from fedhlm.thresholds import LearnerConfig, RejectionFeedback, local_loss
+from fedhlm.thresholds import LearnerConfig, local_loss
 from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 
@@ -167,10 +167,9 @@ def test_hard_route_boundary_retains():
 
 
 def soft_gate(score: float, threshold: float, gamma: float) -> float:
-    # with rejection probability 0 and lambda 0 a feedback record's loss is
+    # with rejection probability 0 and lambda 0 a cloud token's loss is
     # its soft gate alone, sigmoid(gamma * (score - threshold))
-    feedback = [RejectionFeedback(uncertainty=score, rejection_prob=0.0)]
-    return local_loss(feedback, threshold, LearnerConfig(gamma=gamma, lam=0.0))
+    return local_loss(np.array([score]), np.array([0.0]), threshold, LearnerConfig(gamma=gamma, lam=0.0))
 
 
 def test_soft_route_is_sigmoid_of_scaled_gap():
