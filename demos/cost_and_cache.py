@@ -19,7 +19,7 @@ from fedhlm import (
     expected_cost,
     fit_cache_alpha,
     should_attempt_p2p,
-    token_embedding,
+    unit_table,
 )
 
 
@@ -42,18 +42,18 @@ def cache_curve() -> None:
     weights = ranks ** -0.9
     weights /= weights.sum()
     stream = rng.choice(vocab.size, size=6000, p=weights)
-    vectors = {t: token_embedding(int(t), vocab) for t in np.unique(stream)}
+    units = unit_table(vocab, peer)
 
     sizes = [4, 8, 16, 32, 64, 128]
     measured = []
     for size in sizes:
-        cache = TokenCache(capacity=size)
+        cache = TokenCache(units, capacity=size)
         hits = 0
-        for t in stream:
-            if cache.lookup(vectors[t], peer).token is not None:
+        for t in stream.tolist():
+            if cache.lookup(t, peer).token is not None:
                 hits += 1
             else:
-                cache.insert(vectors[t], int(t))
+                cache.insert(t)
         measured.append(hits / len(stream))
 
     alpha = fit_cache_alpha(sizes, measured)

@@ -26,6 +26,7 @@ from fedhlm import (
     rejection_probability,
     score_rows,
     token_embedding,
+    unit_table,
 )
 
 
@@ -56,16 +57,16 @@ def main() -> None:
 
     own = token_embedding(token, vocab)
 
-    cache = TokenCache(capacity=8)
-    hit = cache.lookup(own, peer_cfg)
+    cache = TokenCache(unit_table(vocab, peer_cfg), capacity=8)
+    hit = cache.lookup(token, peer_cfg)
     print(f"semantic cache: {'hit' if hit.token is not None else 'miss (cache is cold)'}")
 
     # two agreeable peers and one dissenter
-    peers = np.stack([own.values, own.values, token_embedding((token + 1) % vocab.size, vocab).values])
+    peers = np.stack([own, own, token_embedding((token + 1) % vocab.size, vocab)])
     verdict = peer_consensus(own, peers, peer_cfg)
     print(f"peer consensus over {len(peers)} neighbors: {verdict.name}")
 
-    centroids = [token_embedding((token + 5) % vocab.size, vocab)]
+    centroids = np.stack([token_embedding((token + 5) % vocab.size, vocab)])
     edge = edge_validate(own, centroids, peer_cfg)
     print(f"edge centroid check: {edge.name}")
 

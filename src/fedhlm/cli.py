@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engine
-from .config import ConfigError, InvalidValue, config_to_text, parse_config
+from .config import ConfigError, InvalidValue, _float, config_to_text, parse_config
 from .costs import cache_hit_curve, expected_cost, should_attempt_p2p
 from .engine import MODE_FEDHLM, MODE_RAND, MODE_UHLM, ConfigInvalid, default_config
 from .reporting import compute_trr, emit_metrics_csv, emit_trace, summarize
@@ -100,13 +100,13 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str, key: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
     try:
-        values = [float(v.strip()) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidValue(key, f"expected comma-separated numbers, got {text!r}") from None
+        values = [_float(v.strip()) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InvalidValue(flag, str(exc)) from None
     if not values:
-        raise InvalidValue(key, "empty grid")
+        raise InvalidValue(flag, "empty grid")
     return values
 
 
@@ -116,19 +116,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidValue("sweep", "pass either --alphas or --cost-ratios, not both")
 
     if args.cost_ratios is not None:
-        grid = _parse_grid(args.cost_ratios, "cost_ratios")
-        label = "cost_ratio"
+        flag, label = "--cost-ratios", "cost_ratio"
+        grid = _parse_grid(args.cost_ratios, flag)
         def configure(value: float) -> engine.SimulationConfig:
             return replace(cfg, cost=replace(cfg.cost, c_p2p=value * cfg.cost.c_llm))
     else:
-        grid = _parse_grid(args.alphas, "alphas") if args.alphas is not None else [10.0, 1.0, 0.1]
-        label = "alpha"
+        flag, label = "--alphas", "alpha"
+        grid = _parse_grid(args.alphas, flag) if args.alphas is not None else [10.0, 1.0, 0.1]
         def configure(value: float) -> engine.SimulationConfig:
             return replace(cfg, partition=replace(cfg.partition, dirichlet_alpha=value))
 
-    summary = [f"{label},local_frac,p2p_frac,edge_frac,llm_frac,trr,total_cost,final_threshold"]
+    # Every grid point is checked before the first one runs.
+    points = []
     for value in grid:
-        point_cfg = configure(value)
+        try:
+            points.append((value, configure(value)))
+        except ValueError as exc:
+            raise InvalidValue(flag, f"{value}: {exc}") from None
+
+    summary = [f"{label},local_frac,p2p_frac,edge_frac,llm_frac,trr,total_cost,final_threshold"]
+    for value, point_cfg in points:
         report = engine.run(point_cfg)
         totals = report.outcome_totals()
         total = report.total_tokens()
@@ -150,6 +157,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    try:
+        curve_lines = ["cache_size,hit_ratio"] + [
+            f"{size},{cache_hit_curve(size, args.cache_alpha):.6f}" for size in (8, 16, 32, 64, 128, 256, 512)
+        ]
+    except ValueError as exc:
+        raise InvalidValue("--cache-alpha", str(exc)) from None
     cost = cfg.cost
     policy_lines = ["p_hit,expected_escalation_cost,attempt_p2p,policy_cost"]
     for step in range(21):
@@ -158,10 +171,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         escalation = expected_cost(p_hit, cost)
         policy_cost = escalation if attempt else cost.c_llm
         policy_lines.append(f"{p_hit:.2f},{escalation:.6f},{int(attempt)},{policy_cost:.6f}")
-
-    curve_lines = ["cache_size,hit_ratio"]
-    for size in (8, 16, 32, 64, 128, 256, 512):
-        curve_lines.append(f"{size},{cache_hit_curve(size, args.cache_alpha):.6f}")
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

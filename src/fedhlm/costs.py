@@ -27,10 +27,11 @@ class CostModel:
     p_hit_prior: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.c_p2p < 0 or self.c_llm <= 0:
-            raise ValueError("c_p2p must be >= 0 and c_llm > 0")
-        if self.c_p2p >= self.c_llm:
-            raise ValueError("c_p2p must be cheaper than c_llm")
+        # Written so that NaN fails each check.
+        if not (math.isfinite(self.c_llm) and self.c_llm > 0):
+            raise ValueError("c_llm must be finite and > 0")
+        if not 0 <= self.c_p2p < self.c_llm:
+            raise ValueError("c_p2p must be >= 0 and cheaper than c_llm")
         if self.p_hit_window < 1:
             raise ValueError("p_hit_window must be >= 1")
         if not 0.0 <= self.p_hit_prior <= 1.0:
@@ -55,8 +56,8 @@ def cache_hit_curve(size: int, alpha: float) -> float:
     """Modelled hit ratio for a cache of the given size: 1 - exp(-alpha*size)."""
     if size < 0:
         raise ValueError("size must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     return 1.0 - math.exp(-alpha * size)
 
 

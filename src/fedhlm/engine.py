@@ -3,9 +3,10 @@
 Each round every client predicts a fixed number of tokens. A client-round's
 distributions are drawn, or gathered from a replayed trace, as (T, V)
 arrays and scored in one pass. A gate then decides, in one comparison per
-client-round, which tokens escalate; the rest stay on device. Only escalated
-tokens take the one routing path, resolve_token, except in `rand` mode,
-which routes every token there since its gate coin shares a stream with the
+client-round, which tokens escalate; the rest stay on device. One function,
+route_escalated, then walks a client-round's escalated tokens in timestep
+order and writes where each one ended into the round's columns; in `rand`
+mode it walks every token, since the gate coin shares a stream with the
 cloud's draws. In the learned `fedhlm` mode an escalated token tries the
 client's semantic cache and then peer consensus, falls back to edge
 validation, and finally asks the cloud model to adjudicate. Consensus and
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -57,12 +58,12 @@ from .peers import (
     _NORM_EPS,
     ConsensusDecision,
     EdgeDecision,
-    Embedding,
     PeerConfig,
     TokenCache,
     edge_validate,
     embedding_matrix,
     peer_consensus,
+    unit_table,
 )
 from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
 from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
@@ -103,8 +104,7 @@ class Stage(enum.Enum):
 
 # A stage column holds each token's index into STAGES.
 STAGES = tuple(Stage)
-_CODE = {stage: code for code, stage in enumerate(STAGES)}
-_LOCAL, _P2P, _LLM = _CODE[Stage.LOCAL], _CODE[Stage.P2P], _CODE[Stage.LLM]
+_LOCAL, _P2P, _EDGE, _LLM = range(len(STAGES))
 
 
 @dataclass(frozen=True)
@@ -186,17 +186,6 @@ def default_config(**overrides) -> SimulationConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-class TokenOutcome(NamedTuple):
-    """Where resolve_token sent one token; run_round copies it into its round's columns."""
-
-    stage: Stage
-    final_token: int
-    charged_cost: float
-    correct: bool
-    rejection_prob: float | None = None
-    p2p_attempted: bool = False
-
-
 @dataclass
 class ClientState:
     """Everything a client carries across rounds."""
@@ -230,6 +219,15 @@ class RoundOutcomes:
     beta: np.ndarray
     correct: np.ndarray
     p2p_attempted: np.ndarray
+
+    @classmethod
+    def local(cls, predicted: np.ndarray, target: np.ndarray, uncertainty: np.ndarray) -> RoundOutcomes:
+        """Every token kept on device: free, unadjudicated, its own prediction."""
+        shape = predicted.shape
+        return cls(
+            np.full(shape, _LOCAL, np.int8), predicted.copy(), np.zeros(shape), uncertainty,
+            np.full(shape, np.nan), predicted == target, np.zeros(shape, bool),
+        )
 
 
 @dataclass
@@ -307,6 +305,7 @@ class SimulationState:
         multipliers = multipliers.tolist()
 
         self.embeddings = embedding_matrix(vocab, cfg.peer)
+        self.units = unit_table(vocab, cfg.peer)
         # Class c owns a contiguous run of tokens; row c of zipf holds its
         # Zipf CDF, padded with inf past the run's width.
         regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
@@ -349,7 +348,7 @@ class SimulationState:
                     profile=profile,
                     mixture=mixture,
                     threshold=start,
-                    cache=TokenCache(capacity=cfg.cache_capacity),
+                    cache=TokenCache(self.units, capacity=cfg.cache_capacity),
                     estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=cfg.cost.p_hit_prior),
                 )
             )
@@ -444,111 +443,97 @@ def lateral_decisions(
     cluster_of = {m: c for c, members in enumerate(clusters) for m in members}
     for i, t in zip(*np.nonzero(redo_consensus)):
         peers = [m for m in clusters[cluster_of[i]] if m != i]
-        decision = peer_consensus(Embedding(emb[predicted[i, t]]), emb[predicted[peers, t]], cfg)
+        decision = peer_consensus(emb[predicted[i, t]], emb[predicted[peers, t]], cfg)
         consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
     for i, t in zip(*np.nonzero(redo_edge)):
-        centers = [
-            Embedding(means[o, t])
-            for o in range(len(clusters))
-            if o != cluster_of[i] and float(np.linalg.norm(means[o, t])) > _NORM_EPS
+        others = [
+            o for o in range(len(clusters)) if o != cluster_of[i] and float(np.linalg.norm(means[o, t])) > _NORM_EPS
         ]
-        edge[i, t] = edge_validate(Embedding(emb[predicted[i, t]]), centers, cfg) is EdgeDecision.ACCEPT
+        edge[i, t] = edge_validate(emb[predicted[i, t]], means[others, t], cfg) is EdgeDecision.ACCEPT
     return consensus, edge
 
 
-def resolve_token(
+def route_escalated(
     client: ClientState,
-    slm: np.ndarray,
-    llm: np.ndarray,
-    predicted: int,
-    target: int,
-    consensus: bool,
-    edge: bool,
+    work: _Workload,
+    routed: Iterable[int],
+    consensus: Sequence[bool],
+    edge: Sequence[bool],
     cfg: SimulationConfig,
     rng: np.random.Generator,
-    uncertainty: float,
-) -> TokenOutcome:
-    """Route one token through the gate / cache / consensus / edge / cloud pipeline.
+    out: RoundOutcomes,
+) -> None:
+    """Walk one client-round's escalated timesteps, in order, and write where each token ended.
 
-    The gate escalates on a coin flip with probability cfg.p_offload in
-    `rand` mode and when uncertainty exceeds the client's threshold
-    otherwise (run_round applies that comparison to a client-round first).
-    slm and llm are the step's two probability rows, and predicted is the
-    SLM's argmax. Only `fedhlm` mode tries the lateral tiers, reading its
-    round's lateral_decisions flags: consensus counts only after the cache
-    misses and edge only after consensus escalates; the baselines take
-    every escalated token straight to the cloud and ignore both. The
-    outcome counts as correct when its final token is target: the reference
-    token when replaying a trace, else the LLM's argmax.
+    run_round has already applied the threshold gate; in `rand` mode routed
+    is every timestep and each token first draws its gate coin from rng,
+    escalating with probability cfg.p_offload. Only `fedhlm` mode tries the
+    lateral tiers, when the hit-rate estimate makes an attempt pay: the
+    client's cache, then the consensus flag, then the edge flag (consensus
+    and edge are the client's row of lateral_decisions). The baselines take
+    every escalated token straight to the cloud and ignore both flags. The
+    cloud's final token enters the cache in `fedhlm` mode. Each token's
+    stage, final token, cost, beta, correctness (final token equals
+    work.target) and attempt go into row client.client_id of out.
     """
-    if cfg.mode == MODE_RAND:
-        escalate = rng.random() < cfg.p_offload
-    else:
-        escalate = uncertainty > client.threshold
-    if not escalate:
-        return TokenOutcome(Stage.LOCAL, predicted, 0.0, predicted == target)
-
-    cost = cfg.cost
+    cost, cid, cache, estimator = cfg.cost, client.client_id, client.cache, client.estimator
     lateral = cfg.mode == MODE_FEDHLM
-    emb_row = embedding_matrix(cfg.profile.vocab, cfg.peer)
-    attempted = lateral and should_attempt_p2p(client.estimator.estimate(), cost)
-    if attempted:
-        own = Embedding(emb_row[predicted])
-        hit = client.cache.lookup(own, cfg.peer)
-        if hit.token is not None:
-            client.estimator.record(True)
-            return TokenOutcome(Stage.P2P, hit.token, cost.c_p2p, hit.token == target, p2p_attempted=True)
-        if consensus:
-            client.estimator.record(True)
-            client.cache.insert(own, predicted)
-            return TokenOutcome(Stage.P2P, predicted, cost.c_p2p, predicted == target, p2p_attempted=True)
-        client.estimator.record(False)
-        if edge:
-            client.cache.insert(own, predicted)
-            return TokenOutcome(Stage.EDGE, predicted, cost.c_p2p, predicted == target, p2p_attempted=True)
-
-    result = llm_adjudicate(_unchecked_distribution(slm), _unchecked_distribution(llm), predicted, rng)
-    final = result.final_token
-    if lateral:
-        client.cache.insert(Embedding(emb_row[final]), final)
-    charged = cost.c_p2p + cost.c_llm if attempted else cost.c_llm
-    return TokenOutcome(Stage.LLM, final, charged, final == target, result.rejection_prob, attempted)
+    predicted, target = work.predicted.tolist(), work.target.tolist()
+    for t in routed:
+        if cfg.mode == MODE_RAND and not rng.random() < cfg.p_offload:
+            continue
+        stage, final, charged = _LLM, predicted[t], cost.c_llm
+        attempted = lateral and should_attempt_p2p(estimator.estimate(), cost)
+        if attempted:
+            hit = cache.lookup(final, cfg.peer).token
+            if hit is not None:
+                estimator.record(True)
+                stage, final = _P2P, hit
+            elif consensus[t]:
+                estimator.record(True)
+                cache.insert(final)
+                stage = _P2P
+            else:
+                estimator.record(False)
+                if edge[t]:
+                    cache.insert(final)
+                    stage = _EDGE
+            charged = cost.c_p2p if stage != _LLM else cost.c_p2p + cost.c_llm
+        if stage == _LLM:
+            result = llm_adjudicate(
+                _unchecked_distribution(work.slm[t]), _unchecked_distribution(work.llm[t]), final, rng
+            )
+            final, out.beta[cid, t] = result.final_token, result.rejection_prob
+            if lateral:
+                cache.insert(final)
+        out.stage[cid, t], out.final_token[cid, t], out.cost[cid, t] = stage, final, charged
+        out.correct[cid, t], out.p2p_attempted[cid, t] = final == target[t], attempted
 
 
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
     clients = state.clients
-    slm, llm, *columns = zip(*(_generate_workload(state, c, round_index) for c in clients))
-    predicted, target, uncertainty = map(np.stack, columns)
+    works = [_generate_workload(state, c, round_index) for c in clients]
+    predicted, target, uncertainty = map(np.stack, list(zip(*works))[2:])
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
         consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer)
     else:
         consensus = edge = np.zeros(predicted.shape, bool)
 
-    # Every token starts as a local one; a routed token overwrites its cells.
-    out = RoundOutcomes(
-        np.full(predicted.shape, _LOCAL, np.int8), predicted.copy(), np.zeros(predicted.shape), uncertainty,
-        np.full(predicted.shape, np.nan), predicted == target, np.zeros(predicted.shape, bool),
-    )
-    rows = [m.tolist() for m in (predicted, target, consensus, edge, uncertainty)]
-    for client in clients:
+    # Every token starts as a local one; the walk overwrites a routed token's cells.
+    out = RoundOutcomes.local(predicted, target, uncertainty)
+    consensus, edge = consensus.tolist(), edge.tolist()
+    for client, work in zip(clients, works):
         cid = client.client_id
-        # rand's gate coin shares the cloud's stream, so rand routes every token.
+        # rand's gate coin shares the cloud's stream, so rand walks every token.
         if cfg.mode == MODE_RAND:
             routed = range(cfg.tokens_per_client)
-        elif not (routed := np.flatnonzero(uncertainty[cid] > client.threshold).tolist()):
+        elif not (routed := np.flatnonzero(work.uncertainty > client.threshold).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
-        pred, tgt, cons, edge_ok, score = (row[cid] for row in rows)
-        for t in routed:
-            o = resolve_token(
-                client, slm[cid][t], llm[cid][t], pred[t], tgt[t], cons[t], edge_ok[t], cfg, rng, score[t]
-            )
-            out.stage[cid, t], out.final_token[cid, t], out.cost[cid, t] = _CODE[o.stage], o.final_token, o.charged_cost
-            out.correct[cid, t], out.p2p_attempted[cid, t] = o.correct, o.p2p_attempted
-            out.beta[cid, t] = np.nan if o.rejection_prob is None else o.rejection_prob
+        route_escalated(client, work, routed, consensus[cid], edge[cid], cfg, rng, out)
 
     to_cloud = out.stage == _LLM
     thresholds_local: dict[int, float] = {}

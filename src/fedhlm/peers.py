@@ -4,6 +4,10 @@ Tokens are compared through fixed pseudo-random unit vectors, one per
 vocabulary entry. Distinct tokens then have near-orthogonal embeddings, so a
 cosine-similarity threshold close to 1 effectively tests "same token" while
 still supporting the soft matching the cache and the consensus rule use.
+Vectors are plain float64 arrays: one embedding is a 1-d row, a set of peers
+or centroids is (count, dim) rows. A TokenCache holds token ids over one
+unit table per run; the engine's client-round walk probes it first for each
+escalated token that tries the lateral tiers, before the peer and edge flags.
 """
 
 from __future__ import annotations
@@ -26,24 +30,6 @@ _NORM_EPS = 1e-12
 
 class NoPeers(ValueError):
     """Centroid requested over an empty peer list."""
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """A vector with a cached norm; zero vectors are rejected."""
-
-    values: np.ndarray
-    norm: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("embedding must be a 1-d vector")
-        n = float(np.linalg.norm(v))
-        if n <= _NORM_EPS:
-            raise ValueError("zero embedding rejected")
-        object.__setattr__(self, "norm", n)
 
 
 @dataclass(frozen=True)
@@ -85,14 +71,19 @@ def embedding_matrix(vocab: VocabSpec, cfg: PeerConfig) -> np.ndarray:
 
 def token_embedding(
     token: int, vocab: VocabSpec, dim: int = 64, seed: int = EMBEDDING_SEED
-) -> Embedding:
-    """Deterministic unit embedding for a token: same inputs, same vector, always."""
+) -> np.ndarray:
+    """Deterministic unit embedding for a token, a read-only 1-d row: same inputs, same vector, always."""
     if not 0 <= token < vocab.size:
         raise ValueError(f"token {token} outside vocabulary of size {vocab.size}")
-    return Embedding(_embedding_matrix(vocab.size, dim, seed)[token])
+    return _embedding_matrix(vocab.size, dim, seed)[token]
 
 
-def centroid(rows: np.ndarray) -> Embedding:
+def unit_table(vocab: VocabSpec, cfg: PeerConfig) -> np.ndarray:
+    """The rows a TokenCache compares: each token's embedding over its own norm, taken row by row."""
+    return np.array([row / float(np.linalg.norm(row)) for row in embedding_matrix(vocab, cfg)])
+
+
+def centroid(rows: np.ndarray) -> np.ndarray:
     """Elementwise mean of (count, dim) peer rows.
 
     Each coordinate is an exactly rounded sum, so any reordering of the
@@ -101,13 +92,18 @@ def centroid(rows: np.ndarray) -> Embedding:
     count = len(rows)
     if count == 0:
         raise NoPeers("cannot take the centroid of zero peers")
-    mean = np.array([math.fsum(column) / count for column in rows.T.tolist()], dtype=np.float64)
-    return Embedding(mean)
+    return np.array([math.fsum(column) / count for column in rows.T.tolist()], dtype=np.float64)
 
 
-def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    """Standard cosine similarity, clipped into [-1, 1] against rounding spill."""
-    sim = float(np.dot(a.values, b.values)) / (a.norm * b.norm)
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Standard cosine similarity of two 1-d vectors, clipped into [-1, 1] against rounding spill.
+
+    A vector of norm at most 1e-12 has no direction and raises ValueError.
+    """
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if min(norm_a, norm_b) <= _NORM_EPS:
+        raise ValueError("zero vector rejected")
+    sim = float(np.dot(a, b)) / (norm_a * norm_b)
     return min(max(sim, -1.0), 1.0)
 
 
@@ -116,22 +112,22 @@ class ConsensusDecision(enum.Enum):
     ESCALATE = "escalate"
 
 
-def peer_consensus(own: Embedding, rows: np.ndarray, cfg: PeerConfig) -> ConsensusDecision:
-    """Accept the local token when it aligns with the mean of the peers' (count, dim) rows.
+def peer_consensus(own: np.ndarray, rows: np.ndarray, cfg: PeerConfig) -> ConsensusDecision:
+    """Accept the local token when its row aligns with the mean of the peers' (count, dim) rows.
 
     Similarity at least cfg.similarity_threshold accepts; no peers or a
     degenerate (mutually cancelling) centroid escalates.
     """
     if len(rows) == 0:
         return ConsensusDecision.ESCALATE
-    if rows.shape[1] != own.values.size:
+    if rows.shape[1] != own.size:
         raise ValueError("peer embeddings must match the client's dimension")
     try:
-        center = centroid(rows)
+        similarity = cosine_similarity(own, centroid(rows))
     except ValueError:
         # Peers cancelled out to a zero vector: nothing to agree with.
         return ConsensusDecision.ESCALATE
-    if cosine_similarity(own, center) >= cfg.similarity_threshold:
+    if similarity >= cfg.similarity_threshold:
         return ConsensusDecision.ACCEPT_LOCAL
     return ConsensusDecision.ESCALATE
 
@@ -141,12 +137,10 @@ class EdgeDecision(enum.Enum):
     FORWARD = "forward"
 
 
-def edge_validate(
-    own: Embedding, neighbor_centroids: list[Embedding], cfg: PeerConfig
-) -> EdgeDecision:
-    """Edge-tier check against neighboring clusters' centroid embeddings."""
+def edge_validate(own: np.ndarray, centers: np.ndarray, cfg: PeerConfig) -> EdgeDecision:
+    """Edge-tier check of own against neighboring clusters' (count, dim) centroid rows."""
     threshold = cfg.effective_edge_threshold()
-    for center in neighbor_centroids:
+    for center in centers:
         if cosine_similarity(own, center) >= threshold:
             return EdgeDecision.ACCEPT
     return EdgeDecision.FORWARD
@@ -162,16 +156,18 @@ class CacheResult:
 
 @dataclass
 class TokenCache:
-    """Bounded semantic cache with least-recently-used eviction.
+    """Bounded semantic cache of token ids with least-recently-used eviction.
 
-    Lookups return the stored token of the most similar entry at or above
-    the similarity threshold and refresh that entry's recency. Entries are
-    keyed by token id, so re-inserting a cached token refreshes rather than
-    duplicates it.
+    units holds one unit row per token id (unit_table), shared by every
+    cache of a run. A lookup compares the query token's row with the rows of
+    the cached tokens in slot order, returns the most similar entry at or
+    above the similarity threshold (the first slot on a tie) and refreshes
+    that entry's recency, so a different token with a close enough row can
+    answer. Re-inserting a cached token refreshes rather than duplicates it.
     """
 
+    units: np.ndarray = field(repr=False)
     capacity: int = 256
-    _vectors: np.ndarray | None = field(default=None, repr=False)
     _tokens: list[int] = field(default_factory=list, repr=False)
     _stamps: list[int] = field(default_factory=list, repr=False)
     _slot_by_token: dict[int, int] = field(default_factory=dict, repr=False)
@@ -184,21 +180,14 @@ class TokenCache:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def _ensure_storage(self, dim: int) -> None:
-        if self._vectors is None:
-            self._vectors = np.zeros((self.capacity, dim), dtype=np.float64)
-        elif self._vectors.shape[1] != dim:
-            raise ValueError("embedding dimension differs from cached entries")
-
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
 
-    def lookup(self, query: Embedding, cfg: PeerConfig) -> CacheResult:
+    def lookup(self, token: int, cfg: PeerConfig) -> CacheResult:
         if not self._tokens:
             return CacheResult()
-        n = len(self._tokens)
-        sims = self._vectors[:n] @ (query.values / query.norm)
+        sims = self.units[self._tokens] @ self.units[token]
         best = int(np.argmax(sims))
         similarity = float(sims[best])
         if similarity < cfg.similarity_threshold:
@@ -206,27 +195,21 @@ class TokenCache:
         self._stamps[best] = self._tick()
         return CacheResult(self._tokens[best], min(similarity, 1.0))
 
-    def insert(self, embedding: Embedding, token: int) -> None:
-        self._ensure_storage(embedding.values.size)
-        unit = embedding.values / embedding.norm
+    def insert(self, token: int) -> None:
         slot = self._slot_by_token.get(token)
-        if slot is not None:
-            self._vectors[slot] = unit
-            self._stamps[slot] = self._tick()
-            return
-        if len(self._tokens) < self.capacity:
-            slot = len(self._tokens)
-            self._tokens.append(token)
-            self._stamps.append(0)
-        else:
-            slot = min(range(len(self._stamps)), key=self._stamps.__getitem__)
-            del self._slot_by_token[self._tokens[slot]]
-            self._tokens[slot] = token
-        self._vectors[slot] = unit
+        if slot is None:
+            if len(self._tokens) < self.capacity:
+                slot = len(self._tokens)
+                self._tokens.append(token)
+                self._stamps.append(0)
+            else:
+                slot = min(range(len(self._stamps)), key=self._stamps.__getitem__)
+                del self._slot_by_token[self._tokens[slot]]
+                self._tokens[slot] = token
+            self._slot_by_token[token] = slot
         self._stamps[slot] = self._tick()
-        self._slot_by_token[token] = slot
 
-    def entries(self) -> list[tuple[int, Embedding]]:
-        """(token, embedding) pairs ordered oldest to most recently used."""
+    def entries(self) -> list[int]:
+        """Cached token ids, oldest to most recently used."""
         order = sorted(range(len(self._tokens)), key=self._stamps.__getitem__)
-        return [(self._tokens[i], Embedding(self._vectors[i].copy())) for i in order]
+        return [self._tokens[i] for i in order]

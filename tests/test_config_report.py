@@ -447,6 +447,25 @@ def test_cli_bad_config_exits_2(tmp_path):
         assert main(["run", "--config", str(conf)]) == 2, text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--cost-ratios", "nan"],
+        ["sweep", "--cost-ratios", "1.5"],
+        ["sweep", "--cost-ratios", "0.5,-0.1"],
+        ["sweep", "--alphas", "0"],
+        ["sweep", "--alphas", "inf"],
+        ["sweep", "--alphas", "10.0,x"],
+        ["cost", "--cache-alpha", "0"],
+        ["cost", "--cache-alpha", "nan"],
+    ],
+)
+def test_cli_bad_flag_values_exit_2_naming_the_flag(argv, capsys):
+    # A bad point anywhere in a grid fails before the first point runs.
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {argv[1]}: ")
+
+
 def test_cli_malformed_trace_exits_2(tmp_path):
     trace = tmp_path / "bad.trace"
     trace.write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")

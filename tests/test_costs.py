@@ -20,6 +20,9 @@ def test_cost_model_validation():
         CostModel(c_llm=0.0)
     with pytest.raises(ValueError):
         CostModel(c_p2p=-1.0)
+    for c_p2p, c_llm in ((math.nan, 4.0), (1.0, math.nan), (1.0, math.inf), (4.0, 4.0), (5.0, 4.0)):
+        with pytest.raises(ValueError):
+            CostModel(c_p2p=c_p2p, c_llm=c_llm)
     model = CostModel()
     assert model.c_p2p == 1.0
     assert model.c_llm == 4.0
@@ -89,11 +92,11 @@ def test_fit_validation_and_saturation_guard():
 
 def test_cache_model_validation():
     # the saturating cache model is cache_hit_curve itself; `fedhlm cost`
-    # passes --cache-alpha straight to it
-    for alpha in (0.0, -0.02):
+    # passes --cache-alpha to it and exits 2 when it rejects the value
+    for alpha in (0.0, -0.02, math.nan, math.inf):
         with pytest.raises(ValueError):
             cache_hit_curve(8, alpha)
-        assert main(["cost", "--cache-alpha", str(alpha)]) == 1
+        assert main(["cost", "--cache-alpha", str(alpha)]) == 2
 
 
 def test_estimator_uses_prior_until_window_filled():

@@ -1,8 +1,10 @@
 """Round execution, token routing, lateral decisions, baselines, and determinism."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,16 +19,19 @@ from fedhlm.engine import (
     ClientState,
     ConfigInvalid,
     EmptyHistory,
+    RoundOutcomes,
     SimulationConfig,
     SimulationState,
     Stage,
     _draw_modes,
     _generate_workload,
+    _Workload,
     client_token_entropy,
     default_config,
     lateral_decisions,
-    resolve_token,
+    route_escalated,
     run,
+    run_round,
     substream,
 )
 from fedhlm.federation import ClusterTopology, PartitionSpec
@@ -35,20 +40,19 @@ from fedhlm.model_source import (
     ModelProfile,
     VocabSpec,
     gen_distribution_rows,
+    load_logit_trace,
     save_logit_trace,
 )
 from fedhlm.peers import (
     ConsensusDecision,
     EdgeDecision,
-    Embedding,
     PeerConfig,
     TokenCache,
     centroid,
     cosine_similarity,
     edge_validate,
-    embedding_matrix,
     peer_consensus,
-    token_embedding,
+    unit_table,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
 from fedhlm.thresholds import loss_gradient, lr_schedule, sgd_step
@@ -65,14 +69,15 @@ def small_config(**overrides) -> SimulationConfig:
     return replace(base, **overrides) if overrides else base
 
 
-def make_client(threshold: float, prior: float, cfg: SimulationConfig) -> ClientState:
+def make_client(prior: float, cfg: SimulationConfig, units: np.ndarray | None = None) -> ClientState:
+    """Client 0, whose cache compares the rows of units (by default the run's unit table)."""
     return ClientState(
         client_id=0,
         cluster_id=0,
         profile=cfg.profile,
         mixture=np.full(cfg.partition.num_classes, 1.0 / cfg.partition.num_classes),
-        threshold=threshold,
-        cache=TokenCache(capacity=cfg.cache_capacity),
+        threshold=0.1,
+        cache=TokenCache(unit_table(cfg.profile.vocab, cfg.peer) if units is None else units, cfg.cache_capacity),
         estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=prior),
     )
 
@@ -146,131 +151,132 @@ def test_client_token_entropy_limits():
         client_token_entropy([], vocab)
 
 
-def test_resolve_retains_at_threshold_boundary():
-    cfg = small_config()
-    client = make_client(threshold=0.4, prior=0.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=1)
-    outcome = resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(0),
-        uncertainty=0.4,
-    )
-    assert outcome.stage is Stage.LOCAL
-    assert outcome.charged_cost == 0.0
-    assert outcome.final_token == argmax(slm)
-    assert outcome.p2p_attempted is False
-    assert outcome.rejection_prob is None
+def test_resolve_retains_at_threshold_boundary(tmp_path):
+    # run_round's gate: one client replays one trace row in entropy mode,
+    # whose score draws no randomness. In both gated modes a threshold equal
+    # to the score keeps the token local, and one ulp below escalates it (to
+    # the cloud: a lone client has no cache entry, peers or neighbor clusters).
+    vocab = VocabSpec(8)
+    slm = np.array([[0.4, 0.3, 0.1, 0.1, 0.05, 0.03, 0.01, 0.01]])
+    path = tmp_path / "one.trace"
+    save_logit_trace(path, LogitTrace(np.array([0]), slm, slm[:, ::-1].copy()))
+    rows = load_logit_trace(path, vocab).slm
+    score = float(score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))[0])
+    assert 0.0 < score < 1.0
+    stages = []
+    for mode, threshold in itertools.product(("fedhlm", "uhlm"), (score, float(np.nextafter(score, 0.0)))):
+        cfg = SimulationConfig(
+            topology=ClusterTopology(num_clients=1, num_clusters=1), profile=ModelProfile(vocab=vocab),
+            partition=PartitionSpec(num_classes=2), rounds=1, tokens_per_client=1, mode=mode,
+            uncertainty_kind=KIND_ENTROPY, trace_path=str(path), initial_threshold=threshold,
+            static_threshold=threshold,
+        )
+        o = run_round(SimulationState(cfg), 0).outcomes
+        assert o.uncertainty[0, 0] == score
+        stages.append(STAGES[o.stage[0, 0]])
+        if stages[-1] is Stage.LOCAL:
+            assert o.cost[0, 0] == 0.0 and np.isnan(o.beta[0, 0]) and not o.p2p_attempted[0, 0]
+            assert o.final_token[0, 0] == 0  # the SLM's own argmax
+    assert stages == [Stage.LOCAL, Stage.LLM] * 2
+
+
+def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
+    """route_escalated over a one-token client-round holding crafted_pair(cfg, mode); its cells as scalars."""
+    slm, llm = crafted_pair(cfg, mode=mode)
+    work = _Workload(slm[None], llm[None], np.array([argmax(slm)]), np.array([argmax(llm)]), np.array([0.9]))
+    out = RoundOutcomes.local(work.predicted[None], work.target[None], work.uncertainty[None])
+    route_escalated(client, work, routed, [consensus], [edge], cfg, np.random.default_rng(mode), out)
+    cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in vars(out).items()})
+    cells.stage = STAGES[cells.stage]
+    return cells
 
 
 def test_resolve_skips_p2p_when_estimator_below_ratio():
     cfg = small_config()
-    client = make_client(threshold=0.1, prior=0.0, cfg=cfg)  # 0.0 < c_p2p/c_llm
-    slm, llm = crafted_pair(cfg, mode=2)
-    outcome = resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(1),
-        uncertainty=0.9,
-    )
+    client = make_client(prior=0.0, cfg=cfg)  # 0.0 < c_p2p/c_llm
+    outcome = walk_one(cfg, client, 2)
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
-    assert outcome.charged_cost == cfg.cost.c_llm
-    assert outcome.rejection_prob is not None
+    assert outcome.cost == cfg.cost.c_llm
+    assert not math.isnan(outcome.beta)
 
 
 def test_resolve_hits_primed_cache():
     cfg = small_config()
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=3)
-    predicted = argmax(slm)
-    emb = embedding_matrix(cfg.profile.vocab, cfg.peer)
-    client.cache.insert(Embedding(emb[predicted]), predicted)
-    outcome = resolve_token(
-        client, slm, llm, predicted, argmax(llm), False, False, cfg, np.random.default_rng(2), uncertainty=0.9
-    )
+    client = make_client(prior=1.0, cfg=cfg)
+    predicted = argmax(crafted_pair(cfg, mode=3)[0])
+    client.cache.insert(predicted)
+    outcome = walk_one(cfg, client, 3)
     assert outcome.stage is Stage.P2P
     assert outcome.p2p_attempted is True
-    assert outcome.charged_cost == cfg.cost.c_p2p
+    assert outcome.cost == cfg.cost.c_p2p
     assert outcome.final_token == predicted
-    assert outcome.rejection_prob is None  # peer resolutions produce no cloud feedback
+    assert math.isnan(outcome.beta)  # peer resolutions produce no cloud feedback
 
 
 def test_resolve_peer_consensus_accepts_and_caches():
     cfg = small_config()
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=4)
-    predicted = argmax(slm)
-    outcome = resolve_token(
-        client, slm, llm, predicted, argmax(llm), True, False, cfg, np.random.default_rng(3), uncertainty=0.9
-    )
+    client = make_client(prior=1.0, cfg=cfg)
+    predicted = argmax(crafted_pair(cfg, mode=4)[0])
+    outcome = walk_one(cfg, client, 4, consensus=True)
     assert outcome.stage is Stage.P2P
     assert outcome.final_token == predicted
-    assert len(client.cache) == 1  # consensus success seeds the cache
+    assert client.cache.entries() == [predicted]  # consensus success seeds the cache
 
 
 def test_resolve_edge_accepts_when_neighbors_align():
     cfg = small_config()
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=5)
-    outcome = resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), False, True, cfg, np.random.default_rng(4),
-        uncertainty=0.9,
-    )
+    client = make_client(prior=1.0, cfg=cfg)
+    outcome = walk_one(cfg, client, 5, edge=True)
     assert outcome.stage is Stage.EDGE
-    assert outcome.charged_cost == cfg.cost.c_p2p
-    assert outcome.rejection_prob is None
+    assert outcome.cost == cfg.cost.c_p2p
+    assert math.isnan(outcome.beta)
 
 
 def test_resolve_escalates_to_llm_after_failed_attempt():
     cfg = small_config()
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=6)
-    outcome = resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(5),
-        uncertainty=0.9,
-    )
+    client = make_client(prior=1.0, cfg=cfg)
+    outcome = walk_one(cfg, client, 6)
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is True
-    assert outcome.charged_cost == cfg.cost.c_p2p + cfg.cost.c_llm
-    assert outcome.rejection_prob is not None
+    assert outcome.cost == cfg.cost.c_p2p + cfg.cost.c_llm
+    assert not math.isnan(outcome.beta)
     # adjudicated finals enter the cache for future reuse
-    assert len(client.cache) == 1
-
-
-def _resolve_with_both_flags(cfg, client, mode, uncertainty=0.9):
-    slm, llm = crafted_pair(cfg, mode=mode)
-    return resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), True, True, cfg, np.random.default_rng(mode), uncertainty
-    )
+    assert client.cache.entries() == [outcome.final_token]
 
 
 def test_local_skipped_and_cached_tokens_ignore_both_flags():
     cfg = small_config()
-    stays = make_client(threshold=0.5, prior=1.0, cfg=cfg)
-    assert _resolve_with_both_flags(cfg, stays, 1, uncertainty=0.2).stage is Stage.LOCAL
-    skips = make_client(threshold=0.1, prior=0.0, cfg=cfg)
-    skipped = _resolve_with_both_flags(cfg, skips, 2)
+    stays = make_client(prior=1.0, cfg=cfg)
+    assert walk_one(cfg, stays, 1, True, True, routed=()).stage is Stage.LOCAL
+    skips = make_client(prior=0.0, cfg=cfg)
+    skipped = walk_one(cfg, skips, 2, True, True)
     assert skipped.stage is Stage.LLM and skipped.p2p_attempted is False
 
-    # The cache stores another token under the predicted token's embedding,
-    # so only a cache hit can return it.
-    cached = make_client(threshold=0.1, prior=1.0, cfg=cfg)
+    # In this unit table the stored token's row equals the predicted token's,
+    # so the cache answers with the stored token: only a hit can return it.
     predicted = argmax(crafted_pair(cfg, mode=3)[0])
     stored = (predicted + 1) % cfg.profile.vocab.size
-    cached.cache.insert(token_embedding(predicted, cfg.profile.vocab), stored)
-    hit = _resolve_with_both_flags(cfg, cached, 3)
+    units = np.eye(cfg.profile.vocab.size)
+    units[stored] = units[predicted]
+    cached = make_client(prior=1.0, cfg=cfg, units=units)
+    cached.cache.insert(stored)
+    hit = walk_one(cfg, cached, 3, True, True)
     assert hit.stage is Stage.P2P and hit.final_token == stored
 
 
 def test_consensus_accept_ignores_the_edge_flag():
     cfg = small_config()
     predicted = argmax(crafted_pair(cfg, mode=4)[0])
-    outcome = _resolve_with_both_flags(cfg, make_client(threshold=0.1, prior=1.0, cfg=cfg), 4)
+    outcome = walk_one(cfg, make_client(prior=1.0, cfg=cfg), 4, True, True)
     assert outcome.stage is Stage.P2P and outcome.final_token == predicted
 
 
 @pytest.mark.parametrize("mode", ["uhlm", "rand"])
 def test_baselines_ignore_both_flags(mode):
     cfg = small_config(mode=mode, p_offload=1.0)
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    assert _resolve_with_both_flags(cfg, client, 5).stage is Stage.LLM
+    client = make_client(prior=1.0, cfg=cfg)
+    assert walk_one(cfg, client, 5, True, True).stage is Stage.LLM
 
 
 def per_token_flags(predicted, emb, clusters, cfg):
@@ -281,11 +287,11 @@ def per_token_flags(predicted, emb, clusters, cfg):
     for c, members in enumerate(clusters):
         for i in members:
             for t in range(predicted.shape[1]):
-                own = Embedding(emb[predicted[i, t]])
+                own = emb[predicted[i, t]]
                 rows = emb[[predicted[p, t] for p in members if p != i]]
                 consensus[i, t] = peer_consensus(own, rows, cfg) is ConsensusDecision.ACCEPT_LOCAL
                 centers = [
-                    Embedding(mean[t])
+                    mean[t]
                     for o, mean in enumerate(means)
                     if o != c and mean is not None and float(np.linalg.norm(mean[t])) > 1e-12
                 ]
@@ -349,10 +355,10 @@ def near_ties(draw):
 
     c = draw(st.sampled_from([c for c, size in enumerate(sizes) if size > 1] or [0]))
     i, t, o = draw(st.sampled_from(clusters[c])), draw(st.integers(0, steps - 1)), (c + 1) % len(sizes)
-    own = Embedding(emb[predicted[i, t]])
+    own = emb[predicted[i, t]]
     peers = [p for p in clusters[c] if p != i]
     similarity = near(cosine_similarity(own, centroid(emb[predicted[peers, t]]))) if peers else 0.9
-    edge = near(cosine_similarity(own, Embedding(emb[predicted[clusters[o]]].mean(axis=0)[t])))
+    edge = near(cosine_similarity(own, emb[predicted[clusters[o]]].mean(axis=0)[t]))
     return predicted, emb, clusters, PeerConfig(similarity_threshold=similarity, edge_threshold=edge)
 
 
@@ -366,7 +372,7 @@ def test_a_nearly_cancelling_peer_sum_is_decided_exactly():
     # float sum over the whole cluster carries rounding of order 1e-16.
     emb = np.array([[0.6, 0.8], [1.0, 1e-3], [-1.0, -1e-3 + 1e-9]])
     predicted = np.array([[0], [1], [2]])
-    exact = cosine_similarity(Embedding(emb[0]), centroid(emb[1:]))
+    exact = cosine_similarity(emb[0], centroid(emb[1:]))
     for threshold in (exact, float(np.nextafter(exact, 2.0))):
         cfg = PeerConfig(similarity_threshold=threshold)
         consensus, _ = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2]], cfg)
@@ -410,30 +416,21 @@ def test_cancelled_centroids_escalate_and_are_skipped():
 def test_baseline_gates_skip_the_lateral_tiers(mode):
     # A primed cache and an aligned peer would resolve this token in fedhlm mode.
     cfg = small_config(mode=mode, p_offload=1.0)
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=3)
-    predicted = argmax(slm)
-    own = token_embedding(predicted, cfg.profile.vocab, cfg.peer.embedding_dim, cfg.peer.embedding_seed)
-    client.cache.insert(own, predicted)
-    outcome = resolve_token(
-        client, slm, llm, predicted, argmax(llm), True, True, cfg, np.random.default_rng(6), uncertainty=0.9
-    )
+    client = make_client(prior=1.0, cfg=cfg)
+    client.cache.insert(argmax(crafted_pair(cfg, mode=3)[0]))
+    outcome = walk_one(cfg, client, 3, True, True)
     assert outcome.stage is Stage.LLM
     assert outcome.p2p_attempted is False
-    assert outcome.charged_cost == cfg.cost.c_llm
-    assert outcome.rejection_prob is not None
+    assert outcome.cost == cfg.cost.c_llm
+    assert not math.isnan(outcome.beta)
     assert len(client.cache) == 1  # the cloud's final token is not cached
 
 
 def test_rand_gate_ignores_uncertainty():
+    # The walk draws rand's coin whatever the score (0.9 here) and the threshold say.
     cfg = small_config(mode="rand", p_offload=0.0)
-    client = make_client(threshold=0.1, prior=1.0, cfg=cfg)
-    slm, llm = crafted_pair(cfg, mode=2)
-    outcome = resolve_token(
-        client, slm, llm, argmax(slm), argmax(llm), False, False, cfg, np.random.default_rng(7),
-        uncertainty=1.0,
-    )
-    assert outcome.stage is Stage.LOCAL
+    client = make_client(prior=1.0, cfg=cfg)
+    assert walk_one(cfg, client, 2).stage is Stage.LOCAL
 
 
 def test_round_conservation_and_cost_consistency():

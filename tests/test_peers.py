@@ -1,5 +1,6 @@
 """Token embeddings, peer consensus, edge validation, and the LRU cache."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,47 +10,59 @@ from fedhlm.model_source import VocabSpec
 from fedhlm.peers import (
     ConsensusDecision,
     EdgeDecision,
-    Embedding,
     NoPeers,
     PeerConfig,
     TokenCache,
     centroid,
     cosine_similarity,
     edge_validate,
+    embedding_matrix,
     peer_consensus,
     token_embedding,
+    unit_table,
 )
 
 
-def vec(*values: float) -> Embedding:
-    return Embedding(np.array(values, dtype=np.float64))
+def vec(*values: float) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
-def rows(*peers: Embedding) -> np.ndarray:
-    """Peer embeddings stacked as the (count, dim) rows centroid and peer_consensus take."""
-    return np.stack([p.values for p in peers]) if peers else np.empty((0, 2))
+def rows(*peers: np.ndarray) -> np.ndarray:
+    """Vectors stacked as the (count, dim) rows centroid, peer_consensus and edge_validate take."""
+    return np.stack(peers) if peers else np.empty((0, 2))
 
 
 def test_embedding_rejects_zero_vector():
+    # cosine_similarity rejects a vector of norm at most 1e-12, which has no direction
     with pytest.raises(ValueError):
-        Embedding(np.zeros(4))
+        cosine_similarity(np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError):
+        cosine_similarity(vec(1.0, 0.0), vec(1e-13, 0.0))
 
 
 def test_token_embedding_determinism_and_norm():
     vocab = VocabSpec(32)
     a = token_embedding(5, vocab)
     b = token_embedding(5, vocab)
-    assert np.array_equal(a.values, b.values)
-    assert abs(a.norm - 1.0) <= 1e-9
+    assert np.array_equal(a, b)
+    assert abs(float(np.linalg.norm(a)) - 1.0) <= 1e-9
     with pytest.raises(ValueError):
         token_embedding(32, vocab)
+
+
+def test_unit_table_divides_each_row_by_its_own_norm():
+    vocab, cfg = VocabSpec(32), PeerConfig(embedding_dim=5)
+    units = unit_table(vocab, cfg)
+    assert units.shape == (32, 5)
+    for row, unit in zip(embedding_matrix(vocab, cfg), units):
+        assert np.array_equal(unit, row / float(np.linalg.norm(row)))
 
 
 def test_distinct_tokens_are_nearly_orthogonal():
     # concentration check: at dim 64 no pair of the 32 token vectors should
     # come anywhere near the 0.85 consensus threshold
     vocab = VocabSpec(32)
-    vectors = np.stack([token_embedding(t, vocab).values for t in range(32)])
+    vectors = np.stack([token_embedding(t, vocab) for t in range(32)])
     gram = vectors @ vectors.T
     off_diag = gram[~np.eye(32, dtype=bool)]
     assert float(np.abs(off_diag).max()) < 0.5
@@ -58,9 +71,9 @@ def test_distinct_tokens_are_nearly_orthogonal():
 def test_centroid_examples():
     v = vec(0.6, 0.8)
     both = centroid(rows(v, vec(0.6, 0.8)))
-    assert np.allclose(both.values, [0.6, 0.8])
+    assert np.allclose(both, [0.6, 0.8])
     mid = centroid(rows(vec(1.0, 0.0), vec(0.0, 1.0)))
-    assert np.allclose(mid.values, [0.5, 0.5])
+    assert np.allclose(mid, [0.5, 0.5])
     with pytest.raises(NoPeers):
         centroid(rows())
 
@@ -68,11 +81,11 @@ def test_centroid_examples():
 def test_centroid_permutation_invariant_exactly():
     rng = np.random.default_rng(3)
     peers = rng.normal(size=(7, 8))
-    base = centroid(peers).values
+    base = centroid(peers)
     order = list(range(7))
     for _ in range(10):
         rng.shuffle(order)
-        assert np.array_equal(centroid(peers[order]).values, base)
+        assert np.array_equal(centroid(peers[order]), base)
 
 
 def _generator_fsum_centroid(peers: np.ndarray) -> np.ndarray:
@@ -87,8 +100,8 @@ def test_centroid_is_the_fsum_mean_and_consensus_its_cosine():
         for dim in (1, 3, 64):
             peers = rng.normal(size=(count, dim))
             center = centroid(peers)
-            assert np.array_equal(center.values, _generator_fsum_centroid(peers))
-            own = Embedding(rng.normal(size=dim))
+            assert np.array_equal(center, _generator_fsum_centroid(peers))
+            own = rng.normal(size=dim)
             cfg = PeerConfig(similarity_threshold=0.3)
             accepts = cosine_similarity(own, center) >= cfg.similarity_threshold
             assert (peer_consensus(own, peers, cfg) is ConsensusDecision.ACCEPT_LOCAL) == accepts
@@ -132,13 +145,13 @@ def test_peer_consensus_empty_and_degenerate_escalate():
     cancelling = rows(vec(0.0, 1.0), vec(0.0, -1.0))
     assert peer_consensus(own, cancelling, cfg) is ConsensusDecision.ESCALATE
     with pytest.raises(ValueError):
-        peer_consensus(own, rows(Embedding(np.ones(3))), cfg)
+        peer_consensus(own, rows(np.ones(3)), cfg)
 
 
 def test_peer_consensus_permutation_invariant():
     rng = np.random.default_rng(5)
     cfg = PeerConfig(similarity_threshold=0.2)
-    own = Embedding(rng.normal(size=6))
+    own = rng.normal(size=6)
     peers = rng.normal(size=(5, 6))
     base = peer_consensus(own, peers, cfg)
     for _ in range(10):
@@ -149,9 +162,10 @@ def test_peer_consensus_permutation_invariant():
 def test_edge_validate_cases():
     cfg = PeerConfig(similarity_threshold=0.85)
     own = vec(1.0, 0.0)
-    assert edge_validate(own, [own], cfg) is EdgeDecision.ACCEPT
-    assert edge_validate(own, [vec(0.0, 1.0)], cfg) is EdgeDecision.FORWARD
-    assert edge_validate(own, [], cfg) is EdgeDecision.FORWARD
+    assert edge_validate(own, rows(own), cfg) is EdgeDecision.ACCEPT
+    assert edge_validate(own, rows(vec(0.0, 1.0)), cfg) is EdgeDecision.FORWARD
+    assert edge_validate(own, rows(vec(0.0, 1.0), own), cfg) is EdgeDecision.ACCEPT
+    assert edge_validate(own, rows(), cfg) is EdgeDecision.FORWARD
 
 
 def test_separate_edge_threshold_honored():
@@ -159,7 +173,7 @@ def test_separate_edge_threshold_honored():
     assert cfg.effective_edge_threshold() == 0.2
     own = vec(1.0, 0.0)
     halfway = vec(0.5, math.sqrt(0.75))
-    assert edge_validate(own, [halfway], cfg) is EdgeDecision.ACCEPT
+    assert edge_validate(own, rows(halfway), cfg) is EdgeDecision.ACCEPT
     assert peer_consensus(own, rows(halfway), cfg) is ConsensusDecision.ESCALATE
 
 
@@ -171,124 +185,140 @@ def test_peer_config_validation():
     assert PeerConfig().effective_edge_threshold() == PeerConfig().similarity_threshold
 
 
+# Rows of a 2-d unit table: token 0 points along x, tokens 1 and 2 lie at
+# cosines 0.90 and 0.95 from it, token 3 along y, token 4 along -x, and
+# token 5 repeats token 2's row.
+PLANE = np.array([
+    [1.0, 0.0], [0.90, math.sqrt(1 - 0.90**2)], [0.95, math.sqrt(1 - 0.95**2)], [0.0, 1.0], [-1.0, 0.0],
+    [0.95, math.sqrt(1 - 0.95**2)],
+])
+
+
 def test_cache_insert_then_lookup_hits():
     cfg = PeerConfig()
-    cache = TokenCache(capacity=4)
-    e = vec(1.0, 0.0)
-    cache.insert(e, 7)
-    result = cache.lookup(e, cfg)
-    assert result.token == 7
+    cache = TokenCache(PLANE, capacity=4)
+    cache.insert(0)
+    result = cache.lookup(0, cfg)
+    assert result.token == 0
     assert result.similarity >= cfg.similarity_threshold
 
 
 def test_empty_cache_misses():
-    result = TokenCache(capacity=2).lookup(vec(1.0, 0.0), PeerConfig())
+    result = TokenCache(PLANE, capacity=2).lookup(0, PeerConfig())
     assert result.token is None and result.similarity is None
 
 
 def test_lookup_prefers_highest_similarity_entry():
+    # The cache is semantic, not a dict: token 0 is not cached, yet tokens 1
+    # and 2 both clear 0.85 against it, and the closer one answers.
     cfg = PeerConfig(similarity_threshold=0.85)
-    cache = TokenCache(capacity=4)
-    # entries at known angles from the upcoming query vector
-    cache.insert(vec(0.90, math.sqrt(1 - 0.90**2)), 1)
-    cache.insert(vec(0.95, math.sqrt(1 - 0.95**2)), 2)
-    result = cache.lookup(vec(1.0, 0.0), cfg)
-    assert result.token == 2
+    cache = TokenCache(PLANE, capacity=4)
+    cache.insert(1)
+    cache.insert(2)
+    cache.insert(3)
+    result = cache.lookup(0, cfg)
+    assert result.token == 2 and result.similarity == pytest.approx(0.95)
+    assert TokenCache(PLANE, capacity=4).lookup(0, cfg).token is None
+    cache.insert(1)  # refreshing token 1 leaves the slot order alone
+    assert cache.lookup(0, cfg).token == 2
+    assert cache.lookup(0, PeerConfig(similarity_threshold=0.96)).token is None
+
+
+def test_lookup_tie_goes_to_the_first_slot():
+    # Tokens 2 and 5 share a row; slot order, not recency, breaks the tie.
+    cfg = PeerConfig()
+    cache = TokenCache(PLANE, capacity=4)
+    cache.insert(5)
+    cache.insert(2)
+    assert cache.lookup(0, cfg).token == 5
+    assert cache.lookup(0, cfg).token == 5  # the hit made 5 the most recent; its slot is still first
+    assert cache.entries() == [2, 5]
 
 
 def test_lru_eviction_order():
-    cache = TokenCache(capacity=2)
-    a, b, c = vec(1.0, 0.0), vec(0.0, 1.0), vec(-1.0, 0.0)
-    cache.insert(a, 0)
-    cache.insert(b, 1)
-    cache.insert(c, 2)
-    held = {token for token, _ in cache.entries()}
-    assert held == {1, 2}
+    cache = TokenCache(PLANE, capacity=2)
+    cache.insert(0)
+    cache.insert(3)
+    cache.insert(4)
+    assert cache.entries() == [3, 4]
     assert len(cache) == 2
 
 
 def test_reinserting_token_refreshes_recency_without_growth():
-    cache = TokenCache(capacity=2)
-    cache.insert(vec(1.0, 0.0), 0)
-    cache.insert(vec(0.0, 1.0), 1)
-    cache.insert(vec(1.0, 0.0), 0)  # refresh, not a new entry
+    cache = TokenCache(PLANE, capacity=2)
+    cache.insert(0)
+    cache.insert(3)
+    cache.insert(0)  # refresh, not a new entry
     assert len(cache) == 2
-    cache.insert(vec(-1.0, 0.0), 2)  # evicts token 1, the stale one
-    assert {token for token, _ in cache.entries()} == {0, 2}
+    cache.insert(4)  # evicts token 3, the stale one
+    assert cache.entries() == [0, 4]
 
 
 def test_lookup_hit_refreshes_recency():
     cfg = PeerConfig()
-    cache = TokenCache(capacity=2)
-    a, b = vec(1.0, 0.0), vec(0.0, 1.0)
-    cache.insert(a, 0)
-    cache.insert(b, 1)
-    assert cache.lookup(a, cfg).token == 0  # bump token 0 to most recent
-    cache.insert(vec(-1.0, 0.0), 2)
-    assert {token for token, _ in cache.entries()} == {0, 2}
+    cache = TokenCache(PLANE, capacity=2)
+    cache.insert(0)
+    cache.insert(3)
+    assert cache.lookup(0, cfg).token == 0  # bump token 0 to most recent
+    cache.insert(4)
+    assert cache.entries() == [0, 4]
 
 
 class ReferenceLRU:
-    """Brute-force model: list of (token, unit vector), most recent last."""
+    """Brute-force model over a unit table: cached token ids, most recent last."""
 
-    def __init__(self, capacity: int, threshold: float):
+    def __init__(self, units: np.ndarray, capacity: int, threshold: float):
+        self.units = units
         self.capacity = capacity
         self.threshold = threshold
-        self.items: list[tuple[int, np.ndarray]] = []
+        self.items: list[int] = []
 
-    def lookup(self, query: np.ndarray):
+    def lookup(self, token: int):
         if not self.items:
             return None
-        q = query / np.linalg.norm(query)
-        sims = [float(v @ q) for _, v in self.items]
+        sims = [float(self.units[held] @ self.units[token]) for held in self.items]
         best = max(range(len(sims)), key=lambda i: (sims[i], -i))
         if sims[best] < self.threshold:
             return None
-        token, v = self.items.pop(best)
-        self.items.append((token, v))
-        return token
+        held = self.items.pop(best)
+        self.items.append(held)
+        return held
 
-    def insert(self, token: int, vector: np.ndarray) -> None:
-        unit = vector / np.linalg.norm(vector)
-        for i, (held, _) in enumerate(self.items):
-            if held == token:
-                self.items.pop(i)
-                self.items.append((token, unit))
-                return
-        if len(self.items) >= self.capacity:
+    def insert(self, token: int) -> None:
+        if token in self.items:
+            self.items.remove(token)
+        elif len(self.items) >= self.capacity:
             self.items.pop(0)
-        self.items.append((token, unit))
+        self.items.append(token)
 
 
 def test_cache_agrees_with_reference_model_under_random_ops():
+    # At dim 64 only a cached query token hits; at dim 3 many distinct
+    # tokens clear the threshold against each other.
     rng = np.random.default_rng(2024)
     vocab = VocabSpec(40)
-    cfg = PeerConfig()
-    vectors = {t: token_embedding(t, vocab).values for t in range(40)}
-    for trial in range(5):
+    others = {64: 0, 3: 0}  # hits answered by a token other than the query
+    for dim, trial in itertools.product((64, 3), range(5)):
+        cfg = PeerConfig(embedding_dim=dim)
+        units = unit_table(vocab, cfg)
         capacity = int(rng.integers(1, 9))
-        cache = TokenCache(capacity=capacity)
-        model = ReferenceLRU(capacity, cfg.similarity_threshold)
+        cache = TokenCache(units, capacity=capacity)
+        model = ReferenceLRU(units, capacity, cfg.similarity_threshold)
         for _ in range(300):
             token = int(rng.integers(40))
             if rng.random() < 0.5:
-                got = cache.lookup(Embedding(vectors[token]), cfg)
-                want = model.lookup(vectors[token])
+                got = cache.lookup(token, cfg)
+                want = model.lookup(token)
                 assert got.token == want
+                others[dim] += want is not None and want != token
             else:
-                cache.insert(Embedding(vectors[token]), token)
-                model.insert(token, vectors[token])
+                cache.insert(token)
+                model.insert(token)
             assert len(cache) <= capacity
-        assert [t for t, _ in cache.entries()] == [t for t, _ in model.items]
-
-
-def test_cache_dimension_mismatch_rejected():
-    cache = TokenCache(capacity=2)
-    cache.insert(vec(1.0, 0.0), 0)
-    with pytest.raises(ValueError):
-        cache.insert(Embedding(np.ones(3)), 1)
+        assert cache.entries() == model.items
+    assert others[64] == 0 and others[3] > 0
 
 
 def test_cache_capacity_validation():
     with pytest.raises(ValueError):
-        TokenCache(capacity=0)
+        TokenCache(PLANE, capacity=0)

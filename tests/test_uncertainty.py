@@ -1,4 +1,4 @@
-"""Uncertainty scoring, and the hard gate and soft relaxation that act on a score."""
+"""Uncertainty scoring, and the soft relaxation that acts on a score (test_engine checks the hard gate)."""
 
 import math
 
@@ -7,11 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedhlm.costs import PHitEstimator
-from fedhlm.engine import ClientState, SimulationConfig, Stage, resolve_token
-from fedhlm.federation import ClusterTopology
-from fedhlm.model_source import gen_distribution_rows
-from fedhlm.peers import TokenCache
 from fedhlm.thresholds import LearnerConfig, local_loss
 from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
@@ -137,33 +132,6 @@ def test_entropy_score_limits():
     # one-hot rows have no entropy; a uniform row's ln(8) is the ceiling, so it scores 1
     assert score_rows(rows, KIND_ENTROPY, SamplerConfig(), rng).tolist() == [0.0, pytest.approx(1.0)]
     assert rng.bit_generator.state == before  # the entropy kind draws no randomness
-
-
-def test_hard_route_boundary_retains():
-    # the gate in resolve_token: retain when the score is at or below the
-    # threshold, escalate only when it is strictly above
-    cfg = SimulationConfig(topology=ClusterTopology(num_clients=2, num_clusters=1), mode="uhlm")
-    (slm,), (llm,) = gen_distribution_rows(cfg.profile, np.array([1]), np.random.default_rng(3))
-    client = ClientState(
-        client_id=0,
-        cluster_id=0,
-        profile=cfg.profile,
-        mixture=np.full(cfg.partition.num_classes, 1.0 / cfg.partition.num_classes),
-        threshold=0.5,
-        cache=TokenCache(capacity=cfg.cache_capacity),
-        estimator=PHitEstimator(window=cfg.cost.p_hit_window),
-    )
-
-    def stage(score: float) -> Stage:
-        return resolve_token(
-            client, slm, llm, int(slm.argmax()), int(llm.argmax()), False, False, cfg,
-            np.random.default_rng(0), uncertainty=score,
-        ).stage
-
-    assert stage(0.2) is Stage.LOCAL
-    # a score exactly at the threshold stays local
-    assert stage(0.5) is Stage.LOCAL
-    assert stage(0.7) is Stage.LLM
 
 
 def soft_gate(score: float, threshold: float, gamma: float) -> float:
