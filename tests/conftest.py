@@ -10,6 +10,9 @@ deterministic.
 The stock-size runs that acceptance criteria 4, 5, 6, 9 and 10 and the
 baseline and heterogeneity demos all read are session fixtures, so each is
 run once per session.
+
+`one_token_round` runs one gated round on a single client holding a single
+replayed trace row, so a test can set the threshold against the row's score.
 """
 
 from __future__ import annotations
@@ -18,10 +21,22 @@ import re
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from fedhlm.engine import SimulationConfig, SimulationReport, default_config, run
+from fedhlm.engine import (
+    RoundOutcomes,
+    SimulationConfig,
+    SimulationReport,
+    SimulationState,
+    default_config,
+    run,
+    run_round,
+)
+from fedhlm.federation import ClusterTopology, PartitionSpec
+from fedhlm.model_source import LogitTrace, ModelProfile, VocabSpec, load_logit_trace, save_logit_trace
+from fedhlm.uncertainty import KIND_ENTROPY, SamplerConfig, score_rows
 
 settings.register_profile("fedhlm", derandomize=True, database=None, deadline=None, max_examples=200)
 settings.load_profile("fedhlm")
@@ -53,6 +68,30 @@ def alpha_reports(stock_runs) -> dict[float, SimulationReport]:
     """The stock config at each of ALPHAS; the stock `fedhlm` run stands for its own alpha."""
     stock = stock_runs["fedhlm"][0]
     return {alpha: stock if with_alpha(alpha) == stock.config else run(with_alpha(alpha)) for alpha in ALPHAS}
+
+
+@pytest.fixture
+def one_token_round(tmp_path):
+    """(score, play): the entropy score of one trace row, which draws no randomness, and
+    play(mode, threshold) -> the RoundOutcomes of a round where a lone client replays that row.
+    A lone client has no cache entry, peers or neighbor clusters, so an escalated token goes to the cloud."""
+    vocab = VocabSpec(8)
+    slm = np.array([[0.4, 0.3, 0.1, 0.1, 0.05, 0.03, 0.01, 0.01]])
+    path = tmp_path / "one.trace"
+    save_logit_trace(path, LogitTrace(np.array([0]), slm, slm[:, ::-1].copy()))
+    rows = load_logit_trace(path, vocab).slm
+    score = float(score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))[0])
+
+    def play(mode: str, threshold: float) -> RoundOutcomes:
+        cfg = SimulationConfig(
+            topology=ClusterTopology(num_clients=1, num_clusters=1), profile=ModelProfile(vocab=vocab),
+            partition=PartitionSpec(num_classes=2), rounds=1, tokens_per_client=1, mode=mode,
+            uncertainty_kind=KIND_ENTROPY, trace_path=str(path), initial_threshold=threshold,
+            static_threshold=threshold,
+        )
+        return run_round(SimulationState(cfg), 0).outcomes
+
+    return score, play
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:

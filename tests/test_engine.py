@@ -1,6 +1,5 @@
 """Round execution, token routing, lateral decisions, baselines, and determinism."""
 
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -40,7 +39,6 @@ from fedhlm.model_source import (
     ModelProfile,
     VocabSpec,
     gen_distribution_rows,
-    load_logit_trace,
     save_logit_trace,
 )
 from fedhlm.peers import (
@@ -151,33 +149,17 @@ def test_client_token_entropy_limits():
         client_token_entropy([], vocab)
 
 
-def test_resolve_retains_at_threshold_boundary(tmp_path):
-    # run_round's gate: one client replays one trace row in entropy mode,
-    # whose score draws no randomness. In both gated modes a threshold equal
-    # to the score keeps the token local, and one ulp below escalates it (to
-    # the cloud: a lone client has no cache entry, peers or neighbor clusters).
-    vocab = VocabSpec(8)
-    slm = np.array([[0.4, 0.3, 0.1, 0.1, 0.05, 0.03, 0.01, 0.01]])
-    path = tmp_path / "one.trace"
-    save_logit_trace(path, LogitTrace(np.array([0]), slm, slm[:, ::-1].copy()))
-    rows = load_logit_trace(path, vocab).slm
-    score = float(score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))[0])
+def test_resolve_retains_at_threshold_boundary(one_token_round):
+    # run_round's gate in both gated modes: a threshold equal to the score keeps
+    # the token local, and the local cells are the SLM's own, uncharged
+    score, play = one_token_round
     assert 0.0 < score < 1.0
-    stages = []
-    for mode, threshold in itertools.product(("fedhlm", "uhlm"), (score, float(np.nextafter(score, 0.0)))):
-        cfg = SimulationConfig(
-            topology=ClusterTopology(num_clients=1, num_clusters=1), profile=ModelProfile(vocab=vocab),
-            partition=PartitionSpec(num_classes=2), rounds=1, tokens_per_client=1, mode=mode,
-            uncertainty_kind=KIND_ENTROPY, trace_path=str(path), initial_threshold=threshold,
-            static_threshold=threshold,
-        )
-        o = run_round(SimulationState(cfg), 0).outcomes
+    for mode in ("fedhlm", "uhlm"):
+        o = play(mode, score)
         assert o.uncertainty[0, 0] == score
-        stages.append(STAGES[o.stage[0, 0]])
-        if stages[-1] is Stage.LOCAL:
-            assert o.cost[0, 0] == 0.0 and np.isnan(o.beta[0, 0]) and not o.p2p_attempted[0, 0]
-            assert o.final_token[0, 0] == 0  # the SLM's own argmax
-    assert stages == [Stage.LOCAL, Stage.LLM] * 2
+        assert STAGES[o.stage[0, 0]] is Stage.LOCAL
+        assert o.cost[0, 0] == 0.0 and np.isnan(o.beta[0, 0]) and not o.p2p_attempted[0, 0]
+        assert o.final_token[0, 0] == 0  # the SLM's own argmax
 
 
 def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):

@@ -1,4 +1,4 @@
-"""Uncertainty scoring, and the soft relaxation that acts on a score (test_engine checks the hard gate)."""
+"""Uncertainty scoring, the hard gate run_round applies to a score, and the soft relaxation of that gate."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedhlm.engine import STAGES, Stage
 from fedhlm.thresholds import LearnerConfig, local_loss
 from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
@@ -138,6 +139,16 @@ def soft_gate(score: float, threshold: float, gamma: float) -> float:
     # with rejection probability 0 and lambda 0 a cloud token's loss is
     # its soft gate alone, sigmoid(gamma * (score - threshold))
     return local_loss(np.array([score]), np.array([0.0]), threshold, LearnerConfig(gamma=gamma, lam=0.0))
+
+
+def test_hard_route_boundary_retains(one_token_round):
+    # the gate in run_round: retain when the score is at or below the threshold,
+    # escalate only when it is strictly above, in both gated modes
+    score, play = one_token_round
+    thresholds = (min(1.0, score + 0.25), score, float(np.nextafter(score, 0.0)), score / 2)
+    for mode in ("fedhlm", "uhlm"):
+        stages = [STAGES[play(mode, threshold).stage[0, 0]] for threshold in thresholds]
+        assert stages == [Stage.LOCAL, Stage.LOCAL, Stage.LLM, Stage.LLM]
 
 
 def test_soft_route_is_sigmoid_of_scaled_gap():
