@@ -34,12 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="learned-threshold simulation")
     common(p_run)
-    p_run.add_argument(
-        "--mode",
-        choices=[MODE_FEDHLM, MODE_RAND, MODE_UHLM],
-        default=None,
-        help="override run.mode",
-    )
+    p_run.add_argument("--mode", choices=engine.MODES, default=None, help="override run.mode")
 
     p_base = sub.add_parser("baseline", help="non-learning comparison run")
     common(p_base)
@@ -83,16 +78,9 @@ def _write_outputs(cfg: engine.SimulationConfig, report, out_dir: Path | None) -
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """run, and baseline, which refuses the learned mode."""
     cfg = _load_config(args)
-    report = engine.run(cfg)
-    _write_outputs(cfg, report, args.out_dir)
-    print(summarize(report))
-    return 0
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    if cfg.mode == MODE_FEDHLM:
+    if args.command == "baseline" and cfg.mode == MODE_FEDHLM:
         raise InvalidValue("--mode", "baseline needs rand or uhlm, by flag or in the config")
     report = engine.run(cfg)
     _write_outputs(cfg, report, args.out_dir)
@@ -186,7 +174,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "baseline": _cmd_baseline,
+    "baseline": _cmd_run,
     "sweep": _cmd_sweep,
     "cost": _cmd_cost,
 }

@@ -14,9 +14,12 @@ edge decisions depend only on the round's predicted tokens, so
 lateral_decisions takes them once per round for every client and timestep.
 The `uhlm` (static threshold) and `rand` (coin flip) baselines differ only
 in the gate and send every escalated token straight to the cloud. A round's
-outcomes are kept as (clients, T) columns. In `fedhlm` mode the cloud's
-feedback drives one threshold-learning step per client per round, followed
-by cluster-weighted and global averaging with a broadcast to every client.
+outcomes are kept as (clients, T) columns. Every client gates a round on
+the same threshold, which the state holds once: the fixed start in the
+baselines, and in `fedhlm` mode the last broadcast. There the cloud's
+feedback drives one threshold-learning step per client per round, and the
+cluster-weighted and global averages of those steps become the next
+round's threshold.
 
 All randomness flows from one seed through named per-client, per-round
 streams, so reruns are bit-identical.
@@ -28,7 +31,7 @@ import enum
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,10 +83,11 @@ _TAG_GEN = 3
 _TAG_RESOLVE = 4
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# and LLM rows, the embedding table, the caches, one cluster's lateral
+# and LLM rows, the embedding and unit tables (V x d each), the lateral
 # tables, a client-round's MC search (T x samples x V), the run's outcome
-# columns. 2**24 float64 cells are 128 MiB; the stock run's largest
-# term is 327,680 (its caches).
+# columns. A cache holds at most min(capacity, V) token ids, fewer than a
+# round's rows. 2**24 float64 cells are 128 MiB; the stock run's largest
+# terms are 38,400 (a round's rows, and its lateral tables).
 MAX_CELLS = 2**24
 
 
@@ -111,7 +115,7 @@ _LOCAL, _P2P, _EDGE, _LLM = range(len(STAGES))
 class SimulationConfig:
     topology: ClusterTopology
     partition: PartitionSpec = PartitionSpec()
-    profile: ModelProfile = None  # type: ignore[assignment]
+    profile: ModelProfile = field(default_factory=lambda: ModelProfile(vocab=VocabSpec(32)))
     sampler: SamplerConfig = SamplerConfig()
     learner: LearnerConfig = LearnerConfig()
     peer: PeerConfig = PeerConfig()
@@ -133,8 +137,6 @@ class SimulationConfig:
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.profile is None:
-            object.__setattr__(self, "profile", ModelProfile(vocab=VocabSpec(32)))
         if self.rounds < 1:
             raise ConfigInvalid("rounds must be >= 1")
         if self.tokens_per_client < 1:
@@ -168,7 +170,7 @@ class SimulationConfig:
         clients, vocab, dim = self.topology.num_clients, self.profile.vocab.size, self.peer.embedding_dim
         tokens = self.rounds * clients * self.tokens_per_client
         held = max(
-            2 * clients * self.tokens_per_client * vocab, vocab * dim, clients * self.cache_capacity * dim,
+            2 * clients * self.tokens_per_client * vocab, 2 * vocab * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
             self.tokens_per_client * self.sampler.num_samples * vocab, tokens,
         )
@@ -194,7 +196,6 @@ class ClientState:
     cluster_id: int
     profile: ModelProfile
     mixture: np.ndarray
-    threshold: float
     cache: TokenCache
     estimator: PHitEstimator
 
@@ -232,20 +233,16 @@ class RoundOutcomes:
 
 @dataclass
 class RoundReport:
-    """One round: its outcome columns, and the counts, totals and means read from them (rejection_rate
-    over the cloud's tokens), the thresholds after local learning, after the broadcast and per cluster."""
+    """One round: its outcome columns, their stage counts and total cost, each client's threshold
+    after local learning, and the cluster and global thresholds; the global one gates the next round."""
 
     round_index: int
     outcomes: RoundOutcomes
     outcome_counts: dict[Stage, int]
     thresholds_local: dict[int, float]
-    thresholds_after: dict[int, float]
     cluster_thresholds: tuple[float, ...]
     global_threshold: float
     total_cost: float
-    avg_uncertainty: float
-    rejection_rate: float
-    llm_after_p2p: int
 
 
 @dataclass
@@ -324,7 +321,8 @@ class SimulationState:
             if not len(self.trace.reference):
                 raise ConfigInvalid("trace file contains no steps")
 
-        start = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
+        # Every client gates on this one threshold; only `fedhlm` mode moves it.
+        self.threshold = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
         self.clients: list[ClientState] = []
         for client_id in range(cfg.topology.num_clients):
             mixture = mixtures[client_id]
@@ -347,12 +345,11 @@ class SimulationState:
                     cluster_id=cfg.topology.assignment[client_id],
                     profile=profile,
                     mixture=mixture,
-                    threshold=start,
                     cache=TokenCache(self.units, capacity=cfg.cache_capacity),
                     estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=cfg.cost.p_hit_prior),
                 )
             )
-        self.cluster_thresholds = [start] * cfg.topology.num_clusters
+        self.cluster_thresholds = [self.threshold] * cfg.topology.num_clusters
         self.cluster_members = [
             cfg.topology.members(c) for c in range(cfg.topology.num_clusters)
         ]
@@ -530,19 +527,17 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
         # rand's gate coin shares the cloud's stream, so rand walks every token.
         if cfg.mode == MODE_RAND:
             routed = range(cfg.tokens_per_client)
-        elif not (routed := np.flatnonzero(work.uncertainty > client.threshold).tolist()):
+        elif not (routed := np.flatnonzero(work.uncertainty > state.threshold).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
         route_escalated(client, work, routed, consensus[cid], edge[cid], cfg, rng, out)
 
-    to_cloud = out.stage == _LLM
-    thresholds_local: dict[int, float] = {}
+    thresholds_local = dict.fromkeys(range(len(clients)), state.threshold)
     if cfg.mode == MODE_FEDHLM:
         eta = lr_schedule(cfg.learner.eta0, round_index)
-        for client in clients:
-            cid, mine = client.client_id, to_cloud[client.client_id]
-            grad = loss_gradient(uncertainty[cid, mine], out.beta[cid, mine], client.threshold, cfg.learner)
-            thresholds_local[cid] = sgd_step(client.threshold, grad, eta)
+        for cid, mine in enumerate(out.stage == _LLM):
+            grad = loss_gradient(uncertainty[cid, mine], out.beta[cid, mine], state.threshold, cfg.learner)
+            thresholds_local[cid] = sgd_step(state.threshold, grad, eta)
 
         # A client's weight is the number of tokens it transmitted.
         transmitted = np.count_nonzero(out.stage != _LOCAL, axis=1).tolist()
@@ -554,28 +549,17 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
             except AllWeightsZero:
                 cluster_values.append(state.cluster_thresholds[cluster_id])
         state.cluster_thresholds = cluster_values
-        global_threshold = global_aggregate(cluster_values)
-        for client in clients:
-            client.threshold = global_threshold
-    else:
-        for client in clients:
-            thresholds_local[client.client_id] = client.threshold
-        global_threshold = clients[0].threshold
+        state.threshold = global_aggregate(cluster_values)
 
-    # fsum is exact, so these totals do not depend on the order of the cells.
-    llm_count = int(np.count_nonzero(to_cloud))
+    # fsum is exact, so the total does not depend on the order of the cells.
     return RoundReport(
         round_index=round_index,
         outcomes=out,
         outcome_counts=dict(zip(STAGES, np.bincount(out.stage.ravel(), minlength=len(STAGES)).tolist())),
         thresholds_local=thresholds_local,
-        thresholds_after={c.client_id: c.threshold for c in clients},
         cluster_thresholds=tuple(state.cluster_thresholds),
-        global_threshold=global_threshold,
+        global_threshold=state.threshold,
         total_cost=math.fsum(out.cost.ravel().tolist()),
-        avg_uncertainty=math.fsum(uncertainty.ravel().tolist()) / uncertainty.size,
-        rejection_rate=math.fsum(out.beta[to_cloud].tolist()) / llm_count if llm_count else 0.0,
-        llm_after_p2p=int(np.count_nonzero(out.p2p_attempted & to_cloud)),
     )
 
 

@@ -1,45 +1,19 @@
 """Metrics tables and per-token trace emission.
 
 Output files are deterministic: the same report object always serializes to
-byte-identical CSV and JSON-lines content. The trace is written from each
-round's outcome columns with one format template per line.
+byte-identical CSV and JSON-lines content. Each metrics.csv column is
+declared once, in CSV_COLUMNS, as its header and the text of a round's
+cell; the means are read from the round's outcome columns. The trace is
+written from those columns with one format template per line.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import math
+from collections.abc import Callable
 from pathlib import Path
 
 from .engine import STAGES, RoundReport, SimulationReport, Stage
-
-CSV_COLUMNS = (
-    "round",
-    "global_threshold",
-    "local_count",
-    "p2p_count",
-    "edge_count",
-    "llm_count",
-    "transmission_rate",
-    "avg_uncertainty",
-    "rejection_rate",
-    "total_cost",
-    "trr",
-)
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    round_index: int
-    global_threshold: float
-    local_count: int
-    p2p_count: int
-    edge_count: int
-    llm_count: int
-    transmission_rate: float
-    avg_uncertainty: float
-    rejection_rate: float
-    total_cost: float
-    trr: float
 
 
 def round_trr(report: RoundReport) -> float:
@@ -58,42 +32,47 @@ def compute_trr(report: SimulationReport) -> float:
     return 1.0 - report.outcome_totals()[Stage.LLM] / total
 
 
-def metrics_row(report: RoundReport) -> MetricsRow:
-    counts = report.outcome_counts
-    total = sum(counts.values())
-    transmitted = total - counts[Stage.LOCAL]
-    return MetricsRow(
-        round_index=report.round_index,
-        global_threshold=report.global_threshold,
-        local_count=counts[Stage.LOCAL],
-        p2p_count=counts[Stage.P2P],
-        edge_count=counts[Stage.EDGE],
-        llm_count=counts[Stage.LLM],
-        transmission_rate=transmitted / total if total else 0.0,
-        avg_uncertainty=report.avg_uncertainty,
-        rejection_rate=report.rejection_rate,
-        total_cost=report.total_cost,
-        trr=round_trr(report),
-    )
-
-
-def metrics_rows(report: SimulationReport) -> list[MetricsRow]:
-    return [metrics_row(r) for r in report.rounds]
-
-
 def _fmt(value: float) -> str:
     # %.6f keeps reruns byte-stable and is plenty for desk-scale metrics
     return f"{value:.6f}"
 
 
-# How each CSV column is written: counts as integers, the rest by _fmt.
-_CSV_FORMATS = (str, _fmt, str, str, str, str, _fmt, _fmt, _fmt, _fmt, _fmt)
+def _transmission_rate(report: RoundReport) -> float:
+    total = sum(report.outcome_counts.values())
+    return (total - report.outcome_counts[Stage.LOCAL]) / total if total else 0.0
+
+
+def _avg_uncertainty(report: RoundReport) -> float:
+    scores = report.outcomes.uncertainty
+    return math.fsum(scores.ravel().tolist()) / scores.size
+
+
+def _rejection_rate(report: RoundReport) -> float:
+    """Mean rejection probability over the round's cloud tokens; 0 when there are none."""
+    o, count = report.outcomes, report.outcome_counts[Stage.LLM]
+    return math.fsum(o.beta[o.stage == STAGES.index(Stage.LLM)].tolist()) / count if count else 0.0
+
+
+# metrics.csv header -> the text of a round's cell, in column order. fsum is
+# exact, so a mean does not depend on the order of the cells.
+CSV_COLUMNS: dict[str, Callable[[RoundReport], str]] = {
+    "round": lambda r: str(r.round_index),
+    "global_threshold": lambda r: _fmt(r.global_threshold),
+    "local_count": lambda r: str(r.outcome_counts[Stage.LOCAL]),
+    "p2p_count": lambda r: str(r.outcome_counts[Stage.P2P]),
+    "edge_count": lambda r: str(r.outcome_counts[Stage.EDGE]),
+    "llm_count": lambda r: str(r.outcome_counts[Stage.LLM]),
+    "transmission_rate": lambda r: _fmt(_transmission_rate(r)),
+    "avg_uncertainty": lambda r: _fmt(_avg_uncertainty(r)),
+    "rejection_rate": lambda r: _fmt(_rejection_rate(r)),
+    "total_cost": lambda r: _fmt(r.total_cost),
+    "trr": lambda r: _fmt(round_trr(r)),
+}
 
 
 def emit_metrics_csv(report: SimulationReport, path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    for row in metrics_rows(report):
-        lines.append(",".join(fmt(value) for fmt, value in zip(_CSV_FORMATS, astuple(row))))
+    lines += [",".join(cell(rnd) for cell in CSV_COLUMNS.values()) for rnd in report.rounds]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

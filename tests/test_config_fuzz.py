@@ -189,7 +189,6 @@ def test_accepted_configs_run_and_keep_their_invariants(text, trace_dir):
             rnd.global_threshold,
             *rnd.cluster_thresholds,
             *rnd.thresholds_local.values(),
-            *rnd.thresholds_after.values(),
         ]
         assert all(0.0 <= t <= 1.0 for t in thresholds)
         assert rnd.outcome_counts[Stage.LOCAL] == counts["local"]

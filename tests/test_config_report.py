@@ -36,7 +36,6 @@ from fedhlm.reporting import (
     compute_trr,
     emit_metrics_csv,
     emit_trace,
-    metrics_rows,
     round_trr,
     summarize,
 )
@@ -131,8 +130,8 @@ def test_constraint_errors_name_the_key():
         "run.trace_path = /nonexistent/fedhlm.trace": "run.trace_path",
         "run.tokens_per_client = 1000000000000000000": "run.tokens_per_client",
         "profile.vocab_size = 100000000000": "profile.vocab_size",
-        # the lateral tables' clients x T x d term binds where the caches' does not
-        "peer.cache_capacity = 1\npeer.embedding_dim = 100000": "peer.embedding_dim",
+        # the lateral tables' clients x T x d term binds where the two V x d tables' does not
+        "peer.embedding_dim = 100000": "peer.embedding_dim",
         # a client-round's MC search holds T x num_samples x V cells
         "sampler.num_samples = 100000": "sampler.num_samples",
     }
@@ -140,6 +139,37 @@ def test_constraint_errors_name_the_key():
         with pytest.raises(InvalidValue) as err:
             parse_config_text(text)
         assert err.value.key == key, text
+
+
+def test_the_ceiling_counts_both_vocabulary_tables():
+    # A run holds two V x d tables, the embeddings and their unit rows. Every
+    # other term of this config is at most 12.0M cells, under 2^24 (16.8M).
+    text = (
+        "topology.num_clients = 1\ntopology.num_clusters = 1\npartition.num_classes = 1\n"
+        "run.tokens_per_client = 1\nsampler.num_samples = 8\nprofile.vocab_size = 1500000\n"
+    )
+    assert parse_config_text(text + "peer.embedding_dim = 5").peer.embedding_dim == 5  # 2 x 7.5M cells
+    with pytest.raises(InvalidValue, match="over the ceiling") as err:
+        parse_config_text(text + "peer.embedding_dim = 8")  # 2 x 12.0M cells
+    assert err.value.key == "profile.vocab_size"
+
+
+def test_a_cache_past_the_vocabulary_size_changes_nothing(stock_runs, tmp_path):
+    # A cache holds at most V distinct token ids (V = 32 here), so a huge
+    # capacity is accepted and gives the stock run's outputs.
+    big = run(parse_config_text("peer.cache_capacity = 1000000"))
+    for name, report in (("big", big), ("stock", stock_runs["fedhlm"][0])):
+        emit_metrics_csv(report, tmp_path / f"{name}.csv")
+        emit_trace(report, tmp_path / f"{name}.jsonl")
+    assert (tmp_path / "big.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
+    assert (tmp_path / "big.jsonl").read_bytes() == (tmp_path / "stock.jsonl").read_bytes()
+
+
+def test_readme_quick_start_line_is_the_stock_summary(stock_runs):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    printed = [line for line in section.splitlines() if line.startswith("tokens=")]
+    assert printed == [summarize(stock_runs["fedhlm"][0])]
 
 
 def test_readme_configuration_table_matches_the_parser():
@@ -234,13 +264,9 @@ def _report(counts: dict[Stage, int], outcomes: RoundOutcomes, round_index: int 
         outcomes=outcomes,
         outcome_counts=counts,
         thresholds_local={},
-        thresholds_after={},
         cluster_thresholds=(0.1,),
         global_threshold=0.1,
         total_cost=0.0,
-        avg_uncertainty=0.0,
-        rejection_rate=0.0,
-        llm_after_p2p=0,
     )
     return SimulationReport(default_config(), [rnd], {})
 
@@ -378,13 +404,6 @@ def test_trr_consistent_with_trace(tmp_path, tiny_report):
     records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     llm = sum(1 for r in records if r["stage"] == "llm")
     assert compute_trr(tiny_report) == pytest.approx(1.0 - llm / len(records), abs=1e-12)
-
-
-def test_metrics_rows_counts_partition_total(tiny_report):
-    for row in metrics_rows(tiny_report):
-        assert row.local_count + row.p2p_count + row.edge_count + row.llm_count == 4 * 6
-        assert 0.0 <= row.trr <= 1.0
-        assert 0.0 <= row.transmission_rate <= 1.0
 
 
 def test_summarize_mentions_totals(tiny_report):

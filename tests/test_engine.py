@@ -1,6 +1,7 @@
 """Round execution, token routing, lateral decisions, baselines, and determinism."""
 
 import math
+import tempfile
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -74,7 +75,6 @@ def make_client(prior: float, cfg: SimulationConfig, units: np.ndarray | None = 
         cluster_id=0,
         profile=cfg.profile,
         mixture=np.full(cfg.partition.num_classes, 1.0 / cfg.partition.num_classes),
-        threshold=0.1,
         cache=TokenCache(unit_table(cfg.profile.vocab, cfg.peer) if units is None else units, cfg.cache_capacity),
         estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=prior),
     )
@@ -422,7 +422,8 @@ def test_round_conservation_and_cost_consistency():
         counts = rnd.outcome_counts
         assert sum(counts.values()) == cfg.topology.num_clients * cfg.tokens_per_client
         assert math.fsum(rnd.outcomes.cost.ravel().tolist()) == pytest.approx(rnd.total_cost, abs=1e-9)
-        llm_with_attempt = rnd.llm_after_p2p
+        o = rnd.outcomes
+        llm_with_attempt = int(np.count_nonzero(o.p2p_attempted & (o.stage == STAGES.index(Stage.LLM))))
         recomputed = (
             (counts[Stage.P2P] + counts[Stage.EDGE]) * cfg.cost.c_p2p
             + llm_with_attempt * (cfg.cost.c_p2p + cfg.cost.c_llm)
@@ -454,6 +455,19 @@ def tiny_configs(draw):
     )
 
 
+METRICS_HEADER = (
+    "round,global_threshold,local_count,p2p_count,edge_count,llm_count,"
+    "transmission_rate,avg_uncertainty,rejection_rate,total_cost,trr"
+)
+
+
+def metrics_lines(report) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_metrics_csv(report, f"{tmp}/metrics.csv")
+        with open(f"{tmp}/metrics.csv", encoding="utf-8") as f:
+            return f.read().splitlines()
+
+
 @given(tiny_configs())
 def test_round_columns_hold_their_invariants(cfg):
     # The workloads are drawn again from a fresh state: they depend only on
@@ -462,7 +476,11 @@ def test_round_columns_hold_their_invariants(cfg):
     stage_of = {stage: STAGES.index(stage) for stage in Stage}
     c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
     prev = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
-    for rnd in report.rounds:
+    clusters = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
+    cluster_prev = [prev] * len(clusters)
+    header, *rows = metrics_lines(report)
+    assert header == METRICS_HEADER and len(rows) == cfg.rounds
+    for rnd, row in zip(report.rounds, rows):
         works = [_generate_workload(fresh, c, rnd.round_index) for c in fresh.clients]
         predicted, target = np.stack([w.predicted for w in works]), np.stack([w.target for w in works])
         o = rnd.outcomes
@@ -486,7 +504,6 @@ def test_round_columns_hold_their_invariants(cfg):
         priced = np.where(local, 0.0, np.where(lateral, c_p2p, np.where(o.p2p_attempted, c_p2p + c_llm, c_llm)))
         assert np.array_equal(o.cost, priced)
         assert rnd.total_cost == math.fsum(priced.ravel().tolist())
-        assert rnd.llm_after_p2p == int(np.count_nonzero(o.p2p_attempted & llm))
         # fedhlm learns from exactly its cloud tokens' scores and betas, from the last broadcast;
         # the baselines keep their threshold
         for c in range(cfg.topology.num_clients):
@@ -495,15 +512,37 @@ def test_round_columns_hold_their_invariants(cfg):
                 grad = loss_gradient(o.uncertainty[c, llm[c]], o.beta[c, llm[c]], prev, cfg.learner)
                 want = sgd_step(prev, grad, lr_schedule(cfg.learner.eta0, rnd.round_index))
             assert rnd.thresholds_local[c] == want
+        # the broadcast: clusters average by transmitted tokens (keeping their last value when
+        # no member transmitted), and the global value is the mean of the clusters'
+        if cfg.mode == "fedhlm":
+            sent = (~local).sum(axis=1)
+            cluster_prev = [
+                sum(rnd.thresholds_local[m] * sent[m] for m in members) / sent[members].sum()
+                if sent[members].sum() else before
+                for members, before in zip(clusters, cluster_prev)
+            ]
+            assert rnd.global_threshold == pytest.approx(sum(cluster_prev) / len(cluster_prev), abs=1e-12)
+        else:
+            assert rnd.global_threshold == prev
         prev = rnd.global_threshold
+        # every metrics.csv cell, recomputed from the columns
+        total = sum(counts)
+        cloud_betas = o.beta[llm].tolist()
+        want_row = [
+            str(rnd.round_index),
+            f"{rnd.global_threshold:.6f}",
+            *map(str, counts),
+            f"{(total - counts[stage_of[Stage.LOCAL]]) / total:.6f}",
+            f"{math.fsum(o.uncertainty.ravel().tolist()) / o.uncertainty.size:.6f}",
+            f"{math.fsum(cloud_betas) / len(cloud_betas) if cloud_betas else 0.0:.6f}",
+            f"{math.fsum(priced.ravel().tolist()):.6f}",
+            f"{1.0 - counts[stage_of[Stage.LLM]] / total:.6f}",
+        ]
+        assert row.split(",") == want_row
 
 
 def test_broadcast_thresholds_are_uniform():
     report = run(small_config())
-    for rnd in report.rounds:
-        after = set(rnd.thresholds_after.values())
-        assert len(after) == 1
-        assert after == {rnd.global_threshold}
     # each next-round local value is one never-decreasing step away from
     # the broadcast, since the gradient cannot be positive
     for prev, nxt in zip(report.rounds, report.rounds[1:]):
@@ -555,7 +594,7 @@ def test_uhlm_baseline_never_uses_peers():
     assert totals[Stage.LOCAL] + totals[Stage.LLM] == report.total_tokens()
     for rnd in report.rounds:
         assert set(rnd.thresholds_local.values()) == {0.25}
-        assert set(rnd.thresholds_after.values()) == {0.25}
+        assert rnd.global_threshold == 0.25
 
 
 def test_rand_baseline_offload_rate_matches_binomial_oracle():
