@@ -1,10 +1,10 @@
 """Round-based simulation of uncertainty-gated token routing.
 
-Each round every client predicts a fixed number of tokens. A client-round's
-distributions are drawn, or gathered from a replayed trace, as (T, V)
-arrays and scored in one pass. A gate then decides, in one comparison per
-client-round, which tokens escalate; the rest stay on device. One function,
-route_escalated, then walks a client-round's escalated tokens in timestep
+Each round every client predicts a fixed number of tokens. A round's
+distributions are drawn, each client from its own stream, or gathered from
+a replayed trace, as (clients * T, V) stacks and scored in one pass. A gate
+then decides, in one comparison per client-round, which tokens escalate;
+the rest stay on device. One function, route_escalated, then walks a client-round's escalated tokens in timestep
 order and writes where each one ended into the round's columns; in `rand`
 mode it walks every token, since the gate coin shares a stream with the
 cloud's draws. In the learned `fedhlm` mode an escalated token tries the
@@ -53,8 +53,8 @@ from .model_source import (
     LogitTrace,
     ModelProfile,
     VocabSpec,
+    _draw_pairs,
     _unchecked_distribution,
-    gen_distribution_rows,
     load_logit_trace,
 )
 from .peers import (
@@ -69,7 +69,7 @@ from .peers import (
     unit_table,
 )
 from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
-from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
+from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, _cumulative, _score_blocks, _search
 
 MODE_FEDHLM = "fedhlm"
 MODE_RAND = "rand"
@@ -83,11 +83,11 @@ _TAG_GEN = 3
 _TAG_RESOLVE = 4
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# and LLM rows, the embedding and unit tables (V x d each), the lateral
-# tables, a client-round's MC search (T x samples x V), the run's outcome
-# columns. A cache holds at most min(capacity, V) token ids, fewer than a
-# round's rows. 2**24 float64 cells are 128 MiB; the stock run's largest
-# terms are 38,400 (a round's rows, and its lateral tables).
+# rows, LLM rows and softened CDFs or entropy logs (clients*T x V each), the
+# embedding and unit tables (V x d each), the lateral tables, a client-round's
+# MC search (T x samples x V), the run's outcome columns. A cache holds at
+# most min(capacity, V) token ids, fewer than a round's rows. 2**24 float64
+# cells are 128 MiB; the stock run's largest term is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 
@@ -170,7 +170,7 @@ class SimulationConfig:
         clients, vocab, dim = self.topology.num_clients, self.profile.vocab.size, self.peer.embedding_dim
         tokens = self.rounds * clients * self.tokens_per_client
         held = max(
-            2 * clients * self.tokens_per_client * vocab, 2 * vocab * dim,
+            3 * clients * self.tokens_per_client * vocab, 2 * vocab * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
             self.tokens_per_client * self.sampler.num_samples * vocab, tokens,
         )
@@ -277,7 +277,7 @@ def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
 
 
 class _Workload(NamedTuple):
-    """One client-round, a row or an entry per timestep; target is the trace's reference or the LLM's argmax."""
+    """One round, row i for client i; target is the trace's reference or the LLM's argmax."""
 
     slm: np.ndarray
     llm: np.ndarray
@@ -307,6 +307,7 @@ class SimulationState:
         # Zipf CDF, padded with inf past the run's width.
         regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
         self.class_starts = np.array([region[0] for region in regions])
+        self.class_cdf = _cumulative(np.stack([mixtures[c] for c in range(cfg.topology.num_clients)]))
         self.class_widths = np.array([len(region) for region in regions])
         self.zipf = np.full((len(regions), self.class_widths.max()), np.inf)
         for c, width in enumerate(self.class_widths):
@@ -334,11 +335,7 @@ class SimulationState:
             # saturates at the largest concentration a profile allows.
             sharpness = max(sharpness, 1e-6) if sharpness <= MAX_CONCENTRATION else MAX_CONCENTRATION
             agreement = cfg.profile.agreement * (1.0 - cfg.skew_agreement_coupling * skew)
-            profile = replace(
-                cfg.profile,
-                slm_sharpness=sharpness,
-                agreement=min(max(agreement, 0.0), 1.0),
-            )
+            profile = replace(cfg.profile, slm_sharpness=sharpness, agreement=min(max(agreement, 0.0), 1.0))
             self.clients.append(
                 ClientState(
                     client_id=client_id,
@@ -350,9 +347,7 @@ class SimulationState:
                 )
             )
         self.cluster_thresholds = [self.threshold] * cfg.topology.num_clusters
-        self.cluster_members = [
-            cfg.topology.members(c) for c in range(cfg.topology.num_clusters)
-        ]
+        self.cluster_members = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
 
 
 def _zipf_cumulative(width: int, exponent: float) -> np.ndarray:
@@ -362,37 +357,41 @@ def _zipf_cumulative(width: int, exponent: float) -> np.ndarray:
     return np.cumsum(weights)
 
 
-def _draw_modes(state: SimulationState, client: ClientState, rng: np.random.Generator) -> np.ndarray:
-    count = state.cfg.tokens_per_client
-    classes = rng.choice(state.cfg.partition.num_classes, size=count, p=client.mixture)
-    picks = rng.random(count)
-    # A right-sided search of each class's CDF: the count of entries at or below the pick.
-    ranks = np.count_nonzero(state.zipf[classes] <= picks[:, None], axis=1)
+def _draw_modes(state: SimulationState, class_uniforms: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Each token's mode from its (clients, T) class uniform and pick: a class, then a rank in it."""
+    classes = _search(state.class_cdf, class_uniforms)
+    ranks = np.count_nonzero(state.zipf[classes] <= picks[..., None], axis=-1)
     return state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
 
 
-def _generate_workload(state: SimulationState, client: ClientState, round_index: int) -> _Workload:
+def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.random.Generator]) -> _Workload:
+    """One round's workload, client i drawing from rngs[i], its _TAG_GEN stream, what its client-round
+    alone would draw: class, pick and confusion uniforms, scattered modes, gen_distribution_rows' draws,
+    scoring uniforms. The arithmetic between draws runs once over the (clients * T, V) stack."""
     cfg = state.cfg
-    rng = substream(cfg.seed, _TAG_GEN, client.client_id, round_index)
-    count = cfg.tokens_per_client
+    n, count, v = len(rngs), cfg.tokens_per_client, cfg.profile.vocab.size
     if state.trace is not None:
-        trace = state.trace
-        base = (client.client_id * cfg.rounds + round_index) * count
-        steps = (base + np.arange(count)) % len(trace.reference)
-        slm, llm, target = trace.slm[steps], trace.llm[steps], trace.reference[steps]
+        steps = (np.arange(n)[:, None] * cfg.rounds + round_index) * count + np.arange(count)
+        steps %= len(state.trace.reference)
+        slm, llm, target = state.trace.slm[steps.ravel()], state.trace.llm[steps.ravel()], state.trace.reference[steps]
     else:
-        modes = _draw_modes(state, client, rng)
+        profiles = [client.profile for client in state.clients]
         # A weaker small model sometimes lands on the wrong token entirely,
         # scattering its confident predictions across the vocabulary.
-        miss_rate = min(0.5, cfg.confusion_scale / client.profile.slm_sharpness)
-        if miss_rate > 0.0:
-            flips = rng.random(count) < miss_rate
-            scattered = rng.integers(cfg.profile.vocab.size, size=count)
-            modes = np.where(flips, scattered, modes)
-        slm, llm = gen_distribution_rows(client.profile, modes, rng)
-        target = llm.argmax(axis=1)
-    uncertainty = score_rows(slm, cfg.uncertainty_kind, cfg.sampler, rng)
-    return _Workload(slm, llm, slm.argmax(axis=1), target, uncertainty)
+        miss_rate = np.array([min(0.5, cfg.confusion_scale / p.slm_sharpness) for p in profiles])
+        uniforms, scattered = np.zeros((3, n, count)), np.zeros((n, count), np.int64)
+        for i, rng in enumerate(rngs):
+            missed = miss_rate[i] > 0.0
+            uniforms[: 2 + missed, i] = rng.random((2 + missed, count))
+            if missed:
+                scattered[i] = rng.integers(v, size=count)
+        modes = np.where(uniforms[2] < miss_rate[:, None], scattered, _draw_modes(state, uniforms[0], uniforms[1]))
+        sharpness, agreement = [p.slm_sharpness for p in profiles], [p.agreement for p in profiles]
+        slm, llm = _draw_pairs(cfg.profile, sharpness, agreement, modes, rngs)
+        target = llm.argmax(axis=1).reshape(n, count)
+    uncertainty = _score_blocks(slm, cfg.uncertainty_kind, cfg.sampler, rngs).reshape(n, count)
+    predicted = slm.argmax(axis=1).reshape(n, count)
+    return _Workload(slm.reshape(n, count, v), llm.reshape(n, count, v), predicted, target, uncertainty)
 
 
 def lateral_decisions(
@@ -470,12 +469,13 @@ def route_escalated(
     and edge are the client's row of lateral_decisions). The baselines take
     every escalated token straight to the cloud and ignore both flags. The
     cloud's final token enters the cache in `fedhlm` mode. Each token's
-    stage, final token, cost, beta, correctness (final token equals
-    work.target) and attempt go into row client.client_id of out.
+    stage, final token, cost, beta, correctness (final token equals its
+    target) and attempt go into row client.client_id of out and of work.
     """
     cost, cid, cache, estimator = cfg.cost, client.client_id, client.cache, client.estimator
     lateral = cfg.mode == MODE_FEDHLM
-    predicted, target = work.predicted.tolist(), work.target.tolist()
+    slm, llm = work.slm[cid], work.llm[cid]
+    predicted, target = work.predicted[cid].tolist(), work.target[cid].tolist()
     for t in routed:
         if cfg.mode == MODE_RAND and not rng.random() < cfg.p_offload:
             continue
@@ -498,7 +498,7 @@ def route_escalated(
             charged = cost.c_p2p if stage != _LLM else cost.c_p2p + cost.c_llm
         if stage == _LLM:
             result = llm_adjudicate(
-                _unchecked_distribution(work.slm[t]), _unchecked_distribution(work.llm[t]), final, rng
+                _unchecked_distribution(slm[t]), _unchecked_distribution(llm[t]), final, rng
             )
             final, out.beta[cid, t] = result.final_token, result.rejection_prob
             if lateral:
@@ -511,8 +511,9 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
     clients = state.clients
-    works = [_generate_workload(state, c, round_index) for c in clients]
-    predicted, target, uncertainty = map(np.stack, list(zip(*works))[2:])
+    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients]
+    work = _draw_round(state, round_index, rngs)
+    predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
         consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer)
@@ -522,12 +523,12 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     # Every token starts as a local one; the walk overwrites a routed token's cells.
     out = RoundOutcomes.local(predicted, target, uncertainty)
     consensus, edge = consensus.tolist(), edge.tolist()
-    for client, work in zip(clients, works):
+    for client in clients:
         cid = client.client_id
         # rand's gate coin shares the cloud's stream, so rand walks every token.
         if cfg.mode == MODE_RAND:
             routed = range(cfg.tokens_per_client)
-        elif not (routed := np.flatnonzero(work.uncertainty > state.threshold).tolist()):
+        elif not (routed := np.flatnonzero(uncertainty[cid] > state.threshold).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
         route_escalated(client, work, routed, consensus[cid], edge[cid], cfg, rng, out)

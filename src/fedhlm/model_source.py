@@ -6,12 +6,14 @@ on-device small model (SLM) and one for the cloud large model (LLM). A
 client-round's steps are drawn at once, as two (T, V) arrays of rows, by
 gen_distribution_rows from a ModelProfile, or replayed from a logit-trace
 file, which load_logit_trace reads into one LogitTrace of stacked rows. A
-TokenDistribution wraps one row where a single step is judged on its own,
-as at the cloud.
+round stacks every client's rows, each drawn from the client's generator;
+gen_distribution_rows is the one-client case. A TokenDistribution wraps one
+row where a single step is judged on its own, as at the cloud.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -106,17 +108,21 @@ def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
 
 
 def _peaked_rows(
-    size: int, modes: np.ndarray, sharpness: float, background: float, rng: np.random.Generator
+    size: int, modes: np.ndarray, sharpness: Sequence[float], background: float, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """One Dirichlet row per mode, concentrated on it, with the mode forced to be the row's argmax.
+    """One Dirichlet row per entry of the (n, T) modes, concentrated on it, with the mode forced to be
+    the row's argmax; rows i * T to (i + 1) * T come from rngs[i] and sharpness[i].
 
     A row is one standard_gamma draw over its alpha row, normalized. A row
     whose variates all underflow to 0 becomes one-hot at its mode.
     """
-    rows = np.arange(modes.size)
-    alpha = np.full((modes.size, size), background)
-    alpha[rows, modes] += sharpness
-    p = rng.standard_gamma(alpha)
+    count = modes.shape[1]
+    p = np.empty((modes.size, size))
+    for i, rng in enumerate(rngs):
+        alpha = np.full((count, size), background)
+        alpha[np.arange(count), modes[i]] += sharpness[i]
+        rng.standard_gamma(alpha, out=p[i * count : (i + 1) * count])
+    modes, rows = modes.ravel(), np.arange(modes.size)
     total = p.sum(axis=1)
     empty = total == 0.0
     p[empty, modes[empty]] = total[empty] = 1.0
@@ -128,6 +134,26 @@ def _peaked_rows(
     np.maximum(p, PROB_FLOOR, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return p
+
+
+def _draw_pairs(
+    profile: ModelProfile, slm_sharpness: Sequence[float], agreement: Sequence[float], modes: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n * T, V) slm and llm stacks for the (n, T) modes: block i is gen_distribution_rows of profile
+    with slm_sharpness[i] and agreement[i], drawn from rngs[i]."""
+    n, count = modes.shape
+    v = profile.vocab.size
+    slm = _peaked_rows(v, modes, slm_sharpness, profile.background, rngs)
+    uniforms, other = np.empty((n, count)), np.empty((n, count), np.int64)
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniforms[i])
+        other[i] = rng.integers(v - 1, size=count)
+    other += other >= modes
+    top = slm[np.arange(modes.size), modes.ravel()].reshape(n, count)
+    agrees = uniforms < np.asarray(agreement)[:, None] * top**profile.confidence_coupling
+    llm = _peaked_rows(v, np.where(agrees, modes, other), [profile.llm_sharpness] * n, profile.background, rngs)
+    return slm, llm
 
 
 def gen_distribution_rows(
@@ -149,13 +175,7 @@ def gen_distribution_rows(
     modes = np.asarray(modes, dtype=np.int64)
     if modes.size and not (0 <= modes.min() and modes.max() < v):
         raise ValueError(f"modes must lie in the vocabulary of size {v}")
-    slm = _peaked_rows(v, modes, profile.slm_sharpness, profile.background, rng)
-    top = slm[np.arange(modes.size), modes]
-    agrees = rng.random(modes.size) < profile.agreement * top**profile.confidence_coupling
-    other = rng.integers(v - 1, size=modes.size)
-    other += other >= modes
-    llm = _peaked_rows(v, np.where(agrees, modes, other), profile.llm_sharpness, profile.background, rng)
-    return slm, llm
+    return _draw_pairs(profile, [profile.slm_sharpness], [profile.agreement], modes[None], [rng])
 
 
 class LogitTrace(NamedTuple):

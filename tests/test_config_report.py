@@ -154,6 +154,20 @@ def test_the_ceiling_counts_both_vocabulary_tables():
     assert err.value.key == "profile.vocab_size"
 
 
+def test_the_ceiling_counts_a_rounds_three_vocabulary_tables():
+    # A round holds its SLM rows, its LLM rows and their softened CDFs, each
+    # clients x T x V cells. Every other term of this config is at most 7.0M
+    # cells, under 2^24 (16.8M).
+    text = (
+        "topology.num_clients = 8\ntopology.num_clusters = 1\npartition.num_classes = 1\n"
+        "run.tokens_per_client = 1000\n"
+    )
+    assert parse_config_text(text + "profile.vocab_size = 699").profile.vocab.size == 699  # 3 x 5.592M cells
+    with pytest.raises(InvalidValue, match="over the ceiling") as err:
+        parse_config_text(text + "profile.vocab_size = 700")  # 3 x 5.600M cells
+    assert err.value.key == "profile.vocab_size"
+
+
 def test_a_cache_past_the_vocabulary_size_changes_nothing(stock_runs, tmp_path):
     # A cache holds at most V distinct token ids (V = 32 here), so a huge
     # capacity is accepted and gives the stock run's outputs.

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedhlm import engine
 from fedhlm.cli import main
 from fedhlm.costs import CostModel, PHitEstimator
 from fedhlm.engine import (
+    _TAG_GEN,
     MODES,
     STAGES,
     ClientState,
@@ -24,7 +26,7 @@ from fedhlm.engine import (
     SimulationState,
     Stage,
     _draw_modes,
-    _generate_workload,
+    _draw_round,
     _Workload,
     client_token_entropy,
     default_config,
@@ -90,6 +92,12 @@ def argmax(row: np.ndarray) -> int:
     return int(row.argmax())
 
 
+def round_work(state: SimulationState, round_index: int) -> _Workload:
+    """The round's workload on the run's own generation streams, as run_round draws it."""
+    rngs = [substream(state.cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients]
+    return _draw_round(state, round_index, rngs)
+
+
 @pytest.mark.parametrize("vocab,classes,exponent", [(32, 4, 1.5), (10, 3, 0.0), (7, 7, 4.0), (50, 1, 1.1)])
 def test_drawn_modes_match_a_per_token_search(vocab, classes, exponent):
     # reference: each token's class region and Zipf CDF, searched on its own
@@ -100,17 +108,152 @@ def test_drawn_modes_match_a_per_token_search(vocab, classes, exponent):
         tokens_per_client=200,
     )
     state = SimulationState(cfg)
-    client = state.clients[0]
     regions = np.array_split(np.arange(vocab), classes)
-    rng = np.random.default_rng(3)
-    classes_drawn = rng.choice(classes, size=200, p=client.mixture)
-    picks = rng.random(200)
-    want = []
-    for c, pick in zip(classes_drawn, picks):
-        ranks = np.arange(1, len(regions[c]) + 1) ** -exponent
-        idx = int(np.searchsorted(np.cumsum(ranks / ranks.sum()), pick, side="right"))
-        want.append(int(regions[c][min(idx, len(regions[c]) - 1)]))
-    assert _draw_modes(state, client, np.random.default_rng(3)).tolist() == want
+    uniforms = np.stack([np.random.default_rng([3, c.client_id]).random((2, 200)) for c in state.clients])
+    drawn = _draw_modes(state, uniforms[:, 0], uniforms[:, 1])
+    for client in state.clients:
+        rng = np.random.default_rng([3, client.client_id])
+        classes_drawn = rng.choice(classes, size=200, p=client.mixture)
+        picks = rng.random(200)
+        want = []
+        for c, pick in zip(classes_drawn, picks):
+            ranks = np.arange(1, len(regions[c]) + 1) ** -exponent
+            idx = int(np.searchsorted(np.cumsum(ranks / ranks.sum()), pick, side="right"))
+            want.append(int(regions[c][min(idx, len(regions[c]) - 1)]))
+        assert drawn[client.client_id].tolist() == want
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 7])
+def test_class_draw_matches_generator_choice(classes, monkeypatch):
+    # class for class, and the generator left in the same state, over seeded
+    # Dirichlet mixtures with some classes given no weight; a drawn mode's
+    # class is the region it falls in
+    gen = np.random.default_rng(classes)
+    mixtures = gen.dirichlet(np.full(classes, 0.5), size=25)
+    mixtures[gen.random(mixtures.shape) < 0.3] = 0.0
+    mixtures[~mixtures.any(axis=1), -1] = 1.0
+    mixtures /= mixtures.sum(axis=1, keepdims=True)
+    monkeypatch.setattr(engine, "dirichlet_partition", lambda spec, topology, rng: dict(enumerate(mixtures)))
+    cfg = small_config(
+        topology=ClusterTopology(num_clients=len(mixtures), num_clusters=1),
+        profile=ModelProfile(vocab=VocabSpec(2 * classes + 1)),
+        partition=PartitionSpec(num_classes=classes),
+    )
+    state = SimulationState(cfg)
+    for size in (1, 13):
+        ours = [np.random.default_rng([classes, size, i]) for i in range(len(mixtures))]
+        refs = [np.random.default_rng([classes, size, i]) for i in range(len(mixtures))]
+        uniforms = np.stack([rng.random((2, size)) for rng in ours])
+        modes = _draw_modes(state, uniforms[:, 0], uniforms[:, 1])
+        drawn = np.searchsorted(state.class_starts, modes, side="right") - 1
+        for i, (ref, mixture) in enumerate(zip(refs, mixtures)):
+            assert drawn[i].tolist() == ref.choice(classes, size=size, p=mixture).tolist()
+            ref.random(size)  # the picks
+        assert [rng.random() for rng in ours] == [rng.random() for rng in refs]
+
+
+def reference_rows(size, modes, sharpness, background, rng):
+    """One client-round's Dirichlet rows as they were drawn before rounds were stacked."""
+    rows = np.arange(modes.size)
+    alpha = np.full((modes.size, size), background)
+    alpha[rows, modes] += sharpness
+    p = rng.standard_gamma(alpha)
+    total = p.sum(axis=1)
+    empty = total == 0.0
+    p[empty, modes[empty]] = total[empty] = 1.0
+    p /= total[:, None]
+    top = p.argmax(axis=1)
+    p[rows, top], p[rows, modes] = p[rows, modes], p[rows, top]
+    np.maximum(p, 1e-12, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def reference_client_round(state, client, round_index, rng):
+    """Oracle: one client-round drawn and scored on its own, with Generator.choice for the classes."""
+    cfg, count, v = state.cfg, state.cfg.tokens_per_client, state.cfg.profile.vocab.size
+    if state.trace is not None:
+        base = (client.client_id * cfg.rounds + round_index) * count
+        steps = (base + np.arange(count)) % len(state.trace.reference)
+        slm, llm, target = state.trace.slm[steps], state.trace.llm[steps], state.trace.reference[steps]
+    else:
+        classes = rng.choice(cfg.partition.num_classes, size=count, p=client.mixture)
+        ranks = np.count_nonzero(state.zipf[classes] <= rng.random(count)[:, None], axis=1)
+        modes = state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
+        miss_rate = min(0.5, cfg.confusion_scale / client.profile.slm_sharpness)
+        if miss_rate > 0.0:
+            flips = rng.random(count) < miss_rate
+            modes = np.where(flips, rng.integers(v, size=count), modes)
+        profile = client.profile
+        slm = reference_rows(v, modes, profile.slm_sharpness, profile.background, rng)
+        top = slm[np.arange(count), modes]
+        agrees = rng.random(count) < profile.agreement * top**profile.confidence_coupling
+        other = rng.integers(v - 1, size=count)
+        other += other >= modes
+        llm = reference_rows(v, np.where(agrees, modes, other), profile.llm_sharpness, profile.background, rng)
+        target = llm.argmax(axis=1)
+    if cfg.uncertainty_kind == KIND_ENTROPY:
+        logs = np.log(slm, out=np.zeros_like(slm), where=slm > 0.0)
+        uncertainty = np.minimum(np.maximum(-(slm * logs).sum(axis=1), 0.0) / math.log(v), 1.0)
+    else:
+        soft = slm ** (1.0 / cfg.sampler.temperature)
+        soft /= soft.sum(axis=1, keepdims=True)
+        cdf = np.add.accumulate(soft, axis=1)
+        cdf /= cdf[:, -1:]
+        uniforms = rng.random((count, cfg.sampler.num_samples))
+        draws = np.count_nonzero(cdf[:, None, :] <= uniforms[:, :, None], axis=2)
+        uncertainty = np.count_nonzero(draws != slm.argmax(axis=1)[:, None], axis=1) / cfg.sampler.num_samples
+    return _Workload(slm, llm, slm.argmax(axis=1), target, uncertainty)
+
+
+@st.composite
+def round_cases(draw):
+    """Small runs over every input of a round's generation and scoring, and whether to replay a trace."""
+    clients, vocab = draw(st.integers(1, 4)), draw(st.sampled_from([2, 5, 8, 9, 33]))
+    if draw(st.booleans()):
+        profile = ModelProfile(vocab=VocabSpec(vocab), agreement=draw(st.floats(0.0, 1.0)))
+    else:  # every client's sharpness clamps to 1e-6, and most rows' variates all underflow
+        profile = ModelProfile(vocab=VocabSpec(vocab), slm_sharpness=1e-6, llm_sharpness=1e-6, background=1e-6)
+    cfg = SimulationConfig(
+        topology=ClusterTopology(num_clients=clients, num_clusters=1),
+        partition=PartitionSpec(num_classes=draw(st.integers(1, min(vocab, 4)))),
+        profile=profile,
+        sampler=SamplerConfig(num_samples=draw(st.integers(1, 10))),
+        rounds=draw(st.integers(1, 2)),
+        tokens_per_client=draw(st.sampled_from([1, 2, 7, 30])),
+        seed=draw(st.integers(0, 2**32)),
+        uncertainty_kind=draw(st.sampled_from([KIND_DISAGREEMENT, KIND_ENTROPY])),
+        confusion_scale=draw(st.sampled_from([0.0, 12.0])),
+        zipf_exponent=draw(st.sampled_from([0.0, 1.5])),
+    )
+    return cfg, draw(st.sampled_from([None, 1, 13]))
+
+
+def bits(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@given(round_cases())
+def test_round_block_matches_per_client_reference(case):
+    # The round's stacked arithmetic gives each client the bits its own
+    # client-round would have, and leaves each generator where the
+    # per-client draws would: a numpy change in reduction order fails here.
+    cfg, trace_steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if trace_steps is not None:
+            rng = np.random.default_rng(cfg.seed)
+            slm, llm = rng.dirichlet(np.full(cfg.profile.vocab.size, 0.5), size=(2, trace_steps))
+            save_logit_trace(f"{tmp}/t.csv", LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
+            cfg = replace(cfg, trace_path=f"{tmp}/t.csv")
+        state = SimulationState(cfg)
+    for round_index in range(cfg.rounds):
+        ours, refs = ([substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients] for _ in "ab")
+        got = _draw_round(state, round_index, ours)
+        for client, ref in zip(state.clients, refs):
+            want = reference_client_round(state, client, round_index, ref)
+            for name in _Workload._fields:
+                assert bits(getattr(got, name)[client.client_id]) == bits(getattr(want, name)), name
+        assert [rng.bit_generator.state for rng in ours] == [rng.bit_generator.state for rng in refs]
 
 
 def test_config_validation_errors():
@@ -165,8 +308,9 @@ def test_resolve_retains_at_threshold_boundary(one_token_round):
 def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
     """route_escalated over a one-token client-round holding crafted_pair(cfg, mode); its cells as scalars."""
     slm, llm = crafted_pair(cfg, mode=mode)
-    work = _Workload(slm[None], llm[None], np.array([argmax(slm)]), np.array([argmax(llm)]), np.array([0.9]))
-    out = RoundOutcomes.local(work.predicted[None], work.target[None], work.uncertainty[None])
+    cells = np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]])
+    work = _Workload(slm[None, None], llm[None, None], *cells)
+    out = RoundOutcomes.local(work.predicted, work.target, work.uncertainty)
     route_escalated(client, work, routed, [consensus], [edge], cfg, np.random.default_rng(mode), out)
     cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in vars(out).items()})
     cells.stage = STAGES[cells.stage]
@@ -307,7 +451,7 @@ def test_lateral_decisions_match_per_token_oracle(cfg):
     state = SimulationState(cfg)
     seen = np.zeros((2, 2), dtype=bool)  # (consensus, edge) x (False, True)
     for round_index in range(3):
-        predicted = np.stack([_generate_workload(state, c, round_index).predicted for c in state.clients])
+        predicted = round_work(state, round_index).predicted
         flags = _assert_flags_match_oracle(predicted, state.embeddings, state.cluster_members, cfg.peer)
         for tier, flag in enumerate(flags):
             seen[tier, 0] |= not flag.all()
@@ -481,13 +625,13 @@ def test_round_columns_hold_their_invariants(cfg):
     header, *rows = metrics_lines(report)
     assert header == METRICS_HEADER and len(rows) == cfg.rounds
     for rnd, row in zip(report.rounds, rows):
-        works = [_generate_workload(fresh, c, rnd.round_index) for c in fresh.clients]
-        predicted, target = np.stack([w.predicted for w in works]), np.stack([w.target for w in works])
+        work = round_work(fresh, rnd.round_index)
+        predicted, target = work.predicted, work.target
         o = rnd.outcomes
         local, llm = o.stage == stage_of[Stage.LOCAL], o.stage == stage_of[Stage.LLM]
         lateral = ~local & ~llm
         assert all(getattr(o, f).shape == predicted.shape for f in ("stage", "final_token", "cost", "beta"))
-        assert np.array_equal(o.uncertainty, np.stack([w.uncertainty for w in works]))
+        assert np.array_equal(o.uncertainty, work.uncertainty)
         # a local token is free, unadjudicated, unchanged and never tried peers
         assert (o.cost[local] == 0.0).all() and np.isnan(o.beta[local]).all()
         assert np.array_equal(o.final_token[local], predicted[local]) and not o.p2p_attempted[local].any()

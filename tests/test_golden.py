@@ -2,11 +2,12 @@
 
 The sha256 of each byte-stable output file is pinned, so any change to the
 RNG stream, the routing decisions or the file layout shows up here. The
-stream is the columnar one: each client-round's distributions are drawn as
-(T, V) arrays and scored in one pass. The `uhlm` baseline sends 8,379
-tokens through cloud adjudication, so its pins are the ones a changed
-resample draw would break; the `rand` pins fix the coin-flip gate, which
-draws one uniform per token before adjudication.
+stream is the columnar one: each client-round's draws come from its own
+stream, and a round's distributions are shaped and scored as (clients * T,
+V) stacks, with the same bits as one client-round at a time. The `uhlm`
+baseline sends 8,379 tokens through cloud adjudication, so its pins are the
+ones a changed resample draw would break; the `rand` pins fix the coin-flip
+gate, which draws one uniform per token before adjudication.
 
 The stock run settles almost nothing at the peer or edge tier, so the
 lateral pin uses a config where both accept: 24 clients in 6 clusters, a
