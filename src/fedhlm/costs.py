@@ -83,14 +83,16 @@ def fit_cache_alpha(sizes: list[int], hit_ratios: list[float]) -> float:
 class PHitEstimator:
     """Sliding-window estimate of the peer/cache resolution probability.
 
-    Records one boolean per attempted lateral resolution. Until the window
-    has filled once, the configured prior is returned, which keeps the
-    opportunistic policy exploring during cold start.
+    Records one boolean per attempted lateral resolution and keeps a running
+    count of the hits in the window, so an estimate costs one division. Until
+    the window has filled once, the configured prior is returned, which keeps
+    the opportunistic policy exploring during cold start.
     """
 
     window: int = 50
     prior: float = 0.5
     _history: deque = field(default_factory=deque, repr=False)
+    _hits: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -98,11 +100,16 @@ class PHitEstimator:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
         self._history = deque(self._history, maxlen=self.window)
+        self._hits = sum(self._history)
 
     def record(self, resolved: bool) -> None:
-        self._history.append(bool(resolved))
+        resolved = bool(resolved)
+        if len(self._history) == self.window:
+            self._hits -= self._history[0]
+        self._history.append(resolved)
+        self._hits += resolved
 
     def estimate(self) -> float:
         if len(self._history) < self.window:
             return self.prior
-        return sum(self._history) / len(self._history)
+        return self._hits / self.window

@@ -62,6 +62,7 @@ from .peers import (
     ConsensusDecision,
     EdgeDecision,
     PeerConfig,
+    ProbeState,
     TokenCache,
     edge_validate,
     embedding_matrix,
@@ -85,9 +86,11 @@ _TAG_RESOLVE = 4
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
 # rows, LLM rows and softened CDFs or entropy logs (clients*T x V each), the
 # embedding and unit tables (V x d each), the lateral tables, a client-round's
-# MC search (T x samples x V), the run's outcome columns. A cache holds at
-# most min(capacity, V) token ids, fewer than a round's rows. 2**24 float64
-# cells are 128 MiB; the stock run's largest term is 57,600 (a round's tables).
+# MC search (T x samples x V), the run's outcome columns, and the probe state
+# (three numbers per probed token and two per held one, each token one of the
+# run's, so at most 5 x min(V, tokens)). A cache holds at most min(capacity, V)
+# token ids and slot indices, fewer than a round's rows. 2**24 float64 cells
+# are 128 MiB; the stock run's largest term is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 
@@ -172,7 +175,7 @@ class SimulationConfig:
         held = max(
             3 * clients * self.tokens_per_client * vocab, 2 * vocab * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
-            self.tokens_per_client * self.sampler.num_samples * vocab, tokens,
+            self.tokens_per_client * self.sampler.num_samples * vocab, tokens, 5 * min(vocab, tokens),
         )
         if held > MAX_CELLS:
             raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
@@ -190,13 +193,13 @@ def default_config(**overrides) -> SimulationConfig:
 
 @dataclass
 class ClientState:
-    """Everything a client carries across rounds."""
+    """Everything a client carries across rounds; only `fedhlm` mode, which probes it, has a cache."""
 
     client_id: int
     cluster_id: int
     profile: ModelProfile
     mixture: np.ndarray
-    cache: TokenCache
+    cache: TokenCache | None
     estimator: PHitEstimator
 
 
@@ -301,8 +304,12 @@ class SimulationState:
             multipliers = np.exp(profile_rng.normal(0.0, cfg.heterogeneity, cfg.topology.num_clients))
         multipliers = multipliers.tolist()
 
-        self.embeddings = embedding_matrix(vocab, cfg.peer)
-        self.units = unit_table(vocab, cfg.peer)
+        # Only `fedhlm` mode compares embeddings: the lateral tables, and the
+        # caches, which share one probe state over the unit rows.
+        self.embeddings = self.probes = None
+        if cfg.mode == MODE_FEDHLM:
+            self.embeddings = embedding_matrix(vocab, cfg.peer)
+            self.probes = ProbeState(unit_table(vocab, cfg.peer))
         # Class c owns a contiguous run of tokens; row c of zipf holds its
         # Zipf CDF, padded with inf past the run's width.
         regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
@@ -325,6 +332,7 @@ class SimulationState:
         # Every client gates on this one threshold; only `fedhlm` mode moves it.
         self.threshold = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
         self.clients: list[ClientState] = []
+        probes = self.probes
         for client_id in range(cfg.topology.num_clients):
             mixture = mixtures[client_id]
             skew = mixture_skew(mixture)
@@ -342,7 +350,7 @@ class SimulationState:
                     cluster_id=cfg.topology.assignment[client_id],
                     profile=profile,
                     mixture=mixture,
-                    cache=TokenCache(self.units, capacity=cfg.cache_capacity),
+                    cache=None if probes is None else TokenCache(probes.units, cfg.cache_capacity, probes),
                     estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=cfg.cost.p_hit_prior),
                 )
             )
@@ -367,9 +375,10 @@ def _draw_modes(state: SimulationState, class_uniforms: np.ndarray, picks: np.nd
 def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.random.Generator]) -> _Workload:
     """One round's workload, client i drawing from rngs[i], its _TAG_GEN stream, what its client-round
     alone would draw: class, pick and confusion uniforms, scattered modes, gen_distribution_rows' draws,
-    scoring uniforms. The arithmetic between draws runs once over the (clients * T, V) stack."""
+    scoring uniforms. The arithmetic between draws runs once over the (clients * T, V) stack. rngs is
+    empty when the round draws nothing."""
     cfg = state.cfg
-    n, count, v = len(rngs), cfg.tokens_per_client, cfg.profile.vocab.size
+    n, count, v = len(state.clients), cfg.tokens_per_client, cfg.profile.vocab.size
     if state.trace is not None:
         steps = (np.arange(n)[:, None] * cfg.rounds + round_index) * count + np.arange(count)
         steps %= len(state.trace.reference)
@@ -511,7 +520,9 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
     clients = state.clients
-    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients]
+    # Replaying a trace scored by entropy draws nothing, so such a round builds no generation streams.
+    draws = state.trace is None or cfg.uncertainty_kind != KIND_ENTROPY
+    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients] if draws else []
     work = _draw_round(state, round_index, rngs)
     predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
     # The baselines never look at peers, so their flags stay False.

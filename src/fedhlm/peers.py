@@ -6,8 +6,10 @@ cosine-similarity threshold close to 1 effectively tests "same token" while
 still supporting the soft matching the cache and the consensus rule use.
 Vectors are plain float64 arrays: one embedding is a 1-d row, a set of peers
 or centroids is (count, dim) rows. A TokenCache holds token ids over one
-unit table per run; the engine's client-round walk probes it first for each
-escalated token that tries the lateral tiers, before the peer and edge flags.
+unit table per run, and every cache of a run shares one ProbeState, whose
+similarity bounds settle most probes without a product. The engine's
+client-round walk probes the cache first for each escalated token that tries
+the lateral tiers, before the peer and edge flags.
 """
 
 from __future__ import annotations
@@ -154,28 +156,86 @@ class CacheResult:
     similarity: float | None = None
 
 
+_MISS = CacheResult()
+
+
+class ProbeState:
+    """One run's similarity bounds for cache probes, shared by every TokenCache of the run.
+
+    held lists each token any cache of the run has held, in first-insert
+    order; it only grows. For each probed token the state keeps its
+    self-similarity and its rival: the largest similarity between it and any
+    other held token. The rival is filled lazily, each (probed, held) pair
+    compared once as held grows. Two roundings of one d-term product over
+    these rows differ by at most tol, scaled by the largest squared row norm.
+    """
+
+    def __init__(self, units: np.ndarray):
+        self.units = units
+        top = float(np.einsum("ij,ij->i", units, units).max(initial=0.0))
+        self.tol = (2 * units.shape[1] + 4) * float(np.finfo(np.float64).eps) * top
+        self.held: list[int] = []
+        self._known: set[int] = set()
+        self._bounds: dict[int, list] = {}
+
+    def hold(self, token: int) -> None:
+        if token not in self._known:
+            self._known.add(token)
+            self.held.append(token)
+
+    def bounds(self, token: int) -> list:
+        """[self-similarity, rival, held tokens compared so far] of token, compared up to the last held."""
+        entry = self._bounds.get(token)
+        if entry is None:
+            row = self.units[token]
+            entry = self._bounds[token] = [float(row @ row), -math.inf, 0]
+        if entry[2] < len(self.held):
+            new = self.held[entry[2]:]
+            sims = (self.units.take(new, axis=0) @ self.units[token]).tolist()
+            entry[1] = max([entry[1], *(s for t, s in zip(new, sims) if t != token)])
+            entry[2] = len(self.held)
+        return entry
+
+
 @dataclass
 class TokenCache:
     """Bounded semantic cache of token ids with least-recently-used eviction.
 
-    units holds one unit row per token id (unit_table), shared by every
-    cache of a run. A lookup compares the query token's row with the rows of
-    the cached tokens in slot order, returns the most similar entry at or
-    above the similarity threshold (the first slot on a tie) and refreshes
-    that entry's recency, so a different token with a close enough row can
-    answer. Re-inserting a cached token refreshes rather than duplicates it.
+    units holds one unit row per token id (unit_table). A lookup compares
+    the query token's row with the rows of the cached tokens in slot order,
+    returns the most similar entry at or above the similarity threshold (the
+    first slot on a tie) and refreshes that entry's recency, so a different
+    token with a close enough row can answer. Re-inserting a cached token
+    refreshes rather than duplicates it.
+
+    probes is the run's ProbeState, shared by every cache of the run (a cache
+    built without one gets its own). A lookup whose query has no rival within
+    tol of the threshold needs no product: it misses unless the query itself
+    is cached with a self-similarity at least tol over the threshold, which
+    hits it, and misses outright below the threshold by tol. Every other
+    lookup takes the product over the cached rows, so each answer and each
+    recency stamp is the product's; a hit settled by the bound reports the
+    query's self-similarity.
     """
 
     units: np.ndarray = field(repr=False)
     capacity: int = 256
+    probes: ProbeState | None = field(default=None, repr=False)
     _tokens: list[int] = field(default_factory=list, repr=False)
     _stamps: list[int] = field(default_factory=list, repr=False)
     _slot_by_token: dict[int, int] = field(default_factory=dict, repr=False)
+    _index: np.ndarray = field(init=False, repr=False)
     _clock: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if self.probes is None:
+            self.probes = ProbeState(self.units)
+        elif self.probes.units is not self.units:
+            raise ValueError("probes must bound the cache's own unit table")
+        # Slot i's token id, the rows the exact product gathers.
+        self._index = np.empty(min(self.capacity, len(self.units)), np.int64)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -185,19 +245,30 @@ class TokenCache:
         return self._clock
 
     def lookup(self, token: int, cfg: PeerConfig) -> CacheResult:
-        if not self._tokens:
-            return CacheResult()
-        sims = self.units[self._tokens] @ self.units[token]
-        best = int(np.argmax(sims))
-        similarity = float(sims[best])
-        if similarity < cfg.similarity_threshold:
-            return CacheResult()
+        count = len(self._tokens)
+        if not count:
+            return _MISS
+        thr, probes = cfg.similarity_threshold, self.probes
+        own, rival, _ = probes.bounds(token)
+        if rival < thr - probes.tol:
+            slot = self._slot_by_token.get(token)
+            if slot is None or own < thr - probes.tol:
+                return _MISS
+            if own >= thr + probes.tol:
+                self._stamps[slot] = self._tick()
+                return CacheResult(token, min(own, 1.0))
+        sims = self.units.take(self._index[:count], axis=0) @ self.units[token]
+        best = sims.argmax().item()
+        similarity = sims[best].item()
+        if similarity < thr:
+            return _MISS
         self._stamps[best] = self._tick()
         return CacheResult(self._tokens[best], min(similarity, 1.0))
 
     def insert(self, token: int) -> None:
         slot = self._slot_by_token.get(token)
         if slot is None:
+            self.probes.hold(token)
             if len(self._tokens) < self.capacity:
                 slot = len(self._tokens)
                 self._tokens.append(token)
@@ -207,6 +278,7 @@ class TokenCache:
                 del self._slot_by_token[self._tokens[slot]]
                 self._tokens[slot] = token
             self._slot_by_token[token] = slot
+            self._index[slot] = token
         self._stamps[slot] = self._tick()
 
     def entries(self) -> list[int]:

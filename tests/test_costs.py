@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedhlm.cli import main
 from fedhlm.costs import (
@@ -142,3 +144,16 @@ def test_estimator_over_one_history():
     assert estimate(history, window=2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         estimate(history, window=0)
+
+
+@given(
+    window=st.integers(1, 12),
+    prior=st.floats(0.0, 1.0),
+    history=st.lists(st.booleans(), max_size=40),
+)
+def test_estimate_is_the_prior_then_the_mean_of_the_last_window(window, prior, history):
+    est = PHitEstimator(window=window, prior=prior)
+    assert est.estimate() == prior
+    for n, outcome in enumerate(history, start=1):
+        est.record(outcome)
+        assert est.estimate() == (prior if n < window else sum(history[n - window : n]) / window)

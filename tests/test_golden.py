@@ -22,6 +22,10 @@ the batched (T, S) scoring draw takes the same uniforms in the same order as
 one draw of S per token did, so this pin predates the columnar stream and
 holds across changes to the synthetic generator.
 
+The entropy-replay pin runs the same trace with entropy scoring. Such a
+round draws nothing, so it builds no generation streams; the pin was taken
+when every round still built them.
+
 The entropy pin runs the stock config with entropy scoring, the one scoring
 kind the other pins do not use: 93 tokens reach the cloud and 195 settle at
 the peer tier.
@@ -32,9 +36,10 @@ import hashlib
 import numpy as np
 import pytest
 
+import fedhlm.engine
 from fedhlm.cli import main
 from fedhlm.config import parse_config_text
-from fedhlm.engine import run
+from fedhlm.engine import _TAG_GEN, _TAG_RESOLVE, run
 
 GOLDEN = {
     ("run",): {
@@ -80,6 +85,11 @@ run.uncertainty_kind = disagreement
 TRACE_GOLDEN = {
     "metrics.csv": "56f959f2046a2365948b5e8c588cba4de7fbeee2f51b7f54c719ea63a3669154",
     "trace.jsonl": "3f5065d02d121cc3ecbc96ba54477456374f6d7fc15f5ddc5aad04d2ec6fc3a6",
+}
+
+ENTROPY_REPLAY_GOLDEN = {
+    "metrics.csv": "899aa3b6e51603631d537524e8a2a47e4cf911912480efa6f6ac8f07a2f6c3db",
+    "trace.jsonl": "2b9317064214b01662567919b6432a36fc14ee109414d2ce379112bbac4f632e",
 }
 
 ENTROPY_CONFIG = "run.uncertainty_kind = entropy\n"
@@ -148,6 +158,27 @@ def test_trace_replay_outputs_match_golden_hashes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert _digests(out, TRACE_GOLDEN) == TRACE_GOLDEN
+
+
+def test_entropy_replay_builds_no_generation_streams(tmp_path, capsys, monkeypatch):
+    trace_path = tmp_path / "replay.trace"
+    _write_replay_trace(trace_path)
+    cfg_path = tmp_path / "replay.cfg"
+    text = TRACE_CONFIG.replace("disagreement", "entropy") + f"run.trace_path = {trace_path}\n"
+    cfg_path.write_text(text, encoding="utf-8")
+    tags = []
+    substream = fedhlm.engine.substream
+
+    def counted(seed, *path):
+        tags.append(path[0])
+        return substream(seed, *path)
+
+    monkeypatch.setattr(fedhlm.engine, "substream", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert "llm=148 " in capsys.readouterr().out
+    assert _digests(out, ENTROPY_REPLAY_GOLDEN) == ENTROPY_REPLAY_GOLDEN
+    assert _TAG_GEN not in tags and tags.count(_TAG_RESOLVE) > 0
 
 
 def test_entropy_outputs_match_golden_hashes(tmp_path, capsys):

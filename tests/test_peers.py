@@ -12,6 +12,7 @@ from fedhlm.peers import (
     EdgeDecision,
     NoPeers,
     PeerConfig,
+    ProbeState,
     TokenCache,
     centroid,
     cosine_similarity,
@@ -265,22 +266,29 @@ def test_lookup_hit_refreshes_recency():
 
 
 class ReferenceLRU:
-    """Brute-force model over a unit table: cached token ids, most recent last."""
+    """Brute-force model over a unit table: cached token ids by slot, and by recency, most recent last.
+
+    A lookup takes one product of the query's row with every slot's row, in
+    slot order, and answers with the first best slot at or above the
+    threshold. A new token fills the next slot, or the least recent one's.
+    """
 
     def __init__(self, units: np.ndarray, capacity: int, threshold: float):
         self.units = units
         self.capacity = capacity
         self.threshold = threshold
+        self.slots: list[int] = []
         self.items: list[int] = []
 
     def lookup(self, token: int):
-        if not self.items:
+        if not self.slots:
             return None
-        sims = [float(self.units[held] @ self.units[token]) for held in self.items]
-        best = max(range(len(sims)), key=lambda i: (sims[i], -i))
+        sims = self.units[self.slots] @ self.units[token]
+        best = int(np.argmax(sims))
         if sims[best] < self.threshold:
             return None
-        held = self.items.pop(best)
+        held = self.slots[best]
+        self.items.remove(held)
         self.items.append(held)
         return held
 
@@ -288,7 +296,9 @@ class ReferenceLRU:
         if token in self.items:
             self.items.remove(token)
         elif len(self.items) >= self.capacity:
-            self.items.pop(0)
+            self.slots[self.slots.index(self.items.pop(0))] = token
+        else:
+            self.slots.append(token)
         self.items.append(token)
 
 
@@ -317,6 +327,43 @@ def test_cache_agrees_with_reference_model_under_random_ops():
             assert len(cache) <= capacity
         assert cache.entries() == model.items
     assert others[64] == 0 and others[3] > 0
+
+
+def _probe_thresholds(units: np.ndarray) -> list[float]:
+    """1.0, 0.85, and self-similarities of rows as a dot and as a one-row product would round them,
+    those that a PeerConfig accepts: each sits inside the probe bound's rounding band."""
+    selfs = [s for r, row in enumerate(units) for s in (float(row @ row), (units[[r]] @ row).item())]
+    return [1.0, 0.85, *sorted({s for s in selfs if 0.0 < s <= 1.0})]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64])
+def test_caches_sharing_a_probe_state_agree_with_reference_models(dim):
+    # Three caches of one run share its probe state, inserts and lookups
+    # interleaved across them; each must answer as its own brute-force model.
+    # At dim 2 the PLANE table adds exact ties (tokens 2 and 5 share a row)
+    # and a threshold (0.90) that a product meets exactly.
+    rng = np.random.default_rng(dim)
+    tables = [unit_table(VocabSpec(40), PeerConfig(embedding_dim=dim))] + ([PLANE] if dim == 2 else [])
+    for units in tables:
+        for threshold in _probe_thresholds(units) + ([0.90, 0.95] if units is PLANE else []):
+            cfg = PeerConfig(similarity_threshold=threshold)
+            probes = ProbeState(units)
+            capacities = rng.integers(1, min(9, len(units) - 1), size=3).tolist()
+            caches = [TokenCache(units, capacity, probes) for capacity in capacities]
+            models = [ReferenceLRU(units, capacity, threshold) for capacity in capacities]
+            for _ in range(120):
+                i, token = int(rng.integers(3)), int(rng.integers(len(units)))
+                if rng.random() < 0.5:
+                    assert caches[i].lookup(token, cfg).token == models[i].lookup(token)
+                else:
+                    caches[i].insert(token)
+                    models[i].insert(token)
+            assert [cache.entries() for cache in caches] == [model.items for model in models]
+
+
+def test_caches_must_share_their_probe_states_table():
+    with pytest.raises(ValueError):
+        TokenCache(PLANE, 2, ProbeState(PLANE.copy()))
 
 
 def test_cache_capacity_validation():
