@@ -4,22 +4,22 @@ Each round every client predicts a fixed number of tokens. A round's
 distributions are drawn, each client from its own stream, or gathered from
 a replayed trace, as (clients * T, V) stacks and scored in one pass. A gate
 then decides, in one comparison per client-round, which tokens escalate;
-the rest stay on device. One function, route_escalated, then walks a client-round's escalated tokens in timestep
-order and writes where each one ended into the round's columns; in `rand`
-mode it walks every token, since the gate coin shares a stream with the
-cloud's draws. In the learned `fedhlm` mode an escalated token tries the
-client's semantic cache and then peer consensus, falls back to edge
-validation, and finally asks the cloud model to adjudicate. Consensus and
-edge decisions depend only on the round's predicted tokens, so
-lateral_decisions takes them once per round for every client and timestep.
-The `uhlm` (static threshold) and `rand` (coin flip) baselines differ only
-in the gate and send every escalated token straight to the cloud. A round's
-outcomes are kept as (clients, T) columns. Every client gates a round on
-the same threshold, which the state holds once: the fixed start in the
-baselines, and in `fedhlm` mode the last broadcast. There the cloud's
-feedback drives one threshold-learning step per client per round, and the
-cluster-weighted and global averages of those steps become the next
-round's threshold.
+the rest stay on device. One function, route_escalated, then walks a
+client-round's escalated tokens in timestep order and writes where each one
+ended into the round's columns; in `rand` mode it walks every token, since
+the gate coin shares a stream with the cloud's draws. In the learned
+`fedhlm` mode an escalated token tries the client's semantic cache and then
+peer consensus, falls back to edge validation, and finally asks the cloud
+model to adjudicate. Consensus and edge decisions depend only on the
+round's predicted tokens, so lateral_decisions takes them once per round,
+for the escalated tokens. The `uhlm` (static threshold) and `rand` (coin
+flip) baselines differ only in the gate and send every escalated token
+straight to the cloud. A round's outcomes are kept as (clients, T) columns.
+Every client gates a round on the same threshold, which the state holds
+once: the fixed start in the baselines, and in `fedhlm` mode the last
+broadcast. There the cloud's feedback drives one threshold-learning step
+per client per round, and the cluster-weighted and global averages of those
+steps become the next round's threshold.
 
 All randomness flows from one seed through named per-client, per-round
 streams, so reruns are bit-identical.
@@ -404,53 +404,64 @@ def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.rand
 
 
 def lateral_decisions(
-    predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig
+    predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Consensus-accept and edge-accept flags for every (client, t) of a round.
+    """Consensus-accept and edge-accept flags at the masked (client, t) cells of a round; False elsewhere.
 
     Clients publish the embedding of their predicted token at every
-    timestep, local or not. A client's peer centroid is its cluster's sum
-    less its own row (no peers escalate); the edge tier compares the own row
-    with every other cluster's mean, skipping empty clusters and means of
-    norm at most 1e-12. A float cosine decides only when it clears its
-    threshold by more than a bound on the rounding of this path and of the
-    exact per-token one; the bound grows as the peer sum cancels. Near ties
-    and centroids near the cutoff are re-decided by peer_consensus (fsum
-    centroid) or edge_validate, so the flags equal their decisions.
+    timestep, local or not, so the cluster sums and means take every
+    client's row. A client's peer centroid is its cluster's sum less its
+    own row (no peers escalate); the edge tier compares the own row with
+    every other cluster's mean, skipping empty clusters and means of norm
+    at most 1e-12. A float cosine decides only when it clears its threshold
+    by more than a bound on the rounding of this path and of the exact
+    per-token one; the bound grows as the peer sum cancels. Near ties and
+    centroids near the cutoff are re-decided by peer_consensus (fsum
+    centroid) or edge_validate, so each masked flag equals their decision.
     """
     eps, dim = np.finfo(np.float64).eps, emb.shape[1]
     tol = (3 * dim + 8) * eps  # rounding of one cosine, on either path
     thr, edge_thr = cfg.similarity_threshold, cfg.effective_edge_threshold()
-    empty = np.zeros((predicted.shape[1], dim))
-    means = np.stack([emb[predicted[m]].mean(axis=0) if m else empty for m in clusters])  # (clusters, T, d)
-    mnorm = np.linalg.norm(means, axis=-1).T  # (T, clusters)
-    valid, near_cut = mnorm > _NORM_EPS, np.abs(mnorm - _NORM_EPS) <= _NORM_EPS * tol
-    consensus, edge, redo_consensus, redo_edge = np.zeros((4, *predicted.shape), dtype=bool)
+    consensus, edge = np.zeros((2, *predicted.shape), dtype=bool)
+    rows, steps = np.nonzero(mask)
+    if not len(rows):
+        return consensus, edge
+    count, sizes = predicted.shape[1], np.array([len(m) for m in clusters])
+    norms = np.linalg.norm(emb, axis=-1)[predicted]  # (clients, T)
+    sums, norm_sums = np.zeros((len(clusters), count, dim)), np.zeros((len(clusters), count))
+    cluster_of = np.empty(len(predicted), np.int64)
+    for c, members in enumerate(clusters):
+        if members:
+            sums[c], norm_sums[c] = emb[predicted[members]].sum(axis=0), norms[members].sum(axis=0)
+            cluster_of[members] = c
+    means = sums / np.maximum(sizes, 1)[:, None, None]  # (clusters, T, d); an empty cluster's is 0
+    mnorm = np.linalg.norm(means, axis=-1)[:, steps].T  # (cells, clusters)
+    tokens, own, mine = predicted[rows, steps], norms[rows, steps], cluster_of[rows]
+    own_rows, k = emb[tokens], sizes[mine]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c, members in enumerate(clusters):
-            k, rows = len(members), emb[predicted[members]]  # (k, T, d)
-            own = np.linalg.norm(rows, axis=-1)
-            if k > 1:
-                peer_sum = rows.sum(axis=0) - rows
-                norm = np.linalg.norm(peer_sum, axis=-1)
-                cos = np.einsum("ktd,ktd->kt", rows, peer_sum) / (own * norm)
-                # err bounds the float peer sum's error and its norm's rounding: slack < exact norm.
-                err = (k + dim) * eps * own.sum(axis=0)
-                slack = norm - 2 * err
-                sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
-                consensus[members], redo_consensus[members] = sure & (cos >= thr), ~sure
-            cos = (rows.swapaxes(0, 1) @ means.transpose(1, 2, 0)).swapaxes(0, 1) / (own[..., None] * mnorm)
-            others = np.arange(len(clusters)) != c
-            live = valid & others
-            edge[members] = (live & (cos >= edge_thr)).any(axis=-1)
-            tie = (live & (np.abs(cos - edge_thr) <= tol)).any(axis=-1)
-            redo_edge[members] = tie | (near_cut & others).any(axis=-1)
-    cluster_of = {m: c for c, members in enumerate(clusters) for m in members}
-    for i, t in zip(*np.nonzero(redo_consensus)):
+        at = mine * count + steps
+        peer_sum = sums.reshape(-1, dim)[at] - own_rows
+        norm = np.sqrt(np.einsum("nd,nd->n", peer_sum, peer_sum))
+        cos = np.einsum("nd,nd->n", own_rows, peer_sum) / (own * norm)
+        # err bounds the float peer sum's error and its norm's rounding: slack < exact norm.
+        err = (k + dim) * eps * norm_sums.ravel()[at]
+        slack = norm - 2 * err
+        sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
+        consensus[rows, steps], redo_consensus = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
+        # Each masked token's dot with every cluster mean, taken per distinct token and gathered per cell.
+        distinct, at = np.unique(tokens, return_inverse=True)
+        dots = (emb[distinct] @ means.reshape(-1, dim).T).reshape(len(distinct), len(clusters), count)
+        cos = dots[at, :, steps] / (own[:, None] * mnorm)
+    others = np.arange(len(clusters)) != mine[:, None]
+    live = (mnorm > _NORM_EPS) & others
+    edge[rows, steps] = (live & (cos >= edge_thr)).any(axis=-1)
+    redo_edge = (live & (np.abs(cos - edge_thr) <= tol)).any(axis=-1)
+    redo_edge |= ((np.abs(mnorm - _NORM_EPS) <= _NORM_EPS * tol) & others).any(axis=-1)
+    for i, t in zip(rows[redo_consensus].tolist(), steps[redo_consensus].tolist()):
         peers = [m for m in clusters[cluster_of[i]] if m != i]
         decision = peer_consensus(emb[predicted[i, t]], emb[predicted[peers, t]], cfg)
         consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
-    for i, t in zip(*np.nonzero(redo_edge)):
+    for i, t in zip(rows[redo_edge].tolist(), steps[redo_edge].tolist()):
         others = [
             o for o in range(len(clusters)) if o != cluster_of[i] and float(np.linalg.norm(means[o, t])) > _NORM_EPS
         ]
@@ -525,9 +536,10 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients] if draws else []
     work = _draw_round(state, round_index, rngs)
     predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
+    escalated = uncertainty > state.threshold
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
-        consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer)
+        consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer, escalated)
     else:
         consensus = edge = np.zeros(predicted.shape, bool)
 
@@ -539,7 +551,7 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
         # rand's gate coin shares the cloud's stream, so rand walks every token.
         if cfg.mode == MODE_RAND:
             routed = range(cfg.tokens_per_client)
-        elif not (routed := np.flatnonzero(uncertainty[cid] > state.threshold).tolist()):
+        elif not (routed := np.flatnonzero(escalated[cid]).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
         route_escalated(client, work, routed, consensus[cid], edge[cid], cfg, rng, out)

@@ -77,25 +77,40 @@ def emit_metrics_csv(report: SimulationReport, path: str | Path) -> None:
 
 
 # One trace line, as json.dumps(record, separators=(",", ":")) writes it: a
-# finite float's repr is its JSON text, and the key order is fixed.
-TRACE_LINE = '{"round":%d,"client":%d,"timestep":%d,"stage":"%s","uncertainty":%r,"beta":%s,"cost":%r,"correct":%s}'
+# finite float's repr is its JSON text, and the key order is fixed. The line
+# is its position's head, its stage and score, its beta, then its cost and
+# correctness.
+TRACE_HEAD = '{"round":%d,"client":%d,"timestep":'
+TRACE_SCORE = ',"stage":"%s","uncertainty":%r,"beta":'
+TRACE_COST = ',"cost":%r,"correct":%s}'
 
 
 def emit_trace(report: SimulationReport, path: str | Path) -> None:
     """One JSON object per token, ordered by round, client, timestep.
 
     beta is null for a token the cloud did not adjudicate (NaN in its column).
+    A run's tokens share few (stage, score) and (stage, cost, correct)
+    values, so each one's text is formatted once. Within a stage no score or
+    cost mixes 0.0 with -0.0, the one pair of equal floats whose reprs
+    differ.
     """
     names = [stage.value for stage in STAGES]
+    scores: dict[tuple, str] = {}
+    costs: dict[tuple, str] = {}
     lines: list[str] = []
     for rnd in report.rounds:
         o, r = rnd.outcomes, rnd.round_index
         columns = (o.stage.tolist(), o.uncertainty.tolist(), o.beta.tolist(), o.cost.tolist(), o.correct.tolist())
         for client, row in enumerate(zip(*columns)):
-            lines += [
-                TRACE_LINE % (r, client, t, names[s], u, "null" if b != b else repr(b), c, "true" if ok else "false")
-                for t, (s, u, b, c, ok) in enumerate(zip(*row))
-            ]
+            head = TRACE_HEAD % (r, client)
+            for t, (s, u, b, c, ok) in enumerate(zip(*row)):
+                score = scores.get(key := (s, u))
+                if score is None:
+                    score = scores[key] = TRACE_SCORE % (names[s], u)
+                cost = costs.get(key := (s, c, ok))
+                if cost is None:
+                    cost = costs[key] = TRACE_COST % (c, "true" if ok else "false")
+                lines.append(f"{head}{t}{score}{'null' if b != b else repr(b)}{cost}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

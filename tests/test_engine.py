@@ -8,16 +8,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhlm import engine
+from fedhlm.adjudication import llm_adjudicate
 from fedhlm.cli import main
-from fedhlm.costs import CostModel, PHitEstimator
+from fedhlm.costs import CostModel, PHitEstimator, should_attempt_p2p
 from fedhlm.engine import (
     _TAG_GEN,
+    _TAG_RESOLVE,
     MODES,
     STAGES,
+    ClientMetrics,
     ClientState,
     ConfigInvalid,
     EmptyHistory,
@@ -40,6 +43,7 @@ from fedhlm.federation import ClusterTopology, PartitionSpec
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
+    TokenDistribution,
     VocabSpec,
     gen_distribution_rows,
     save_logit_trace,
@@ -52,12 +56,14 @@ from fedhlm.peers import (
     centroid,
     cosine_similarity,
     edge_validate,
+    embedding_matrix,
     peer_consensus,
     unit_table,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
 from fedhlm.thresholds import loss_gradient, lr_schedule, sgd_step
 from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
+from test_peers import ReferenceLRU
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -425,10 +431,13 @@ def per_token_flags(predicted, emb, clusters, cfg):
     return consensus, edge
 
 
-def _assert_flags_match_oracle(predicted, emb, clusters, cfg):
-    got = lateral_decisions(predicted, emb, clusters, cfg)
+def _assert_flags_match_oracle(predicted, emb, clusters, cfg, mask=None):
+    """Masked flags equal the oracle's and the rest are False; no mask means every cell."""
+    mask = np.ones(predicted.shape, bool) if mask is None else mask
+    got = lateral_decisions(predicted, emb, clusters, cfg, mask)
     want = per_token_flags(predicted, emb, clusters, cfg)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for flags, oracle in zip(got, want):
+        assert np.array_equal(flags[mask], oracle[mask]) and not flags[~mask].any()
     return got
 
 
@@ -450,20 +459,23 @@ def _assert_flags_match_oracle(predicted, emb, clusters, cfg):
 def test_lateral_decisions_match_per_token_oracle(cfg):
     state = SimulationState(cfg)
     seen = np.zeros((2, 2), dtype=bool)  # (consensus, edge) x (False, True)
+    rng = np.random.default_rng(cfg.topology.num_clients)
     for round_index in range(3):
         predicted = round_work(state, round_index).predicted
-        flags = _assert_flags_match_oracle(predicted, state.embeddings, state.cluster_members, cfg.peer)
-        for tier, flag in enumerate(flags):
-            seen[tier, 0] |= not flag.all()
-            seen[tier, 1] |= flag.any()
+        for mask in (None, rng.random(predicted.shape) < 0.4):
+            flags = _assert_flags_match_oracle(predicted, state.embeddings, state.cluster_members, cfg.peer, mask)
+            for tier, flag in enumerate(flags):
+                seen[tier, 0] |= not flag.all()
+                seen[tier, 1] |= flag.any()
     if cfg.topology.num_clusters == 6:
         assert seen.all()  # both outcomes of both tiers were compared
 
 
 @st.composite
 def near_ties(draw):
-    """A small table, clusters and predictions, with each threshold placed
-    within a few ulps of one cosine the exact path computes."""
+    """A small table, clusters, predictions and a mask, with each threshold
+    placed within a few ulps of one cosine the exact path computes at a
+    masked cell."""
     dim = draw(st.integers(1, 4))
     vocab = draw(st.integers(2, 5))
     entries = st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim)
@@ -485,7 +497,10 @@ def near_ties(draw):
     peers = [p for p in clusters[c] if p != i]
     similarity = near(cosine_similarity(own, centroid(emb[predicted[peers, t]]))) if peers else 0.9
     edge = near(cosine_similarity(own, emb[predicted[clusters[o]]].mean(axis=0)[t]))
-    return predicted, emb, clusters, PeerConfig(similarity_threshold=similarity, edge_threshold=edge)
+    cells = st.lists(st.booleans(), min_size=steps, max_size=steps)
+    mask = np.array(draw(st.lists(cells, min_size=sum(sizes), max_size=sum(sizes))), dtype=bool)
+    mask[i, t] = True
+    return predicted, emb, clusters, PeerConfig(similarity_threshold=similarity, edge_threshold=edge), mask
 
 
 @given(near_ties())
@@ -520,7 +535,7 @@ def test_an_empty_cluster_has_no_centroid():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no mean of an empty slice
         with_empty = _assert_flags_match_oracle(predicted, emb, [[0, 1], [], [2]], cfg)
-    without = lateral_decisions(predicted, emb, [[0, 1], [2]], cfg)
+    without = lateral_decisions(predicted, emb, [[0, 1], [2]], cfg, np.ones(predicted.shape, bool))
     assert all(np.array_equal(a, b) for a, b in zip(with_empty, without))
     assert with_empty[1].tolist() == [[True, False], [True, False], [True, False]]
 
@@ -809,3 +824,179 @@ def test_aggregation_reports_align_with_rounds():
         assert rnd.global_threshold == pytest.approx(
             math.fsum(rnd.cluster_thresholds) / len(rnd.cluster_thresholds)
         )
+
+
+class ListEstimator:
+    """The attempt rule's hit-rate estimate over a plain list: the prior until a window of outcomes is
+    in, then the hit share of the last window."""
+
+    def __init__(self, cost: CostModel):
+        self.window, self.prior, self.outcomes = cost.p_hit_window, cost.p_hit_prior, []
+
+    def estimate(self) -> float:
+        if len(self.outcomes) < self.window:
+            return self.prior
+        return sum(self.outcomes[-self.window:]) / self.window
+
+    def record(self, hit: bool) -> None:
+        self.outcomes.append(hit)
+
+
+def round_sources(state: SimulationState, round_index: int):
+    """A round's workload as round_work draws it, with coin(i, t, rng), rand's gate coin for client i's
+    token t, and cloud_row(i, t), the cloud row of an escalated token, each asked for once per token in
+    (client, t) order. rand's coin is the next uniform of the client's resolve stream rng, ahead of that
+    token's adjudication."""
+    work = round_work(state, round_index)
+    return work, lambda i, t, rng: rng.random(), lambda i, t: work.llm[i, t]
+
+
+def reference_run(cfg: SimulationConfig):
+    """Everything after generation, token by token, as README's "How a token is routed" tells it.
+
+    Returns each round's (columns, local thresholds, cluster thresholds,
+    global threshold), then each client's metrics.
+    """
+    state = SimulationState(cfg)
+    n, count, lateral = cfg.topology.num_clients, cfg.tokens_per_client, cfg.mode == "fedhlm"
+    clusters = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
+    emb, units = embedding_matrix(cfg.profile.vocab, cfg.peer), unit_table(cfg.profile.vocab, cfg.peer)
+    caches = [ReferenceLRU(units, cfg.cache_capacity, cfg.peer.similarity_threshold) for _ in range(n)]
+    estimators = [ListEstimator(cfg.cost) for _ in range(n)]
+    threshold = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
+    cluster_values = [threshold] * len(clusters)
+    c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
+    rounds = []
+    for r in range(cfg.rounds):
+        work, coin, cloud_row = round_sources(state, r)
+        predicted, shape = work.predicted, work.predicted.shape
+        cols = RoundOutcomes(
+            np.zeros(shape, np.int8), predicted.copy(), np.zeros(shape), work.uncertainty,
+            np.full(shape, np.nan), np.zeros(shape, bool), np.zeros(shape, bool),
+        )
+        means = [emb[predicted[m]].mean(axis=0) if m else None for m in clusters]
+        for i in range(n):
+            rng, home = substream(cfg.seed, _TAG_RESOLVE, i, r), cfg.topology.assignment[i]
+            cache, estimator = caches[i], estimators[i]
+            for t in range(count):
+                if cfg.mode == "rand":
+                    escalated = coin(i, t, rng) < cfg.p_offload
+                else:
+                    escalated = work.uncertainty[i, t] > threshold
+                if not escalated:
+                    continue
+                # Every escalated token has a cloud row, whether or not the cloud sees it.
+                stage, final, cost, cloud = Stage.LLM, int(predicted[i, t]), c_llm, cloud_row(i, t)
+                own = emb[predicted[i, t]]
+                attempted = lateral and should_attempt_p2p(estimator.estimate(), cfg.cost)
+                if attempted:
+                    cost = c_p2p
+                    peers = emb[[predicted[p, t] for p in clusters[home] if p != i]]
+                    centers = [
+                        m[t] for o, m in enumerate(means)
+                        if o != home and m is not None and float(np.linalg.norm(m[t])) > 1e-12
+                    ]
+                    if (hit := cache.lookup(final)) is not None:
+                        estimator.record(True)
+                        stage, final = Stage.P2P, hit
+                    elif peer_consensus(own, peers, cfg.peer) is ConsensusDecision.ACCEPT_LOCAL:
+                        estimator.record(True)
+                        cache.insert(final)
+                        stage = Stage.P2P
+                    else:
+                        estimator.record(False)
+                        if edge_validate(own, centers, cfg.peer) is EdgeDecision.ACCEPT:
+                            cache.insert(final)
+                            stage = Stage.EDGE
+                        else:
+                            cost = c_p2p + c_llm
+                if stage is Stage.LLM:
+                    slm, llm = TokenDistribution(work.slm[i, t]), TokenDistribution(cloud)
+                    verdict = llm_adjudicate(slm, llm, final, rng)
+                    final, cols.beta[i, t] = verdict.final_token, verdict.rejection_prob
+                    if lateral:
+                        cache.insert(final)
+                cols.stage[i, t], cols.final_token[i, t], cols.cost[i, t] = STAGES.index(stage), final, cost
+                cols.p2p_attempted[i, t] = attempted
+        cols.correct = cols.final_token == work.target
+        local = dict.fromkeys(range(n), threshold)
+        if lateral:
+            eta = lr_schedule(cfg.learner.eta0, r)
+            for i in range(n):
+                cloud = cols.stage[i] == STAGES.index(Stage.LLM)
+                grad = loss_gradient(work.uncertainty[i, cloud], cols.beta[i, cloud], threshold, cfg.learner)
+                local[i] = sgd_step(threshold, grad, eta)
+            sent = np.count_nonzero(cols.stage != STAGES.index(Stage.LOCAL), axis=1).tolist()
+            cluster_values = [
+                math.fsum(local[m] * sent[m] for m in members) / sum(sent[m] for m in members)
+                if sum(sent[m] for m in members) else before
+                for members, before in zip(clusters, cluster_values)
+            ]
+            threshold = math.fsum(cluster_values) / len(cluster_values)
+        rounds.append((cols, local, tuple(cluster_values), threshold))
+    stage, final, correct, attempted = (
+        np.hstack([getattr(cols, k) for cols, *_ in rounds])
+        for k in ("stage", "final_token", "correct", "p2p_attempted")
+    )
+    metrics = {}
+    for i in range(n):
+        tried = int(attempted[i].sum())
+        metrics[i] = ClientMetrics(
+            client_token_entropy(final[i], cfg.profile.vocab),
+            int((stage[i] == STAGES.index(Stage.P2P)).sum()) / tried if tried else 0.0,
+            int((stage[i] == STAGES.index(Stage.LLM)).sum()),
+            int(correct[i].sum()) / stage.shape[1],
+        )
+    return rounds, metrics
+
+
+@st.composite
+def lateral_heavy_configs(draw):
+    """fedhlm runs where every lateral tier acts: few classes and a steep Zipf draw, so peers often
+    predict the same token and consensus accepts; few embedding dimensions and low thresholds, so the
+    edge tier accepts and the cache answers with other tokens; a cache smaller than the vocabulary, so
+    it evicts; and a short window, so each recorded outcome moves the next attempt decision. Gates at 0
+    and at multiples of 1/10 meet scores exactly."""
+    clients, vocab = draw(st.integers(3, 8)), draw(st.sampled_from([5, 12, 32]))
+    return SimulationConfig(
+        topology=ClusterTopology(num_clients=clients, num_clusters=draw(st.integers(1, 3))),
+        profile=ModelProfile(vocab=VocabSpec(vocab)),
+        partition=PartitionSpec(num_classes=draw(st.integers(1, 3))),
+        peer=PeerConfig(
+            similarity_threshold=draw(st.sampled_from([0.3, 0.6, 0.9])),
+            embedding_dim=draw(st.sampled_from([2, 3, 64])),
+            edge_threshold=draw(st.sampled_from([None, 0.2, 0.5])),
+        ),
+        cost=CostModel(
+            c_p2p=draw(st.sampled_from([1.0, 2.5])),
+            p_hit_window=draw(st.integers(1, 3)),
+            p_hit_prior=draw(st.sampled_from([0.5, 1.0])),
+        ),
+        cache_capacity=draw(st.integers(1, 4)),
+        rounds=draw(st.integers(1, 3)),
+        tokens_per_client=draw(st.integers(2, 10)),
+        initial_threshold=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        seed=draw(st.integers(0, 2**32)),
+        uncertainty_kind=draw(st.sampled_from([KIND_DISAGREEMENT, KIND_ENTROPY])),
+        zipf_exponent=draw(st.sampled_from([1.5, 4.0, 4.0])),
+    )
+
+
+@settings(max_examples=150)
+@given(st.one_of(tiny_configs(), lateral_heavy_configs()), st.sampled_from([None, None, 5, 23]))
+def test_whole_run_matches_per_token_oracle(cfg, trace_rows):
+    # Every column, threshold and client metric of a run equals the per-token
+    # reference's, bit for bit; NaN betas compare by their bits.
+    with tempfile.TemporaryDirectory() as tmp:
+        if trace_rows is not None:
+            rng = np.random.default_rng(cfg.seed)
+            slm, llm = rng.dirichlet(np.full(cfg.profile.vocab.size, 0.5), size=(2, trace_rows))
+            save_logit_trace(f"{tmp}/t.csv", LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
+            cfg = replace(cfg, trace_path=f"{tmp}/t.csv")
+        report, (rounds, metrics) = run(cfg), reference_run(cfg)
+    for rnd, (cols, local, cluster_values, threshold) in zip(report.rounds, rounds, strict=True):
+        for name, column in vars(cols).items():
+            assert bits(getattr(rnd.outcomes, name)) == bits(column), name
+        assert rnd.thresholds_local == local
+        assert rnd.cluster_thresholds == cluster_values and rnd.global_threshold == threshold
+    assert report.client_metrics == metrics
