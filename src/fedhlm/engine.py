@@ -1,25 +1,27 @@
 """Round-based simulation of uncertainty-gated token routing.
 
 Each round every client predicts a fixed number of tokens. A round's
-distributions are drawn, each client from its own stream, or gathered from
-a replayed trace, as (clients * T, V) stacks and scored in one pass. A gate
-then decides, in one comparison per client-round, which tokens escalate;
-the rest stay on device. One function, route_escalated, then walks a
-client-round's escalated tokens in timestep order and writes where each one
-ended into the round's columns; in `rand` mode it walks every token, since
-the gate coin shares a stream with the cloud's draws. In the learned
-`fedhlm` mode an escalated token tries the client's semantic cache and then
-peer consensus, falls back to edge validation, and finally asks the cloud
-model to adjudicate. Consensus and edge decisions depend only on the
-round's predicted tokens, so lateral_decisions takes them once per round,
-for the escalated tokens. The `uhlm` (static threshold) and `rand` (coin
-flip) baselines differ only in the gate and send every escalated token
-straight to the cloud. A round's outcomes are kept as (clients, T) columns.
-Every client gates a round on the same threshold, which the state holds
-once: the fixed start in the baselines, and in `fedhlm` mode the last
-broadcast. There the cloud's feedback drives one threshold-learning step
-per client per round, and the cluster-weighted and global averages of those
-steps become the next round's threshold.
+small-model rows are drawn, each client from its own stream, or gathered
+from a replayed trace, as a (clients * T, V) stack and scored in one pass;
+each token's target, the cloud model's mode, comes with its row. A gate
+then decides, in one array comparison per round, which tokens escalate:
+scores against the threshold, or in `rand` mode coins from a lane of their
+own. The rest stay on device. Only escalated tokens get a cloud row, drawn
+after the gate. One function, route_escalated, then walks a client-round's
+escalated tokens in timestep order and writes where each one ended into
+the round's columns. In the learned `fedhlm` mode an escalated token tries
+the client's semantic cache and then peer consensus, falls back to edge
+validation, and finally asks the cloud model to adjudicate. Consensus and
+edge decisions depend only on the round's predicted tokens, so
+lateral_decisions takes them once per round, for the escalated tokens. The
+`uhlm` (static threshold) and `rand` (coin flip) baselines differ only in
+the gate and send every escalated token straight to the cloud. A round's
+outcomes are kept as (clients, T) columns. Every client gates a round on
+the same threshold, which the state holds once: the fixed start in the
+baselines, and in `fedhlm` mode the last broadcast. There the cloud's
+feedback drives one threshold-learning step per client per round, and the
+cluster-weighted and global averages of those steps become the next
+round's threshold.
 
 All randomness flows from one seed through named per-client, per-round
 streams, so reruns are bit-identical.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -53,7 +55,8 @@ from .model_source import (
     LogitTrace,
     ModelProfile,
     VocabSpec,
-    _draw_pairs,
+    _draw_slm,
+    _peaked_rows,
     _unchecked_distribution,
     load_logit_trace,
 )
@@ -82,9 +85,11 @@ _TAG_PARTITION = 1
 _TAG_PROFILES = 2
 _TAG_GEN = 3
 _TAG_RESOLVE = 4
+_TAG_COIN = 5
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# rows, LLM rows and softened CDFs or entropy logs (clients*T x V each), the
+# rows, softened CDFs or entropy logs and escalated tokens' LLM rows (each at
+# most clients*T x V; the escalated count is known only after the gate), the
 # embedding and unit tables (V x d each), the lateral tables, a client-round's
 # MC search (T x samples x V), the run's outcome columns, and the probe state
 # (three numbers per probed token and two per held one, each token one of the
@@ -280,10 +285,9 @@ def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
 
 
 class _Workload(NamedTuple):
-    """One round, row i for client i; target is the trace's reference or the LLM's argmax."""
+    """One round, row i for client i; target is the trace's reference or the LLM's mode."""
 
     slm: np.ndarray
-    llm: np.ndarray
     predicted: np.ndarray
     target: np.ndarray
     uncertainty: np.ndarray
@@ -372,17 +376,25 @@ def _draw_modes(state: SimulationState, class_uniforms: np.ndarray, picks: np.nd
     return state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
 
 
+def _trace_steps(state: SimulationState, round_index: int) -> np.ndarray:
+    """The trace rows a replayed round reads, row i for client i: each client-round's T rows in turn,
+    wrapping around."""
+    cfg = state.cfg
+    steps = (np.arange(len(state.clients))[:, None] * cfg.rounds + round_index) * cfg.tokens_per_client
+    return (steps + np.arange(cfg.tokens_per_client)) % len(state.trace.reference)
+
+
 def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.random.Generator]) -> _Workload:
     """One round's workload, client i drawing from rngs[i], its _TAG_GEN stream, what its client-round
-    alone would draw: class, pick and confusion uniforms, scattered modes, gen_distribution_rows' draws,
-    scoring uniforms. The arithmetic between draws runs once over the (clients * T, V) stack. rngs is
-    empty when the round draws nothing."""
+    alone would draw up to the gate: class, pick and confusion uniforms, scattered modes, then the SLM
+    rows, agreement uniforms and disagreeing modes, so that every token has its LLM mode, then scoring
+    uniforms. The arithmetic between draws runs once over the (clients * T, V) stack. rngs is empty
+    when the round draws nothing."""
     cfg = state.cfg
     n, count, v = len(state.clients), cfg.tokens_per_client, cfg.profile.vocab.size
     if state.trace is not None:
-        steps = (np.arange(n)[:, None] * cfg.rounds + round_index) * count + np.arange(count)
-        steps %= len(state.trace.reference)
-        slm, llm, target = state.trace.slm[steps.ravel()], state.trace.llm[steps.ravel()], state.trace.reference[steps]
+        steps = _trace_steps(state, round_index)
+        slm, target = state.trace.slm[steps.ravel()], state.trace.reference[steps]
     else:
         profiles = [client.profile for client in state.clients]
         # A weaker small model sometimes lands on the wrong token entirely,
@@ -396,11 +408,24 @@ def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.rand
                 scattered[i] = rng.integers(v, size=count)
         modes = np.where(uniforms[2] < miss_rate[:, None], scattered, _draw_modes(state, uniforms[0], uniforms[1]))
         sharpness, agreement = [p.slm_sharpness for p in profiles], [p.agreement for p in profiles]
-        slm, llm = _draw_pairs(cfg.profile, sharpness, agreement, modes, rngs)
-        target = llm.argmax(axis=1).reshape(n, count)
+        slm, target = _draw_slm(cfg.profile, sharpness, agreement, modes, rngs)
     uncertainty = _score_blocks(slm, cfg.uncertainty_kind, cfg.sampler, rngs).reshape(n, count)
     predicted = slm.argmax(axis=1).reshape(n, count)
-    return _Workload(slm.reshape(n, count, v), llm.reshape(n, count, v), predicted, target, uncertainty)
+    return _Workload(slm.reshape(n, count, v), predicted, target, uncertainty)
+
+
+def _cloud_rows(
+    state: SimulationState, round_index: int, work: _Workload, escalated: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """The LLM rows of a round's escalated (client, t) cells, in that order: read from the replayed
+    trace, or peaked on each target and drawn on the client's stream after its scoring uniforms, one
+    standard_gamma call per client-round."""
+    if state.trace is not None:
+        return state.trace.llm[_trace_steps(state, round_index)[escalated]]
+    profile = state.cfg.profile
+    modes = [mine[up] for mine, up in zip(work.target, escalated)]
+    return _peaked_rows(profile.vocab.size, modes, [profile.llm_sharpness] * len(rngs), profile.background, rngs)
 
 
 def lateral_decisions(
@@ -472,7 +497,8 @@ def lateral_decisions(
 def route_escalated(
     client: ClientState,
     work: _Workload,
-    routed: Iterable[int],
+    routed: Sequence[int],
+    llm: np.ndarray,
     consensus: Sequence[bool],
     edge: Sequence[bool],
     cfg: SimulationConfig,
@@ -481,24 +507,21 @@ def route_escalated(
 ) -> None:
     """Walk one client-round's escalated timesteps, in order, and write where each token ended.
 
-    run_round has already applied the threshold gate; in `rand` mode routed
-    is every timestep and each token first draws its gate coin from rng,
-    escalating with probability cfg.p_offload. Only `fedhlm` mode tries the
-    lateral tiers, when the hit-rate estimate makes an attempt pay: the
-    client's cache, then the consensus flag, then the edge flag (consensus
-    and edge are the client's row of lateral_decisions). The baselines take
-    every escalated token straight to the cloud and ignore both flags. The
-    cloud's final token enters the cache in `fedhlm` mode. Each token's
-    stage, final token, cost, beta, correctness (final token equals its
-    target) and attempt go into row client.client_id of out and of work.
+    run_round has already applied the gate; llm[j] is the cloud's row for
+    timestep routed[j]. Only `fedhlm` mode tries the lateral tiers, when the
+    hit-rate estimate makes an attempt pay: the client's cache, then the
+    consensus flag, then the edge flag (consensus and edge are the client's
+    row of lateral_decisions). The baselines take every escalated token
+    straight to the cloud and ignore both flags. The cloud's final token
+    enters the cache in `fedhlm` mode. Each token's stage, final token,
+    cost, beta, correctness (final token equals its target) and attempt go
+    into row client.client_id of out and of work.
     """
     cost, cid, cache, estimator = cfg.cost, client.client_id, client.cache, client.estimator
     lateral = cfg.mode == MODE_FEDHLM
-    slm, llm = work.slm[cid], work.llm[cid]
+    slm = work.slm[cid]
     predicted, target = work.predicted[cid].tolist(), work.target[cid].tolist()
-    for t in routed:
-        if cfg.mode == MODE_RAND and not rng.random() < cfg.p_offload:
-            continue
+    for t, cloud in zip(routed, llm):
         stage, final, charged = _LLM, predicted[t], cost.c_llm
         attempted = lateral and should_attempt_p2p(estimator.estimate(), cost)
         if attempted:
@@ -517,9 +540,7 @@ def route_escalated(
                     stage = _EDGE
             charged = cost.c_p2p if stage != _LLM else cost.c_p2p + cost.c_llm
         if stage == _LLM:
-            result = llm_adjudicate(
-                _unchecked_distribution(slm[t]), _unchecked_distribution(llm[t]), final, rng
-            )
+            result = llm_adjudicate(_unchecked_distribution(slm[t]), _unchecked_distribution(cloud), final, rng)
             final, out.beta[cid, t] = result.final_token, result.rejection_prob
             if lateral:
                 cache.insert(final)
@@ -536,7 +557,13 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients] if draws else []
     work = _draw_round(state, round_index, rngs)
     predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
-    escalated = uncertainty > state.threshold
+    # Every mode gates by array before any routing; rand's coins have their own lane.
+    if cfg.mode == MODE_RAND:
+        coins = [substream(cfg.seed, _TAG_COIN, c.client_id, round_index) for c in clients]
+        escalated = np.array([rng.random(cfg.tokens_per_client) for rng in coins]) < cfg.p_offload
+    else:
+        escalated = uncertainty > state.threshold
+    llm = _cloud_rows(state, round_index, work, escalated, rngs)
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
         consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer, escalated)
@@ -546,15 +573,14 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     # Every token starts as a local one; the walk overwrites a routed token's cells.
     out = RoundOutcomes.local(predicted, target, uncertainty)
     consensus, edge = consensus.tolist(), edge.tolist()
+    start = 0
     for client in clients:
         cid = client.client_id
-        # rand's gate coin shares the cloud's stream, so rand walks every token.
-        if cfg.mode == MODE_RAND:
-            routed = range(cfg.tokens_per_client)
-        elif not (routed := np.flatnonzero(escalated[cid]).tolist()):
+        if not (routed := np.flatnonzero(escalated[cid]).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
-        route_escalated(client, work, routed, consensus[cid], edge[cid], cfg, rng, out)
+        rows, start = llm[start : start + len(routed)], start + len(routed)
+        route_escalated(client, work, routed, rows, consensus[cid], edge[cid], cfg, rng, out)
 
     thresholds_local = dict.fromkeys(range(len(clients)), state.threshold)
     if cfg.mode == MODE_FEDHLM:

@@ -6,9 +6,13 @@ on-device small model (SLM) and one for the cloud large model (LLM). A
 client-round's steps are drawn at once, as two (T, V) arrays of rows, by
 gen_distribution_rows from a ModelProfile, or replayed from a logit-trace
 file, which load_logit_trace reads into one LogitTrace of stacked rows. A
-round stacks every client's rows, each drawn from the client's generator;
-gen_distribution_rows is the one-client case. A TokenDistribution wraps one
-row where a single step is judged on its own, as at the cloud.
+round stacks every client's rows, each drawn from the client's generator,
+in two parts: the SLM rows with every step's LLM mode, then, once the
+round knows which steps escalate, the LLM rows of those steps alone. Every
+drawn row holds its maximum at its mode, so a step's mode is the LLM's
+answer. gen_distribution_rows is the one-client case, with an LLM row for
+every step. A TokenDistribution wraps one row where a single step is
+judged on its own, as at the cloud.
 """
 
 from __future__ import annotations
@@ -108,27 +112,30 @@ def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
 
 
 def _peaked_rows(
-    size: int, modes: np.ndarray, sharpness: Sequence[float], background: float, rngs: Sequence[np.random.Generator]
+    size: int, modes: Sequence[np.ndarray], sharpness: Sequence[float], background: float,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """One Dirichlet row per entry of the (n, T) modes, concentrated on it, with the mode forced to be
-    the row's argmax; rows i * T to (i + 1) * T come from rngs[i] and sharpness[i].
+    """One Dirichlet row per mode, concentrated on it, with the row's maximum in the mode slot; modes[i]
+    holds client i's modes, whose rows follow client i - 1's, drawn from rngs[i] with sharpness[i].
 
-    A row is one standard_gamma draw over its alpha row, normalized. A row
-    whose variates all underflow to 0 becomes one-hot at its mode.
+    A client's rows are one standard_gamma draw over their alpha rows,
+    normalized. A row whose variates all underflow to 0 becomes one-hot at
+    its mode.
     """
-    count = modes.shape[1]
-    p = np.empty((modes.size, size))
-    for i, rng in enumerate(rngs):
-        alpha = np.full((count, size), background)
-        alpha[np.arange(count), modes[i]] += sharpness[i]
-        rng.standard_gamma(alpha, out=p[i * count : (i + 1) * count])
-    modes, rows = modes.ravel(), np.arange(modes.size)
+    p, start = np.empty((sum(len(m) for m in modes), size)), 0
+    for mine, width, rng in zip(modes, sharpness, rngs):
+        if len(mine):  # a client without rows costs no call
+            alpha = np.full((len(mine), size), background)
+            alpha[np.arange(len(mine)), mine] += width
+            rng.standard_gamma(alpha, out=p[start : start + len(mine)])
+            start += len(mine)
+    modes, rows = np.concatenate(modes), np.arange(len(p))
     total = p.sum(axis=1)
     empty = total == 0.0
     p[empty, modes[empty]] = total[empty] = 1.0
     p /= total[:, None]
-    # Swap each row's largest coordinate into its mode slot so argmax == mode
-    # on every row, not merely in expectation.
+    # Swap each row's largest coordinate into its mode slot, so the mode
+    # holds the maximum on every row, not merely in expectation.
     top = p.argmax(axis=1)
     p[rows, top], p[rows, modes] = p[rows, modes], p[rows, top]
     np.maximum(p, PROB_FLOOR, out=p)
@@ -136,12 +143,13 @@ def _peaked_rows(
     return p
 
 
-def _draw_pairs(
+def _draw_slm(
     profile: ModelProfile, slm_sharpness: Sequence[float], agreement: Sequence[float], modes: np.ndarray,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n * T, V) slm and llm stacks for the (n, T) modes: block i is gen_distribution_rows of profile
-    with slm_sharpness[i] and agreement[i], drawn from rngs[i]."""
+    """The (n * T, V) SLM stack and the (n, T) LLM modes for the (n, T) modes: block i drawn from
+    rngs[i] as gen_distribution_rows of profile with slm_sharpness[i] and agreement[i] draws it, up to
+    its LLM rows."""
     n, count = modes.shape
     v = profile.vocab.size
     slm = _peaked_rows(v, modes, slm_sharpness, profile.background, rngs)
@@ -152,8 +160,7 @@ def _draw_pairs(
     other += other >= modes
     top = slm[np.arange(modes.size), modes.ravel()].reshape(n, count)
     agrees = uniforms < np.asarray(agreement)[:, None] * top**profile.confidence_coupling
-    llm = _peaked_rows(v, np.where(agrees, modes, other), [profile.llm_sharpness] * n, profile.background, rngs)
-    return slm, llm
+    return slm, np.where(agrees, modes, other)
 
 
 def gen_distribution_rows(
@@ -168,14 +175,15 @@ def gen_distribution_rows(
     the constant profile.agreement. Disagreeing rows use a uniformly chosen
     different mode for the LLM. The draws come in this order: the SLM rows,
     the agreement uniforms, the disagreeing modes, the LLM rows. Every row
-    is floored at PROB_FLOOR, sums to 1 within NORMALIZATION_ATOL and has
-    its mode as argmax.
+    is floored at PROB_FLOOR, sums to 1 within NORMALIZATION_ATOL and holds
+    its maximum at its mode.
     """
     v = profile.vocab.size
     modes = np.asarray(modes, dtype=np.int64)
     if modes.size and not (0 <= modes.min() and modes.max() < v):
         raise ValueError(f"modes must lie in the vocabulary of size {v}")
-    return _draw_pairs(profile, [profile.slm_sharpness], [profile.agreement], modes[None], [rng])
+    slm, llm_modes = _draw_slm(profile, [profile.slm_sharpness], [profile.agreement], modes[None], [rng])
+    return slm, _peaked_rows(v, llm_modes, [profile.llm_sharpness], profile.background, [rng])
 
 
 class LogitTrace(NamedTuple):

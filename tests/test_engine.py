@@ -16,6 +16,7 @@ from fedhlm.adjudication import llm_adjudicate
 from fedhlm.cli import main
 from fedhlm.costs import CostModel, PHitEstimator, should_attempt_p2p
 from fedhlm.engine import (
+    _TAG_COIN,
     _TAG_GEN,
     _TAG_RESOLVE,
     MODES,
@@ -28,8 +29,10 @@ from fedhlm.engine import (
     SimulationConfig,
     SimulationState,
     Stage,
+    _cloud_rows,
     _draw_modes,
     _draw_round,
+    _trace_steps,
     _Workload,
     client_token_entropy,
     default_config,
@@ -45,6 +48,7 @@ from fedhlm.model_source import (
     ModelProfile,
     TokenDistribution,
     VocabSpec,
+    _peaked_rows,
     gen_distribution_rows,
     save_logit_trace,
 )
@@ -175,13 +179,14 @@ def reference_rows(size, modes, sharpness, background, rng):
     return p
 
 
-def reference_client_round(state, client, round_index, rng):
-    """Oracle: one client-round drawn and scored on its own, with Generator.choice for the classes."""
+def reference_client_round(state, client, round_index, rng, escalated):
+    """Oracle: one client-round drawn and scored on its own, with Generator.choice for the classes, then
+    the LLM rows of its escalated tokens; returns its workload and those rows."""
     cfg, count, v = state.cfg, state.cfg.tokens_per_client, state.cfg.profile.vocab.size
     if state.trace is not None:
         base = (client.client_id * cfg.rounds + round_index) * count
         steps = (base + np.arange(count)) % len(state.trace.reference)
-        slm, llm, target = state.trace.slm[steps], state.trace.llm[steps], state.trace.reference[steps]
+        slm, target = state.trace.slm[steps], state.trace.reference[steps]
     else:
         classes = rng.choice(cfg.partition.num_classes, size=count, p=client.mixture)
         ranks = np.count_nonzero(state.zipf[classes] <= rng.random(count)[:, None], axis=1)
@@ -196,8 +201,7 @@ def reference_client_round(state, client, round_index, rng):
         agrees = rng.random(count) < profile.agreement * top**profile.confidence_coupling
         other = rng.integers(v - 1, size=count)
         other += other >= modes
-        llm = reference_rows(v, np.where(agrees, modes, other), profile.llm_sharpness, profile.background, rng)
-        target = llm.argmax(axis=1)
+        target = np.where(agrees, modes, other)
     if cfg.uncertainty_kind == KIND_ENTROPY:
         logs = np.log(slm, out=np.zeros_like(slm), where=slm > 0.0)
         uncertainty = np.minimum(np.maximum(-(slm * logs).sum(axis=1), 0.0) / math.log(v), 1.0)
@@ -209,7 +213,11 @@ def reference_client_round(state, client, round_index, rng):
         uniforms = rng.random((count, cfg.sampler.num_samples))
         draws = np.count_nonzero(cdf[:, None, :] <= uniforms[:, :, None], axis=2)
         uncertainty = np.count_nonzero(draws != slm.argmax(axis=1)[:, None], axis=1) / cfg.sampler.num_samples
-    return _Workload(slm, llm, slm.argmax(axis=1), target, uncertainty)
+    if state.trace is not None:
+        llm = state.trace.llm[steps[escalated]]
+    else:
+        llm = reference_rows(v, target[escalated], cfg.profile.llm_sharpness, cfg.profile.background, rng)
+    return _Workload(slm, slm.argmax(axis=1), target, uncertainty), llm
 
 
 @st.composite
@@ -232,7 +240,7 @@ def round_cases(draw):
         confusion_scale=draw(st.sampled_from([0.0, 12.0])),
         zipf_exponent=draw(st.sampled_from([0.0, 1.5])),
     )
-    return cfg, draw(st.sampled_from([None, 1, 13]))
+    return cfg, draw(st.sampled_from([None, 1, 13])), draw(st.sampled_from([0.0, 0.5, 1.0]))
 
 
 def bits(a: np.ndarray) -> tuple:
@@ -242,9 +250,10 @@ def bits(a: np.ndarray) -> tuple:
 @given(round_cases())
 def test_round_block_matches_per_client_reference(case):
     # The round's stacked arithmetic gives each client the bits its own
-    # client-round would have, and leaves each generator where the
-    # per-client draws would: a numpy change in reduction order fails here.
-    cfg, trace_steps = case
+    # client-round would have, the LLM rows of a random share of its tokens
+    # included, and leaves each generator where the per-client draws would:
+    # a numpy change in reduction order fails here.
+    cfg, trace_steps, share = case
     with tempfile.TemporaryDirectory() as tmp:
         if trace_steps is not None:
             rng = np.random.default_rng(cfg.seed)
@@ -255,10 +264,15 @@ def test_round_block_matches_per_client_reference(case):
     for round_index in range(cfg.rounds):
         ours, refs = ([substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients] for _ in "ab")
         got = _draw_round(state, round_index, ours)
+        escalated = np.random.default_rng([cfg.seed, round_index]).random(got.predicted.shape) < share
+        llm, start = _cloud_rows(state, round_index, got, escalated, ours), 0
         for client, ref in zip(state.clients, refs):
-            want = reference_client_round(state, client, round_index, ref)
+            want, rows = reference_client_round(state, client, round_index, ref, escalated[client.client_id])
             for name in _Workload._fields:
                 assert bits(getattr(got, name)[client.client_id]) == bits(getattr(want, name)), name
+            assert bits(llm[start : start + len(rows)]) == bits(rows)
+            start += len(rows)
+        assert start == len(llm)
         assert [rng.bit_generator.state for rng in ours] == [rng.bit_generator.state for rng in refs]
 
 
@@ -314,10 +328,9 @@ def test_resolve_retains_at_threshold_boundary(one_token_round):
 def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
     """route_escalated over a one-token client-round holding crafted_pair(cfg, mode); its cells as scalars."""
     slm, llm = crafted_pair(cfg, mode=mode)
-    cells = np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]])
-    work = _Workload(slm[None, None], llm[None, None], *cells)
+    work = _Workload(slm[None, None], np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]]))
     out = RoundOutcomes.local(work.predicted, work.target, work.uncertainty)
-    route_escalated(client, work, routed, [consensus], [edge], cfg, np.random.default_rng(mode), out)
+    route_escalated(client, work, routed, llm[None], [consensus], [edge], cfg, np.random.default_rng(mode), out)
     cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in vars(out).items()})
     cells.stage = STAGES[cells.stage]
     return cells
@@ -567,11 +580,13 @@ def test_baseline_gates_skip_the_lateral_tiers(mode):
     assert len(client.cache) == 1  # the cloud's final token is not cached
 
 
-def test_rand_gate_ignores_uncertainty():
-    # The walk draws rand's coin whatever the score (0.9 here) and the threshold say.
-    cfg = small_config(mode="rand", p_offload=0.0)
-    client = make_client(prior=1.0, cfg=cfg)
-    assert walk_one(cfg, client, 2).stage is Stage.LOCAL
+@pytest.mark.parametrize("p_offload", [0.0, 1.0])
+def test_rand_gate_ignores_uncertainty(p_offload):
+    # rand's coins decide alone, whatever the scores and the threshold say.
+    threshold = 1.0 - p_offload
+    cfg = small_config(mode="rand", p_offload=p_offload, initial_threshold=threshold, static_threshold=threshold)
+    want = Stage.LLM if p_offload else Stage.LOCAL
+    assert run(cfg).outcome_totals()[want] == cfg.rounds * cfg.topology.num_clients * cfg.tokens_per_client
 
 
 def test_round_conservation_and_cost_consistency():
@@ -845,10 +860,23 @@ class ListEstimator:
 def round_sources(state: SimulationState, round_index: int):
     """A round's workload as round_work draws it, with coin(i, t, rng), rand's gate coin for client i's
     token t, and cloud_row(i, t), the cloud row of an escalated token, each asked for once per token in
-    (client, t) order. rand's coin is the next uniform of the client's resolve stream rng, ahead of that
-    token's adjudication."""
-    work = round_work(state, round_index)
-    return work, lambda i, t, rng: rng.random(), lambda i, t: work.llm[i, t]
+    (client, t) order. The coins are the client-round's own lane. A generated cloud row is drawn on its
+    own, next on the client's generation stream: row by row, standard_gamma draws what one call per
+    client-round draws."""
+    cfg = state.cfg
+    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients]
+    work = _draw_round(state, round_index, rngs)
+    coins = [substream(cfg.seed, _TAG_COIN, c.client_id, round_index) for c in state.clients]
+    coins = [rng.random(cfg.tokens_per_client) for rng in coins]
+    if state.trace is not None:
+        steps = _trace_steps(state, round_index)
+        return work, lambda i, t, rng: coins[i][t], lambda i, t: state.trace.llm[steps[i, t]]
+    p = cfg.profile
+
+    def cloud_row(i, t):
+        return _peaked_rows(p.vocab.size, [work.target[i, t : t + 1]], [p.llm_sharpness], p.background, [rngs[i]])[0]
+
+    return work, lambda i, t, rng: coins[i][t], cloud_row
 
 
 def reference_run(cfg: SimulationConfig):

@@ -1,26 +1,31 @@
 """Golden outputs of the stock configuration, a lateral-tier config and a replayed trace.
 
 The sha256 of each byte-stable output file is pinned, so any change to the
-RNG stream, the routing decisions or the file layout shows up here. The
-stream is the columnar one: each client-round's draws come from its own
-stream, and a round's distributions are shaped and scored as (clients * T,
-V) stacks, with the same bits as one client-round at a time. The `uhlm`
-baseline sends 8,379 tokens through cloud adjudication, so its pins are the
-ones a changed resample draw would break; the `rand` pins fix the coin-flip
-gate, which draws one uniform per token before adjudication.
+RNG stream, the routing decisions or the file layout shows up here. Each
+client-round draws on its own generation stream, in this order: the class,
+pick and confusion uniforms and the scattered modes; the SLM rows, the
+agreement uniforms and the disagreeing modes, which fix every token's LLM
+mode (a generated token's target); the scoring uniforms; and, after the
+gate, the LLM rows of its escalated tokens only. A round's distributions
+are shaped and scored as (clients * T, V) stacks, with the same bits as one
+client-round at a time. The `uhlm` baseline sends 8,505 tokens through
+cloud adjudication, so its pins are the ones a changed resample draw would
+break; the `rand` pins fix the coin-flip gate, whose coins each
+client-round draws as one (T,) array on a lane of their own.
 
 The stock run settles almost nothing at the peer or edge tier, so the
 lateral pin uses a config where both accept: 24 clients in 6 clusters, a
 near-frozen threshold, a steep Zipf draw (peers often predict the same
-token) and a lower edge threshold. It gives 7 consensus accepts, 63 edge
-accepts and 1,052 p2p tokens. Its per-client metrics are pinned as well,
+token) and a lower edge threshold. It gives 7 consensus accepts, 65 edge
+accepts and 1,058 p2p tokens. Its per-client metrics are pinned as well,
 because no output file holds them.
 
 The trace-replay pin runs a 997-row logit trace in disagreement mode. Replay
 spends randomness only on uncertainty scoring and the routing after it, and
 the batched (T, S) scoring draw takes the same uniforms in the same order as
 one draw of S per token did, so this pin predates the columnar stream and
-holds across changes to the synthetic generator.
+holds across changes to the synthetic generator, such as the move of the
+LLM rows after the gate.
 
 The entropy-replay pin runs the same trace with entropy scoring. Such a
 round draws nothing, so it builds no generation streams; the pin was taken
@@ -43,16 +48,16 @@ from fedhlm.engine import _TAG_GEN, _TAG_RESOLVE, run
 
 GOLDEN = {
     ("run",): {
-        "metrics.csv": "d31716ae879c734f823b1a73ba2e89b694dc20335f8efaee65497dcefd46c99c",
-        "trace.jsonl": "ba5527dad0b26fd67c68695e0471940bd2a19ae19c4837a7a3d85b38a763239c",
+        "metrics.csv": "c41fa4fc1302e45168aab9d9907c3c7958252e02c68a2bedbc20c079b318ce4d",
+        "trace.jsonl": "039853fbf1e86d9c14e06b58d40ce3037726c4f4bd00fc68e5c19efa8f413e87",
     },
     ("baseline", "--mode", "uhlm"): {
-        "metrics.csv": "1fc156f614bcc32e2aba0c0debfe9a1d3eb261f16bb251513afaf12a00127c6d",
-        "trace.jsonl": "2beebcdaaf303c3f2cfe1eef1c26aa98b477c1f415855acf94613d31ffae07aa",
+        "metrics.csv": "4006f6e5016367690544b35ddefab7441b8a70882fec3fac9ff9b0a61e5a3c55",
+        "trace.jsonl": "cc56c712cff87070e170868e6ab6fa32ef533b7c9768a0127300ef35f7208569",
     },
     ("baseline", "--mode", "rand"): {
-        "metrics.csv": "15d945588185795b0654ecc80b377c0fabe9b8d1a632734f00bb0a3db3ea76b5",
-        "trace.jsonl": "a08ccd9e77f7592adde019aee53957b6d93a2d7081aa0b0fea744bc5d0038dc7",
+        "metrics.csv": "9f53a9498e19bf04beaf21250801d24b9f81bb45939164b90b076a83c81469d4",
+        "trace.jsonl": "3ed9ace155b9e1b3cb8a182a61862395caa35fa4a942dcc3993763edfb46095b",
     },
 }
 
@@ -67,11 +72,11 @@ peer.edge_threshold = 0.6
 
 # sha256 of one line per client: token entropy, cache hit ratio, LLM token
 # count and accuracy, floats by repr.
-LATERAL_CLIENT_METRICS = "8c87970fe0448e19c8e9c85182241699f9f3a6482ae0a6e4c99162a62ffd33c3"
+LATERAL_CLIENT_METRICS = "4eb8853face739032bb33130301c9728ac84c00bcd7605c11dba3b5832ee4cf9"
 
 LATERAL_GOLDEN = {
-    "metrics.csv": "3cb0511fd351e6bebbd65d5933d0cea157d3c31028fced3137b597e9b70fd600",
-    "trace.jsonl": "a6338481e58c6afa1d0d2494bd89db3e43a4419973cb24895330ee5b3843421e",
+    "metrics.csv": "f4b399b2cde4aced7479e9d6ff93b8f3c68d7c9f202f8a24f709c34d8251201f",
+    "trace.jsonl": "5450c0cfa463e7a2c24d68a939a4d3269b880bcd8c873cc718957185c2ae313f",
 }
 
 
@@ -95,8 +100,8 @@ ENTROPY_REPLAY_GOLDEN = {
 ENTROPY_CONFIG = "run.uncertainty_kind = entropy\n"
 
 ENTROPY_GOLDEN = {
-    "metrics.csv": "553a5dd16f0af6714d786146746e316e3cd5ddf4398e166c05729141473b38f2",
-    "trace.jsonl": "8a571346a408809e53b9c6b0b75f50086584777dda8359e97117a6ed16b44b82",
+    "metrics.csv": "b6fa3f044f0dd3dca4ebce60c8d7da07d08979e6501f5692d053dc186041195d",
+    "trace.jsonl": "d066d207397bc8b78a196946c253a8c229ac899230963d88924435898052ad19",
 }
 
 
@@ -137,7 +142,7 @@ def test_lateral_outputs_match_golden_hashes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     summary = capsys.readouterr().out
     assert _digests(out, LATERAL_GOLDEN) == LATERAL_GOLDEN
-    assert "p2p=1052 " in summary and "edge=63 " in summary
+    assert "p2p=1058 " in summary and "edge=65 " in summary
 
 
 def test_lateral_client_metrics_match_golden_hash():

@@ -20,6 +20,7 @@ from fedhlm.model_source import (
     TokenDistribution,
     VocabMismatch,
     VocabSpec,
+    _peaked_rows,
     gen_distribution_rows,
     load_logit_trace,
     save_logit_trace,
@@ -110,6 +111,31 @@ def test_generated_pairs_are_valid_distributions(
     assert np.all((llm.argmax(axis=1) == modes) == (agreement == 1.0))
     if background == 1e-6:
         assert np.allclose(slm[np.arange(rows), modes], 1.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab=st.integers(2, 300),
+    counts=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    sharpness=st.one_of(st.just(1e-6), st.floats(1e-6, 1e4)),
+    background=st.sampled_from([1e-6, 1e-3, 0.05, 2.0]),
+)
+# the 1e-6 profile: every variate of these rows underflows to 0.0
+@example(seed=0, vocab=3, counts=[4, 0, 3], sharpness=1e-6, background=1e-6)
+def test_peaked_rows_hold_each_rows_maximum_at_its_mode(seed, vocab, counts, sharpness, background):
+    # A generated token's target is its LLM mode, so the mode's slot must
+    # hold its row's maximum. An exact tie there (say, at a denormal maximum)
+    # may put argmax on an earlier slot, so the test reads the maximum.
+    rng = np.random.default_rng(seed)
+    modes = [rng.integers(vocab, size=count) for count in counts]
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(counts))]
+    rows = _peaked_rows(vocab, modes, [sharpness * (i + 1) for i in range(len(counts))], background, rngs)
+    flat = np.concatenate(modes)
+    assert rows.shape == (len(flat), vocab)
+    assert np.array_equal(rows[np.arange(len(flat)), flat], rows.max(axis=1))
+    assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)
+    if (seed, vocab) == (0, 3):
+        assert np.allclose(rows[np.arange(len(flat)), flat], 1.0)  # one-hot at the mode
 
 
 def test_full_agreement_forces_shared_argmax():
