@@ -473,10 +473,10 @@ def lateral_decisions(
         slack = norm - 2 * err
         sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
         consensus[rows, steps], redo_consensus = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
-        # Each masked token's dot with every cluster mean, taken per distinct token and gathered per cell.
+        # Each masked token's dot with every cluster mean, taken per distinct token and gathered per
+        # cell. A BLAS product here raised the run's peak memory by its work buffers; einsum does not.
         distinct, at = np.unique(tokens, return_inverse=True)
-        dots = (emb[distinct] @ means.reshape(-1, dim).T).reshape(len(distinct), len(clusters), count)
-        cos = dots[at, :, steps] / (own[:, None] * mnorm)
+        cos = np.einsum("ud,ctd->uct", emb[distinct], means)[at, :, steps] / (own[:, None] * mnorm)
     others = np.arange(len(clusters)) != mine[:, None]
     live = (mnorm > _NORM_EPS) & others
     edge[rows, steps] = (live & (cos >= edge_thr)).any(axis=-1)

@@ -580,13 +580,13 @@ def test_baseline_gates_skip_the_lateral_tiers(mode):
     assert len(client.cache) == 1  # the cloud's final token is not cached
 
 
-@pytest.mark.parametrize("p_offload", [0.0, 1.0])
-def test_rand_gate_ignores_uncertainty(p_offload):
-    # rand's coins decide alone, whatever the scores and the threshold say.
-    threshold = 1.0 - p_offload
-    cfg = small_config(mode="rand", p_offload=p_offload, initial_threshold=threshold, static_threshold=threshold)
-    want = Stage.LLM if p_offload else Stage.LOCAL
-    assert run(cfg).outcome_totals()[want] == cfg.rounds * cfg.topology.num_clients * cfg.tokens_per_client
+def test_rand_gate_ignores_uncertainty():
+    # rand's coins decide alone: every token stays local at p_offload 0 under
+    # a zero threshold, and every token escalates at 1 under a threshold of 1.
+    for p_offload, want in ((0.0, Stage.LOCAL), (1.0, Stage.LLM)):
+        threshold = 1.0 - p_offload
+        cfg = small_config(mode="rand", p_offload=p_offload, initial_threshold=threshold, static_threshold=threshold)
+        assert run(cfg).outcome_totals()[want] == cfg.rounds * cfg.topology.num_clients * cfg.tokens_per_client
 
 
 def test_round_conservation_and_cost_consistency():
