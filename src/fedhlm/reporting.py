@@ -89,17 +89,18 @@ def emit_trace(report: SimulationReport, path: str | Path) -> None:
     """One JSON object per token, ordered by round, client, timestep.
 
     beta is null for a token the cloud did not adjudicate (NaN in its column).
-    A run's tokens share few (stage, score) and (stage, cost, correct)
-    values, so each one's text is formatted once. Within a stage no score or
-    cost mixes 0.0 with -0.0, the one pair of equal floats whose reprs
-    differ.
+    A round's tokens share few (stage, score) and (stage, cost, correct)
+    values, so each one's text is formatted once per round; a score kind
+    with continuous values, such as entropy, then holds at most a round's
+    worth. Within a stage no score or cost mixes 0.0 with -0.0, the one pair
+    of equal floats whose reprs differ.
     """
     names = [stage.value for stage in STAGES]
-    scores: dict[tuple, str] = {}
-    costs: dict[tuple, str] = {}
     lines: list[str] = []
     for rnd in report.rounds:
         o, r = rnd.outcomes, rnd.round_index
+        scores: dict[tuple, str] = {}
+        costs: dict[tuple, str] = {}
         columns = (o.stage.tolist(), o.uncertainty.tolist(), o.beta.tolist(), o.cost.tolist(), o.correct.tolist())
         for client, row in enumerate(zip(*columns)):
             head = TRACE_HEAD % (r, client)
