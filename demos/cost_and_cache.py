@@ -16,10 +16,10 @@ from fedhlm import (
     TokenCache,
     VocabSpec,
     cache_hit_curve,
+    embedding_matrix,
     expected_cost,
     fit_cache_alpha,
     should_attempt_p2p,
-    unit_table,
 )
 
 
@@ -42,12 +42,12 @@ def cache_curve() -> None:
     weights = ranks ** -0.9
     weights /= weights.sum()
     stream = rng.choice(vocab.size, size=6000, p=weights)
-    units = unit_table(vocab, peer)
+    table = embedding_matrix(vocab, peer)
 
     sizes = [4, 8, 16, 32, 64, 128]
     measured = []
     for size in sizes:
-        cache = TokenCache(units, capacity=size)
+        cache = TokenCache(table, capacity=size)
         hits = 0
         for t in stream.tolist():
             if cache.lookup(t, peer).token is not None:

@@ -19,6 +19,7 @@ from fedhlm import (
     TokenDistribution,
     VocabSpec,
     edge_validate,
+    embedding_matrix,
     expected_cost,
     gen_distribution_rows,
     llm_adjudicate,
@@ -26,7 +27,6 @@ from fedhlm import (
     rejection_probability,
     score_rows,
     token_embedding,
-    unit_table,
 )
 
 
@@ -57,7 +57,7 @@ def main() -> None:
 
     own = token_embedding(token, vocab)
 
-    cache = TokenCache(unit_table(vocab, peer_cfg), capacity=8)
+    cache = TokenCache(embedding_matrix(vocab, peer_cfg), capacity=8)
     hit = cache.lookup(token, peer_cfg)
     print(f"semantic cache: {'hit' if hit.token is not None else 'miss (cache is cold)'}")
 

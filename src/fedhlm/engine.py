@@ -70,7 +70,6 @@ from .peers import (
     edge_validate,
     embedding_matrix,
     peer_consensus,
-    unit_table,
 )
 from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
 from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, _cumulative, _score_blocks, _search
@@ -90,12 +89,13 @@ _TAG_COIN = 5
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
 # rows, softened CDFs or entropy logs and escalated tokens' LLM rows (each at
 # most clients*T x V; the escalated count is known only after the gate), the
-# embedding and unit tables (V x d each), the lateral tables, a client-round's
-# MC search (T x samples x V), the run's outcome columns, and the probe state
-# (three numbers per probed token and two per held one, each token one of the
-# run's, so at most 5 x min(V, tokens)). A cache holds at most min(capacity, V)
-# token ids and slot indices, fewer than a round's rows. 2**24 float64 cells
-# are 128 MiB; the stock run's largest term is 57,600 (a round's tables).
+# one embedding table (V x d), which the lateral tables and the caches both
+# read, the lateral tables, a client-round's MC search (T x samples x V), the
+# run's outcome columns, and the probe state (three numbers per probed token
+# and two per held one, each token one of the run's, so at most
+# 5 x min(V, tokens)). A cache holds at most min(capacity, V) token ids and
+# slots, fewer than a round's rows. 2**24 float64 cells are 128 MiB; the stock
+# run's largest term is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 
@@ -178,7 +178,7 @@ class SimulationConfig:
         clients, vocab, dim = self.topology.num_clients, self.profile.vocab.size, self.peer.embedding_dim
         tokens = self.rounds * clients * self.tokens_per_client
         held = max(
-            3 * clients * self.tokens_per_client * vocab, 2 * vocab * dim,
+            3 * clients * self.tokens_per_client * vocab, vocab * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
             self.tokens_per_client * self.sampler.num_samples * vocab, tokens, 5 * min(vocab, tokens),
         )
@@ -194,18 +194,6 @@ def default_config(**overrides) -> SimulationConfig:
     """The stock 20-client, 4-cluster, 30-round configuration."""
     cfg = SimulationConfig(topology=ClusterTopology(num_clients=20, num_clusters=4))
     return replace(cfg, **overrides) if overrides else cfg
-
-
-@dataclass
-class ClientState:
-    """Everything a client carries across rounds; only `fedhlm` mode, which probes it, has a cache."""
-
-    client_id: int
-    cluster_id: int
-    profile: ModelProfile
-    mixture: np.ndarray
-    cache: TokenCache | None
-    estimator: PHitEstimator
 
 
 @dataclass(frozen=True)
@@ -294,31 +282,47 @@ class _Workload(NamedTuple):
 
 
 class SimulationState:
-    """Mutable world state threaded through run_round."""
+    """Mutable world state threaded through run_round. Each per-client fact is one column, entry i for
+    client i: its small model's sharpness, agreement and miss rate, and in `fedhlm` mode its cache and
+    hit-rate estimator."""
 
     def __init__(self, cfg: SimulationConfig):
         self.cfg = cfg
-        vocab = cfg.profile.vocab
-        partition_rng = substream(cfg.seed, _TAG_PARTITION)
-        mixtures = dirichlet_partition(cfg.partition, cfg.topology, partition_rng)
+        vocab, n, profile = cfg.profile.vocab, cfg.topology.num_clients, cfg.profile
+        partition = dirichlet_partition(cfg.partition, cfg.topology, substream(cfg.seed, _TAG_PARTITION))
+        mixtures = np.stack([partition[c] for c in range(n)])
         profile_rng = substream(cfg.seed, _TAG_PROFILES)
         # As Python floats, a multiplier that overflowed to inf carries on
         # without warnings until the sharpness clamp below saturates it.
         with np.errstate(over="ignore"):
-            multipliers = np.exp(profile_rng.normal(0.0, cfg.heterogeneity, cfg.topology.num_clients))
-        multipliers = multipliers.tolist()
+            multipliers = np.exp(profile_rng.normal(0.0, cfg.heterogeneity, n))
+        self.sharpness, self.agreement = [], []
+        for multiplier, mixture in zip(multipliers.tolist(), mixtures):
+            skew = mixture_skew(mixture)
+            sharpness = profile.slm_sharpness * multiplier * math.exp(-cfg.skew_sharpness_coupling * skew)
+            # Overflow (inf, or nan where it meets an underflowed coupling)
+            # saturates at the largest concentration a profile allows.
+            self.sharpness.append(max(sharpness, 1e-6) if sharpness <= MAX_CONCENTRATION else MAX_CONCENTRATION)
+            agreement = profile.agreement * (1.0 - cfg.skew_agreement_coupling * skew)
+            self.agreement.append(min(max(agreement, 0.0), 1.0))
+        # A weaker small model sometimes lands on the wrong token entirely,
+        # scattering its confident predictions across the vocabulary.
+        self.miss_rate = np.array([min(0.5, cfg.confusion_scale / s) for s in self.sharpness])
 
-        # Only `fedhlm` mode compares embeddings: the lateral tables, and the
-        # caches, which share one probe state over the unit rows.
-        self.embeddings = self.probes = None
+        # Only `fedhlm` mode compares embeddings and estimates hit rates: the
+        # lateral tables, and each client's cache and estimator. The caches
+        # read the same table and share one probe state over it.
+        self.embeddings, self.caches, self.estimators = None, [None] * n, [None] * n
         if cfg.mode == MODE_FEDHLM:
-            self.embeddings = embedding_matrix(vocab, cfg.peer)
-            self.probes = ProbeState(unit_table(vocab, cfg.peer))
+            self.embeddings = table = embedding_matrix(vocab, cfg.peer)
+            probes, cost = ProbeState(table), cfg.cost
+            self.caches = [TokenCache(table, cfg.cache_capacity, probes) for _ in range(n)]
+            self.estimators = [PHitEstimator(window=cost.p_hit_window, prior=cost.p_hit_prior) for _ in range(n)]
         # Class c owns a contiguous run of tokens; row c of zipf holds its
         # Zipf CDF, padded with inf past the run's width.
         regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
         self.class_starts = np.array([region[0] for region in regions])
-        self.class_cdf = _cumulative(np.stack([mixtures[c] for c in range(cfg.topology.num_clients)]))
+        self.class_cdf = _cumulative(mixtures)
         self.class_widths = np.array([len(region) for region in regions])
         self.zipf = np.full((len(regions), self.class_widths.max()), np.inf)
         for c, width in enumerate(self.class_widths):
@@ -335,29 +339,6 @@ class SimulationState:
 
         # Every client gates on this one threshold; only `fedhlm` mode moves it.
         self.threshold = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
-        self.clients: list[ClientState] = []
-        probes = self.probes
-        for client_id in range(cfg.topology.num_clients):
-            mixture = mixtures[client_id]
-            skew = mixture_skew(mixture)
-            sharpness = cfg.profile.slm_sharpness * multipliers[client_id] * math.exp(
-                -cfg.skew_sharpness_coupling * skew
-            )
-            # Overflow (inf, or nan where it meets an underflowed coupling)
-            # saturates at the largest concentration a profile allows.
-            sharpness = max(sharpness, 1e-6) if sharpness <= MAX_CONCENTRATION else MAX_CONCENTRATION
-            agreement = cfg.profile.agreement * (1.0 - cfg.skew_agreement_coupling * skew)
-            profile = replace(cfg.profile, slm_sharpness=sharpness, agreement=min(max(agreement, 0.0), 1.0))
-            self.clients.append(
-                ClientState(
-                    client_id=client_id,
-                    cluster_id=cfg.topology.assignment[client_id],
-                    profile=profile,
-                    mixture=mixture,
-                    cache=None if probes is None else TokenCache(probes.units, cfg.cache_capacity, probes),
-                    estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=cfg.cost.p_hit_prior),
-                )
-            )
         self.cluster_thresholds = [self.threshold] * cfg.topology.num_clusters
         self.cluster_members = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
 
@@ -380,7 +361,7 @@ def _trace_steps(state: SimulationState, round_index: int) -> np.ndarray:
     """The trace rows a replayed round reads, row i for client i: each client-round's T rows in turn,
     wrapping around."""
     cfg = state.cfg
-    steps = (np.arange(len(state.clients))[:, None] * cfg.rounds + round_index) * cfg.tokens_per_client
+    steps = (np.arange(cfg.topology.num_clients)[:, None] * cfg.rounds + round_index) * cfg.tokens_per_client
     return (steps + np.arange(cfg.tokens_per_client)) % len(state.trace.reference)
 
 
@@ -391,15 +372,12 @@ def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.rand
     uniforms. The arithmetic between draws runs once over the (clients * T, V) stack. rngs is empty
     when the round draws nothing."""
     cfg = state.cfg
-    n, count, v = len(state.clients), cfg.tokens_per_client, cfg.profile.vocab.size
+    n, count, v = cfg.topology.num_clients, cfg.tokens_per_client, cfg.profile.vocab.size
     if state.trace is not None:
         steps = _trace_steps(state, round_index)
         slm, target = state.trace.slm[steps.ravel()], state.trace.reference[steps]
     else:
-        profiles = [client.profile for client in state.clients]
-        # A weaker small model sometimes lands on the wrong token entirely,
-        # scattering its confident predictions across the vocabulary.
-        miss_rate = np.array([min(0.5, cfg.confusion_scale / p.slm_sharpness) for p in profiles])
+        miss_rate = state.miss_rate
         uniforms, scattered = np.zeros((3, n, count)), np.zeros((n, count), np.int64)
         for i, rng in enumerate(rngs):
             missed = miss_rate[i] > 0.0
@@ -407,8 +385,7 @@ def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.rand
             if missed:
                 scattered[i] = rng.integers(v, size=count)
         modes = np.where(uniforms[2] < miss_rate[:, None], scattered, _draw_modes(state, uniforms[0], uniforms[1]))
-        sharpness, agreement = [p.slm_sharpness for p in profiles], [p.agreement for p in profiles]
-        slm, target = _draw_slm(cfg.profile, sharpness, agreement, modes, rngs)
+        slm, target = _draw_slm(cfg.profile, state.sharpness, state.agreement, modes, rngs)
     uncertainty = _score_blocks(slm, cfg.uncertainty_kind, cfg.sampler, rngs).reshape(n, count)
     predicted = slm.argmax(axis=1).reshape(n, count)
     return _Workload(slm.reshape(n, count, v), predicted, target, uncertainty)
@@ -495,7 +472,9 @@ def lateral_decisions(
 
 
 def route_escalated(
-    client: ClientState,
+    cid: int,
+    cache: TokenCache | None,
+    estimator: PHitEstimator | None,
     work: _Workload,
     routed: Sequence[int],
     llm: np.ndarray,
@@ -509,15 +488,16 @@ def route_escalated(
 
     run_round has already applied the gate; llm[j] is the cloud's row for
     timestep routed[j]. Only `fedhlm` mode tries the lateral tiers, when the
-    hit-rate estimate makes an attempt pay: the client's cache, then the
+    estimator's hit rate makes an attempt pay: the cache, then the
     consensus flag, then the edge flag (consensus and edge are the client's
     row of lateral_decisions). The baselines take every escalated token
     straight to the cloud and ignore both flags. The cloud's final token
     enters the cache in `fedhlm` mode. Each token's stage, final token,
     cost, beta, correctness (final token equals its target) and attempt go
-    into row client.client_id of out and of work.
+    into row cid of out and of work. The baselines pass None for cache and
+    estimator.
     """
-    cost, cid, cache, estimator = cfg.cost, client.client_id, client.cache, client.estimator
+    cost = cfg.cost
     lateral = cfg.mode == MODE_FEDHLM
     slm = work.slm[cid]
     predicted, target = work.predicted[cid].tolist(), work.target[cid].tolist()
@@ -551,15 +531,15 @@ def route_escalated(
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
-    clients = state.clients
+    clients = range(cfg.topology.num_clients)
     # Replaying a trace scored by entropy draws nothing, so such a round builds no generation streams.
     draws = state.trace is None or cfg.uncertainty_kind != KIND_ENTROPY
-    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in clients] if draws else []
+    rngs = [substream(cfg.seed, _TAG_GEN, cid, round_index) for cid in clients] if draws else []
     work = _draw_round(state, round_index, rngs)
     predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
     # Every mode gates by array before any routing; rand's coins have their own lane.
     if cfg.mode == MODE_RAND:
-        coins = [substream(cfg.seed, _TAG_COIN, c.client_id, round_index) for c in clients]
+        coins = [substream(cfg.seed, _TAG_COIN, cid, round_index) for cid in clients]
         escalated = np.array([rng.random(cfg.tokens_per_client) for rng in coins]) < cfg.p_offload
     else:
         escalated = uncertainty > state.threshold
@@ -574,15 +554,16 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     out = RoundOutcomes.local(predicted, target, uncertainty)
     consensus, edge = consensus.tolist(), edge.tolist()
     start = 0
-    for client in clients:
-        cid = client.client_id
+    for cid in clients:
         if not (routed := np.flatnonzero(escalated[cid]).tolist()):
             continue
         rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
         rows, start = llm[start : start + len(routed)], start + len(routed)
-        route_escalated(client, work, routed, rows, consensus[cid], edge[cid], cfg, rng, out)
+        route_escalated(
+            cid, state.caches[cid], state.estimators[cid], work, routed, rows, consensus[cid], edge[cid], cfg, rng, out
+        )
 
-    thresholds_local = dict.fromkeys(range(len(clients)), state.threshold)
+    thresholds_local = dict.fromkeys(clients, state.threshold)
     if cfg.mode == MODE_FEDHLM:
         eta = lr_schedule(cfg.learner.eta0, round_index)
         for cid, mine in enumerate(out.stage == _LLM):

@@ -5,17 +5,19 @@ vocabulary entry. Distinct tokens then have near-orthogonal embeddings, so a
 cosine-similarity threshold close to 1 effectively tests "same token" while
 still supporting the soft matching the cache and the consensus rule use.
 Vectors are plain float64 arrays: one embedding is a 1-d row, a set of peers
-or centroids is (count, dim) rows. A TokenCache holds token ids over one
-unit table per run, and every cache of a run shares one ProbeState, whose
-similarity bounds settle most probes without a product. The engine's
-client-round walk probes the cache first for each escalated token that tries
-the lateral tiers, before the peer and edge flags.
+or centroids is (count, dim) rows. A TokenCache holds token ids over the
+run's one embedding table, and every cache of a run shares one ProbeState,
+whose similarity bounds settle most probes without a product. Both take each
+pair's similarity from pair_similarity alone. The engine's client-round walk
+probes the cache first for each escalated token that tries the lateral
+tiers, before the peer and edge flags.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,9 +82,14 @@ def token_embedding(
     return _embedding_matrix(vocab.size, dim, seed)[token]
 
 
-def unit_table(vocab: VocabSpec, cfg: PeerConfig) -> np.ndarray:
-    """The rows a TokenCache compares: each token's embedding over its own norm, taken row by row."""
-    return np.array([row / float(np.linalg.norm(row)) for row in embedding_matrix(vocab, cfg)])
+def pair_similarity(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Each of the (count, dim) rows' dot product with row, taken as one row-wise einsum.
+
+    einsum rounds each row's sum on its own, so a row's value is the same bit
+    for bit whichever other rows share the call. A BLAS product does not
+    promise that: it may round a row differently inside a batch than alone.
+    """
+    return np.einsum("ij,j->i", rows, row)
 
 
 def centroid(rows: np.ndarray) -> np.ndarray:
@@ -164,16 +171,14 @@ class ProbeState:
 
     held lists each token any cache of the run has held, in first-insert
     order; it only grows. For each probed token the state keeps its
-    self-similarity and its rival: the largest similarity between it and any
-    other held token. The rival is filled lazily, each (probed, held) pair
-    compared once as held grows. Two roundings of one d-term product over
-    these rows differ by at most tol, scaled by the largest squared row norm.
+    self-similarity, once it is held, and its rival: the largest similarity
+    between it and any other held token. Both are filled lazily, each
+    (probed, held) pair compared once as held grows, by pair_similarity, so
+    they equal the values a product over any cache's rows gives.
     """
 
     def __init__(self, units: np.ndarray):
         self.units = units
-        top = float(np.einsum("ij,ij->i", units, units).max(initial=0.0))
-        self.tol = (2 * units.shape[1] + 4) * float(np.finfo(np.float64).eps) * top
         self.held: list[int] = []
         self._known: set[int] = set()
         self._bounds: dict[int, list] = {}
@@ -184,15 +189,14 @@ class ProbeState:
             self.held.append(token)
 
     def bounds(self, token: int) -> list:
-        """[self-similarity, rival, held tokens compared so far] of token, compared up to the last held."""
-        entry = self._bounds.get(token)
-        if entry is None:
-            row = self.units[token]
-            entry = self._bounds[token] = [float(row @ row), -math.inf, 0]
+        """[self-similarity, rival, held tokens compared so far] of token, compared up to the last held;
+        the self-similarity is -inf while token is not held."""
+        entry = self._bounds.setdefault(token, [-math.inf, -math.inf, 0])
         if entry[2] < len(self.held):
             new = self.held[entry[2]:]
-            sims = (self.units.take(new, axis=0) @ self.units[token]).tolist()
-            entry[1] = max([entry[1], *(s for t, s in zip(new, sims) if t != token)])
+            sims = dict(zip(new, pair_similarity(self.units.take(new, axis=0), self.units[token]).tolist()))
+            entry[0] = sims.pop(token, entry[0])
+            entry[1] = max([entry[1], *sims.values()])
             entry[2] = len(self.held)
         return entry
 
@@ -201,31 +205,26 @@ class ProbeState:
 class TokenCache:
     """Bounded semantic cache of token ids with least-recently-used eviction.
 
-    units holds one unit row per token id (unit_table). A lookup compares
-    the query token's row with the rows of the cached tokens in slot order,
-    returns the most similar entry at or above the similarity threshold (the
-    first slot on a tie) and refreshes that entry's recency, so a different
-    token with a close enough row can answer. Re-inserting a cached token
-    refreshes rather than duplicates it.
+    units is the run's embedding table, one unit row per token id
+    (embedding_matrix). A lookup compares the query token's row with the rows
+    of the cached tokens in slot order, returns the most similar entry at or
+    above the similarity threshold (the first slot on a tie) and refreshes
+    that entry's recency, so a different token with a close enough row can
+    answer. Re-inserting a cached token refreshes rather than duplicates it.
 
     probes is the run's ProbeState, shared by every cache of the run (a cache
-    built without one gets its own). A lookup whose query has no rival within
-    tol of the threshold needs no product: it misses unless the query itself
-    is cached with a self-similarity at least tol over the threshold, which
-    hits it, and misses outright below the threshold by tol. Every other
-    lookup takes the product over the cached rows, so each answer and each
-    recency stamp is the product's; a hit settled by the bound reports the
-    query's self-similarity.
+    built without one gets its own). A lookup whose query has no rival at or
+    above the threshold needs no product: only the query itself can answer,
+    and it does when it is cached with a self-similarity at or above the
+    threshold. Every other lookup takes the product over the cached rows.
     """
 
     units: np.ndarray = field(repr=False)
     capacity: int = 256
     probes: ProbeState | None = field(default=None, repr=False)
+    # Slot i's token id, and each cached token's slot, least recently used first.
     _tokens: list[int] = field(default_factory=list, repr=False)
-    _stamps: list[int] = field(default_factory=list, repr=False)
-    _slot_by_token: dict[int, int] = field(default_factory=dict, repr=False)
-    _index: np.ndarray = field(init=False, repr=False)
-    _clock: int = 0
+    _slots: OrderedDict[int, int] = field(default_factory=OrderedDict, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -233,55 +232,42 @@ class TokenCache:
         if self.probes is None:
             self.probes = ProbeState(self.units)
         elif self.probes.units is not self.units:
-            raise ValueError("probes must bound the cache's own unit table")
-        # Slot i's token id, the rows the exact product gathers.
-        self._index = np.empty(min(self.capacity, len(self.units)), np.int64)
+            raise ValueError("probes must bound the cache's own table")
 
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def lookup(self, token: int, cfg: PeerConfig) -> CacheResult:
-        count = len(self._tokens)
-        if not count:
+        if not self._tokens:
             return _MISS
-        thr, probes = cfg.similarity_threshold, self.probes
-        own, rival, _ = probes.bounds(token)
-        if rival < thr - probes.tol:
-            slot = self._slot_by_token.get(token)
-            if slot is None or own < thr - probes.tol:
+        thr = cfg.similarity_threshold
+        own, rival, _ = self.probes.bounds(token)
+        if rival < thr:
+            if own < thr or token not in self._slots:
                 return _MISS
-            if own >= thr + probes.tol:
-                self._stamps[slot] = self._tick()
-                return CacheResult(token, min(own, 1.0))
-        sims = self.units.take(self._index[:count], axis=0) @ self.units[token]
-        best = sims.argmax().item()
-        similarity = sims[best].item()
-        if similarity < thr:
-            return _MISS
-        self._stamps[best] = self._tick()
-        return CacheResult(self._tokens[best], min(similarity, 1.0))
+            hit, similarity = token, own
+        else:
+            sims = pair_similarity(self.units.take(self._tokens, axis=0), self.units[token])
+            best = sims.argmax().item()
+            hit, similarity = self._tokens[best], sims[best].item()
+            if similarity < thr:
+                return _MISS
+        self._slots.move_to_end(hit)
+        return CacheResult(hit, min(similarity, 1.0))
 
     def insert(self, token: int) -> None:
-        slot = self._slot_by_token.get(token)
-        if slot is None:
-            self.probes.hold(token)
-            if len(self._tokens) < self.capacity:
-                slot = len(self._tokens)
-                self._tokens.append(token)
-                self._stamps.append(0)
-            else:
-                slot = min(range(len(self._stamps)), key=self._stamps.__getitem__)
-                del self._slot_by_token[self._tokens[slot]]
-                self._tokens[slot] = token
-            self._slot_by_token[token] = slot
-            self._index[slot] = token
-        self._stamps[slot] = self._tick()
+        if token in self._slots:
+            self._slots.move_to_end(token)
+            return
+        self.probes.hold(token)
+        if len(self._tokens) < self.capacity:
+            self._slots[token] = len(self._tokens)
+            self._tokens.append(token)
+        else:
+            _, slot = self._slots.popitem(last=False)
+            self._slots[token] = slot
+            self._tokens[slot] = token
 
     def entries(self) -> list[int]:
         """Cached token ids, oldest to most recently used."""
-        order = sorted(range(len(self._tokens)), key=self._stamps.__getitem__)
-        return [self._tokens[i] for i in order]
+        return list(self._slots)

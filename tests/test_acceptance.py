@@ -25,7 +25,7 @@ from fedhlm.costs import (
 from fedhlm.engine import Stage, default_config, run
 from fedhlm.federation import cluster_aggregate, global_aggregate
 from fedhlm.model_source import TokenDistribution, VocabSpec
-from fedhlm.peers import PeerConfig, TokenCache, unit_table
+from fedhlm.peers import PeerConfig, TokenCache, embedding_matrix
 from fedhlm.reporting import emit_metrics_csv, emit_trace
 from fedhlm.thresholds import LearnerConfig, local_loss, loss_gradient
 
@@ -224,7 +224,7 @@ def test_criterion_8_cache_saturation():
     start = time.monotonic()
     vocab = VocabSpec(1000)
     peer = PeerConfig()
-    units = unit_table(vocab, peer)
+    table = embedding_matrix(vocab, peer)
     rng = np.random.default_rng(42)
     ranks = np.arange(1, vocab.size + 1, dtype=np.float64)
     weights = ranks ** -0.7
@@ -234,7 +234,7 @@ def test_criterion_8_cache_saturation():
     sizes = [8, 16, 32, 64, 128, 256, 512]
     hit_ratios = []
     for size in sizes:
-        cache = TokenCache(units, capacity=size)
+        cache = TokenCache(table, capacity=size)
         hits = 0
         for token in stream.tolist():
             if cache.lookup(token, peer).token is not None:

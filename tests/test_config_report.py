@@ -141,16 +141,17 @@ def test_constraint_errors_name_the_key():
         assert err.value.key == key, text
 
 
-def test_the_ceiling_counts_both_vocabulary_tables():
-    # A run holds two V x d tables, the embeddings and their unit rows. Every
-    # other term of this config is at most 12.0M cells, under 2^24 (16.8M).
+def test_the_ceiling_counts_the_one_embedding_table():
+    # A run holds one V x d embedding table, which the lateral tables and the
+    # caches share. Every other term of this config is at most 12.0M cells,
+    # under 2^24 (16.8M).
     text = (
         "topology.num_clients = 1\ntopology.num_clusters = 1\npartition.num_classes = 1\n"
         "run.tokens_per_client = 1\nsampler.num_samples = 8\nprofile.vocab_size = 1500000\n"
     )
-    assert parse_config_text(text + "peer.embedding_dim = 5").peer.embedding_dim == 5  # 2 x 7.5M cells
+    assert parse_config_text(text + "peer.embedding_dim = 11").peer.embedding_dim == 11  # 16.5M cells
     with pytest.raises(InvalidValue, match="over the ceiling") as err:
-        parse_config_text(text + "peer.embedding_dim = 8")  # 2 x 12.0M cells
+        parse_config_text(text + "peer.embedding_dim = 12")  # 18.0M cells
     assert err.value.key == "profile.vocab_size"
 
 

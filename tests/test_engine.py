@@ -18,11 +18,11 @@ from fedhlm.costs import CostModel, PHitEstimator, should_attempt_p2p
 from fedhlm.engine import (
     _TAG_COIN,
     _TAG_GEN,
+    _TAG_PARTITION,
     _TAG_RESOLVE,
     MODES,
     STAGES,
     ClientMetrics,
-    ClientState,
     ConfigInvalid,
     EmptyHistory,
     RoundOutcomes,
@@ -42,7 +42,7 @@ from fedhlm.engine import (
     run_round,
     substream,
 )
-from fedhlm.federation import ClusterTopology, PartitionSpec
+from fedhlm.federation import ClusterTopology, PartitionSpec, dirichlet_partition
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
@@ -62,7 +62,6 @@ from fedhlm.peers import (
     edge_validate,
     embedding_matrix,
     peer_consensus,
-    unit_table,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
 from fedhlm.thresholds import loss_gradient, lr_schedule, sgd_step
@@ -80,16 +79,19 @@ def small_config(**overrides) -> SimulationConfig:
     return replace(base, **overrides) if overrides else base
 
 
-def make_client(prior: float, cfg: SimulationConfig, units: np.ndarray | None = None) -> ClientState:
-    """Client 0, whose cache compares the rows of units (by default the run's unit table)."""
-    return ClientState(
-        client_id=0,
-        cluster_id=0,
-        profile=cfg.profile,
-        mixture=np.full(cfg.partition.num_classes, 1.0 / cfg.partition.num_classes),
-        cache=TokenCache(unit_table(cfg.profile.vocab, cfg.peer) if units is None else units, cfg.cache_capacity),
+def make_client(prior: float, cfg: SimulationConfig, units: np.ndarray | None = None) -> SimpleNamespace:
+    """Client 0's cache, comparing the rows of units (by default the run's embedding table), and its
+    hit-rate estimator, starting at prior."""
+    return SimpleNamespace(
+        cache=TokenCache(embedding_matrix(cfg.profile.vocab, cfg.peer) if units is None else units, cfg.cache_capacity),
         estimator=PHitEstimator(window=cfg.cost.p_hit_window, prior=prior),
     )
+
+
+def client_mixtures(cfg: SimulationConfig) -> list[np.ndarray]:
+    """Each client's class mixture, redrawn on the run's partition stream."""
+    partition = dirichlet_partition(cfg.partition, cfg.topology, substream(cfg.seed, _TAG_PARTITION))
+    return [partition[c] for c in range(cfg.topology.num_clients)]
 
 
 def crafted_pair(cfg: SimulationConfig, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +106,7 @@ def argmax(row: np.ndarray) -> int:
 
 def round_work(state: SimulationState, round_index: int) -> _Workload:
     """The round's workload on the run's own generation streams, as run_round draws it."""
-    rngs = [substream(state.cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients]
+    rngs = [substream(state.cfg.seed, _TAG_GEN, c, round_index) for c in range(state.cfg.topology.num_clients)]
     return _draw_round(state, round_index, rngs)
 
 
@@ -119,18 +121,19 @@ def test_drawn_modes_match_a_per_token_search(vocab, classes, exponent):
     )
     state = SimulationState(cfg)
     regions = np.array_split(np.arange(vocab), classes)
-    uniforms = np.stack([np.random.default_rng([3, c.client_id]).random((2, 200)) for c in state.clients])
+    mixtures = client_mixtures(cfg)
+    uniforms = np.stack([np.random.default_rng([3, c]).random((2, 200)) for c in range(len(mixtures))])
     drawn = _draw_modes(state, uniforms[:, 0], uniforms[:, 1])
-    for client in state.clients:
-        rng = np.random.default_rng([3, client.client_id])
-        classes_drawn = rng.choice(classes, size=200, p=client.mixture)
+    for cid, mixture in enumerate(mixtures):
+        rng = np.random.default_rng([3, cid])
+        classes_drawn = rng.choice(classes, size=200, p=mixture)
         picks = rng.random(200)
         want = []
         for c, pick in zip(classes_drawn, picks):
             ranks = np.arange(1, len(regions[c]) + 1) ** -exponent
             idx = int(np.searchsorted(np.cumsum(ranks / ranks.sum()), pick, side="right"))
             want.append(int(regions[c][min(idx, len(regions[c]) - 1)]))
-        assert drawn[client.client_id].tolist() == want
+        assert drawn[cid].tolist() == want
 
 
 @pytest.mark.parametrize("classes", [1, 2, 3, 7])
@@ -179,26 +182,26 @@ def reference_rows(size, modes, sharpness, background, rng):
     return p
 
 
-def reference_client_round(state, client, round_index, rng, escalated):
-    """Oracle: one client-round drawn and scored on its own, with Generator.choice for the classes, then
-    the LLM rows of its escalated tokens; returns its workload and those rows."""
+def reference_client_round(state, cid, mixture, round_index, rng, escalated):
+    """Oracle: client cid's client-round drawn and scored on its own, with Generator.choice over its class
+    mixture, then the LLM rows of its escalated tokens; returns its workload and those rows."""
     cfg, count, v = state.cfg, state.cfg.tokens_per_client, state.cfg.profile.vocab.size
     if state.trace is not None:
-        base = (client.client_id * cfg.rounds + round_index) * count
+        base = (cid * cfg.rounds + round_index) * count
         steps = (base + np.arange(count)) % len(state.trace.reference)
         slm, target = state.trace.slm[steps], state.trace.reference[steps]
     else:
-        classes = rng.choice(cfg.partition.num_classes, size=count, p=client.mixture)
+        classes = rng.choice(cfg.partition.num_classes, size=count, p=mixture)
         ranks = np.count_nonzero(state.zipf[classes] <= rng.random(count)[:, None], axis=1)
         modes = state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
-        miss_rate = min(0.5, cfg.confusion_scale / client.profile.slm_sharpness)
+        sharpness, profile = state.sharpness[cid], cfg.profile
+        miss_rate = min(0.5, cfg.confusion_scale / sharpness)
         if miss_rate > 0.0:
             flips = rng.random(count) < miss_rate
             modes = np.where(flips, rng.integers(v, size=count), modes)
-        profile = client.profile
-        slm = reference_rows(v, modes, profile.slm_sharpness, profile.background, rng)
+        slm = reference_rows(v, modes, sharpness, profile.background, rng)
         top = slm[np.arange(count), modes]
-        agrees = rng.random(count) < profile.agreement * top**profile.confidence_coupling
+        agrees = rng.random(count) < state.agreement[cid] * top**profile.confidence_coupling
         other = rng.integers(v - 1, size=count)
         other += other >= modes
         target = np.where(agrees, modes, other)
@@ -261,15 +264,16 @@ def test_round_block_matches_per_client_reference(case):
             save_logit_trace(f"{tmp}/t.csv", LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
             cfg = replace(cfg, trace_path=f"{tmp}/t.csv")
         state = SimulationState(cfg)
+    mixtures = client_mixtures(cfg)
     for round_index in range(cfg.rounds):
-        ours, refs = ([substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients] for _ in "ab")
+        ours, refs = ([substream(cfg.seed, _TAG_GEN, c, round_index) for c in range(len(mixtures))] for _ in "ab")
         got = _draw_round(state, round_index, ours)
         escalated = np.random.default_rng([cfg.seed, round_index]).random(got.predicted.shape) < share
         llm, start = _cloud_rows(state, round_index, got, escalated, ours), 0
-        for client, ref in zip(state.clients, refs):
-            want, rows = reference_client_round(state, client, round_index, ref, escalated[client.client_id])
+        for cid, (mixture, ref) in enumerate(zip(mixtures, refs)):
+            want, rows = reference_client_round(state, cid, mixture, round_index, ref, escalated[cid])
             for name in _Workload._fields:
-                assert bits(getattr(got, name)[client.client_id]) == bits(getattr(want, name)), name
+                assert bits(getattr(got, name)[cid]) == bits(getattr(want, name)), name
             assert bits(llm[start : start + len(rows)]) == bits(rows)
             start += len(rows)
         assert start == len(llm)
@@ -330,7 +334,8 @@ def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
     slm, llm = crafted_pair(cfg, mode=mode)
     work = _Workload(slm[None, None], np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]]))
     out = RoundOutcomes.local(work.predicted, work.target, work.uncertainty)
-    route_escalated(client, work, routed, llm[None], [consensus], [edge], cfg, np.random.default_rng(mode), out)
+    rng = np.random.default_rng(mode)
+    route_escalated(0, client.cache, client.estimator, work, routed, llm[None], [consensus], [edge], cfg, rng, out)
     cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in vars(out).items()})
     cells.stage = STAGES[cells.stage]
     return cells
@@ -864,9 +869,10 @@ def round_sources(state: SimulationState, round_index: int):
     own, next on the client's generation stream: row by row, standard_gamma draws what one call per
     client-round draws."""
     cfg = state.cfg
-    rngs = [substream(cfg.seed, _TAG_GEN, c.client_id, round_index) for c in state.clients]
+    clients = range(cfg.topology.num_clients)
+    rngs = [substream(cfg.seed, _TAG_GEN, c, round_index) for c in clients]
     work = _draw_round(state, round_index, rngs)
-    coins = [substream(cfg.seed, _TAG_COIN, c.client_id, round_index) for c in state.clients]
+    coins = [substream(cfg.seed, _TAG_COIN, c, round_index) for c in clients]
     coins = [rng.random(cfg.tokens_per_client) for rng in coins]
     if state.trace is not None:
         steps = _trace_steps(state, round_index)
@@ -888,8 +894,8 @@ def reference_run(cfg: SimulationConfig):
     state = SimulationState(cfg)
     n, count, lateral = cfg.topology.num_clients, cfg.tokens_per_client, cfg.mode == "fedhlm"
     clusters = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
-    emb, units = embedding_matrix(cfg.profile.vocab, cfg.peer), unit_table(cfg.profile.vocab, cfg.peer)
-    caches = [ReferenceLRU(units, cfg.cache_capacity, cfg.peer.similarity_threshold) for _ in range(n)]
+    emb = embedding_matrix(cfg.profile.vocab, cfg.peer)
+    caches = [ReferenceLRU(emb, cfg.cache_capacity, cfg.peer.similarity_threshold) for _ in range(n)]
     estimators = [ListEstimator(cfg.cost) for _ in range(n)]
     threshold = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
     cluster_values = [threshold] * len(clusters)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedhlm.model_source import VocabSpec
 from fedhlm.peers import (
@@ -18,9 +20,9 @@ from fedhlm.peers import (
     cosine_similarity,
     edge_validate,
     embedding_matrix,
+    pair_similarity,
     peer_consensus,
     token_embedding,
-    unit_table,
 )
 
 
@@ -49,14 +51,6 @@ def test_token_embedding_determinism_and_norm():
     assert abs(float(np.linalg.norm(a)) - 1.0) <= 1e-9
     with pytest.raises(ValueError):
         token_embedding(32, vocab)
-
-
-def test_unit_table_divides_each_row_by_its_own_norm():
-    vocab, cfg = VocabSpec(32), PeerConfig(embedding_dim=5)
-    units = unit_table(vocab, cfg)
-    assert units.shape == (32, 5)
-    for row, unit in zip(embedding_matrix(vocab, cfg), units):
-        assert np.array_equal(unit, row / float(np.linalg.norm(row)))
 
 
 def test_distinct_tokens_are_nearly_orthogonal():
@@ -186,6 +180,17 @@ def test_peer_config_validation():
     assert PeerConfig().effective_edge_threshold() == PeerConfig().similarity_threshold
 
 
+@given(st.integers(1, 300), st.integers(1, 130), st.integers(0, 2**32 - 1))
+def test_pair_similarity_of_a_row_does_not_depend_on_the_other_rows(count, dim, seed):
+    # The exact probe bound rests on this: a row's similarity inside any
+    # batch equals, bit for bit, its similarity alone.
+    rng = np.random.default_rng(seed)
+    rows, row = rng.standard_normal((count, dim)), rng.standard_normal(dim)
+    together = pair_similarity(rows, row)
+    alone = np.concatenate([pair_similarity(rows[[i]], row) for i in range(count)])
+    assert together.tobytes() == alone.tobytes()
+
+
 # Rows of a 2-d unit table: token 0 points along x, tokens 1 and 2 lie at
 # cosines 0.90 and 0.95 from it, token 3 along y, token 4 along -x, and
 # token 5 repeats token 2's row.
@@ -268,8 +273,8 @@ def test_lookup_hit_refreshes_recency():
 class ReferenceLRU:
     """Brute-force model over a unit table: cached token ids by slot, and by recency, most recent last.
 
-    A lookup takes one product of the query's row with every slot's row, in
-    slot order, and answers with the first best slot at or above the
+    A lookup takes the pair similarity of the query's row with every slot's
+    row, in slot order, and answers with the first best slot at or above the
     threshold. A new token fills the next slot, or the least recent one's.
     """
 
@@ -283,7 +288,7 @@ class ReferenceLRU:
     def lookup(self, token: int):
         if not self.slots:
             return None
-        sims = self.units[self.slots] @ self.units[token]
+        sims = pair_similarity(self.units[self.slots], self.units[token])
         best = int(np.argmax(sims))
         if sims[best] < self.threshold:
             return None
@@ -310,7 +315,7 @@ def test_cache_agrees_with_reference_model_under_random_ops():
     others = {64: 0, 3: 0}  # hits answered by a token other than the query
     for dim, trial in itertools.product((64, 3), range(5)):
         cfg = PeerConfig(embedding_dim=dim)
-        units = unit_table(vocab, cfg)
+        units = embedding_matrix(vocab, cfg)
         capacity = int(rng.integers(1, 9))
         cache = TokenCache(units, capacity=capacity)
         model = ReferenceLRU(units, capacity, cfg.similarity_threshold)
@@ -330,9 +335,9 @@ def test_cache_agrees_with_reference_model_under_random_ops():
 
 
 def _probe_thresholds(units: np.ndarray) -> list[float]:
-    """1.0, 0.85, and self-similarities of rows as a dot and as a one-row product would round them,
-    those that a PeerConfig accepts: each sits inside the probe bound's rounding band."""
-    selfs = [s for r, row in enumerate(units) for s in (float(row @ row), (units[[r]] @ row).item())]
+    """1.0, 0.85, and the rows' self-similarities that a PeerConfig accepts: each is a threshold that
+    a cached query's own similarity meets exactly."""
+    selfs = [pair_similarity(units[[r]], row).item() for r, row in enumerate(units)]
     return [1.0, 0.85, *sorted({s for s in selfs if 0.0 < s <= 1.0})]
 
 
@@ -343,7 +348,7 @@ def test_caches_sharing_a_probe_state_agree_with_reference_models(dim):
     # At dim 2 the PLANE table adds exact ties (tokens 2 and 5 share a row)
     # and a threshold (0.90) that a product meets exactly.
     rng = np.random.default_rng(dim)
-    tables = [unit_table(VocabSpec(40), PeerConfig(embedding_dim=dim))] + ([PLANE] if dim == 2 else [])
+    tables = [embedding_matrix(VocabSpec(40), PeerConfig(embedding_dim=dim))] + ([PLANE] if dim == 2 else [])
     for units in tables:
         for threshold in _probe_thresholds(units) + ([0.90, 0.95] if units is PLANE else []):
             cfg = PeerConfig(similarity_threshold=threshold)
@@ -359,6 +364,22 @@ def test_caches_sharing_a_probe_state_agree_with_reference_models(dim):
                     caches[i].insert(token)
                     models[i].insert(token)
             assert [cache.entries() for cache in caches] == [model.items for model in models]
+
+
+@pytest.mark.parametrize("token", [8, 12])
+def test_a_cached_tokens_own_lookup_does_not_depend_on_the_other_cached_tokens(token):
+    # At threshold 1.0 a token's self-similarity decides its own lookup. A
+    # BLAS product once rounded it differently beside seven other rows than
+    # alone, so these two tokens hit alone and missed in a full cache.
+    table, cfg = embedding_matrix(VocabSpec(32), PeerConfig()), PeerConfig(similarity_threshold=1.0)
+    answers = []
+    for others in ([], [t for t in range(8) if t != token][:7]):
+        cache = TokenCache(table, capacity=8)
+        for held in [*others, token]:
+            cache.insert(held)
+        answers.append(cache.lookup(token, cfg).token)
+    own = pair_similarity(table[[token]], table[token]).item()
+    assert answers == [token if own >= 1.0 else None] * 2
 
 
 def test_caches_must_share_their_probe_states_table():
