@@ -62,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> engine.SimulationConfig:
     cfg = parse_config(args.config) if args.config is not None else default_config()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ConfigInvalid as exc:
+            raise InvalidValue("--seed", str(exc)) from None
     if getattr(args, "mode", None) is not None:
         cfg = replace(cfg, mode=args.mode)
     return cfg

@@ -492,6 +492,10 @@ def test_cli_bad_config_exits_2(tmp_path):
         ["sweep", "--alphas", "10.0,x"],
         ["cost", "--cache-alpha", "0"],
         ["cost", "--cache-alpha", "nan"],
+        ["run", "--seed", "-1"],
+        ["baseline", "--seed", "-1", "--mode", "uhlm"],
+        ["sweep", "--seed", "-1"],
+        ["cost", "--seed", "-1"],
     ],
 )
 def test_cli_bad_flag_values_exit_2_naming_the_flag(argv, capsys):
