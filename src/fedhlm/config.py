@@ -99,7 +99,6 @@ KEYS: dict[str, tuple[str | None, str, Callable[[str], object], Callable[[object
     "run.seed": (None, "seed", _int, str),
     "run.mode": (None, "mode", str, str),
     "run.p_offload": (None, "p_offload", _float, str),
-    "run.static_threshold": (None, "static_threshold", _float, str),
     "run.uncertainty_kind": (None, "uncertainty_kind", str, str),
     "run.heterogeneity": (None, "heterogeneity", _float, str),
     "run.skew_sharpness_coupling": (None, "skew_sharpness_coupling", _float, str),

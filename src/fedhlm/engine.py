@@ -13,12 +13,13 @@ the round's columns. In the learned `fedhlm` mode an escalated token tries
 the client's semantic cache and then peer consensus, falls back to edge
 validation, and finally asks the cloud model to adjudicate. Consensus and
 edge decisions depend only on the round's predicted tokens, so
-lateral_decisions takes them once per round, for the escalated tokens. The
-`uhlm` (static threshold) and `rand` (coin flip) baselines differ only in
-the gate and send every escalated token straight to the cloud. A round's
-outcomes are kept as (clients, T) columns. Every client gates a round on
-the same threshold, which the state holds once: the fixed start in the
-baselines, and in `fedhlm` mode the last broadcast. There the cloud's
+peers.lateral_decisions takes them once per round, for the escalated
+tokens. The `uhlm` (static threshold) and `rand` (coin flip) baselines
+differ only in the gate and send every escalated token straight to the
+cloud. A round's outcomes are kept as (clients, T) columns. Every client
+gates a round on the same threshold, which the state holds once: the
+initial threshold, which only `fedhlm` mode moves, and there the last
+broadcast. There the cloud's
 feedback drives one threshold-learning step per client per round, and the
 cluster-weighted and global averages of those steps become the next
 round's threshold.
@@ -60,17 +61,7 @@ from .model_source import (
     _unchecked_distribution,
     load_logit_trace,
 )
-from .peers import (
-    _NORM_EPS,
-    ConsensusDecision,
-    EdgeDecision,
-    PeerConfig,
-    ProbeState,
-    TokenCache,
-    edge_validate,
-    embedding_matrix,
-    peer_consensus,
-)
+from .peers import PeerConfig, ProbeState, TokenCache, embedding_matrix, lateral_decisions
 from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
 from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, _cumulative, _score_blocks, _search
 
@@ -134,7 +125,6 @@ class SimulationConfig:
     seed: int = 42
     mode: str = MODE_FEDHLM
     p_offload: float = 0.7
-    static_threshold: float = 0.1
     uncertainty_kind: str = KIND_DISAGREEMENT
     cache_capacity: int = 256
     heterogeneity: float = 1.2
@@ -157,8 +147,6 @@ class SimulationConfig:
             raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.p_offload <= 1.0:
             raise ConfigInvalid("p_offload must lie in [0, 1]")
-        if not 0.0 <= self.static_threshold <= 1.0:
-            raise ConfigInvalid("static_threshold must lie in [0, 1]")
         if self.uncertainty_kind not in (KIND_DISAGREEMENT, KIND_ENTROPY):
             raise ConfigInvalid("uncertainty_kind must be 'disagreement' or 'entropy'")
         if self.cache_capacity < 1:
@@ -338,7 +326,7 @@ class SimulationState:
                 raise ConfigInvalid("trace file contains no steps")
 
         # Every client gates on this one threshold; only `fedhlm` mode moves it.
-        self.threshold = cfg.static_threshold if cfg.mode == MODE_UHLM else cfg.initial_threshold
+        self.threshold = cfg.initial_threshold
         self.cluster_thresholds = [self.threshold] * cfg.topology.num_clusters
         self.cluster_members = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
 
@@ -403,72 +391,6 @@ def _cloud_rows(
     profile = state.cfg.profile
     modes = [mine[up] for mine, up in zip(work.target, escalated)]
     return _peaked_rows(profile.vocab.size, modes, [profile.llm_sharpness] * len(rngs), profile.background, rngs)
-
-
-def lateral_decisions(
-    predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Consensus-accept and edge-accept flags at the masked (client, t) cells of a round; False elsewhere.
-
-    Clients publish the embedding of their predicted token at every
-    timestep, local or not, so the cluster sums and means take every
-    client's row. A client's peer centroid is its cluster's sum less its
-    own row (no peers escalate); the edge tier compares the own row with
-    every other cluster's mean, skipping empty clusters and means of norm
-    at most 1e-12. A float cosine decides only when it clears its threshold
-    by more than a bound on the rounding of this path and of the exact
-    per-token one; the bound grows as the peer sum cancels. Near ties and
-    centroids near the cutoff are re-decided by peer_consensus (fsum
-    centroid) or edge_validate, so each masked flag equals their decision.
-    """
-    eps, dim = np.finfo(np.float64).eps, emb.shape[1]
-    tol = (3 * dim + 8) * eps  # rounding of one cosine, on either path
-    thr, edge_thr = cfg.similarity_threshold, cfg.effective_edge_threshold()
-    consensus, edge = np.zeros((2, *predicted.shape), dtype=bool)
-    rows, steps = np.nonzero(mask)
-    if not len(rows):
-        return consensus, edge
-    count, sizes = predicted.shape[1], np.array([len(m) for m in clusters])
-    norms = np.linalg.norm(emb, axis=-1)[predicted]  # (clients, T)
-    sums, norm_sums = np.zeros((len(clusters), count, dim)), np.zeros((len(clusters), count))
-    cluster_of = np.empty(len(predicted), np.int64)
-    for c, members in enumerate(clusters):
-        if members:
-            sums[c], norm_sums[c] = emb[predicted[members]].sum(axis=0), norms[members].sum(axis=0)
-            cluster_of[members] = c
-    means = sums / np.maximum(sizes, 1)[:, None, None]  # (clusters, T, d); an empty cluster's is 0
-    mnorm = np.linalg.norm(means, axis=-1)[:, steps].T  # (cells, clusters)
-    tokens, own, mine = predicted[rows, steps], norms[rows, steps], cluster_of[rows]
-    own_rows, k = emb[tokens], sizes[mine]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at = mine * count + steps
-        peer_sum = sums.reshape(-1, dim)[at] - own_rows
-        norm = np.sqrt(np.einsum("nd,nd->n", peer_sum, peer_sum))
-        cos = np.einsum("nd,nd->n", own_rows, peer_sum) / (own * norm)
-        # err bounds the float peer sum's error and its norm's rounding: slack < exact norm.
-        err = (k + dim) * eps * norm_sums.ravel()[at]
-        slack = norm - 2 * err
-        sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
-        consensus[rows, steps], redo_consensus = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
-        # Each masked token's dot with every cluster mean, taken per distinct token and gathered per
-        # cell. A BLAS product here raised the run's peak memory by its work buffers; einsum does not.
-        distinct, at = np.unique(tokens, return_inverse=True)
-        cos = np.einsum("ud,ctd->uct", emb[distinct], means)[at, :, steps] / (own[:, None] * mnorm)
-    others = np.arange(len(clusters)) != mine[:, None]
-    live = (mnorm > _NORM_EPS) & others
-    edge[rows, steps] = (live & (cos >= edge_thr)).any(axis=-1)
-    redo_edge = (live & (np.abs(cos - edge_thr) <= tol)).any(axis=-1)
-    redo_edge |= ((np.abs(mnorm - _NORM_EPS) <= _NORM_EPS * tol) & others).any(axis=-1)
-    for i, t in zip(rows[redo_consensus].tolist(), steps[redo_consensus].tolist()):
-        peers = [m for m in clusters[cluster_of[i]] if m != i]
-        decision = peer_consensus(emb[predicted[i, t]], emb[predicted[peers, t]], cfg)
-        consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
-    for i, t in zip(rows[redo_edge].tolist(), steps[redo_edge].tolist()):
-        others = [
-            o for o in range(len(clusters)) if o != cluster_of[i] and float(np.linalg.norm(means[o, t])) > _NORM_EPS
-        ]
-        edge[i, t] = edge_validate(emb[predicted[i, t]], means[others, t], cfg) is EdgeDecision.ACCEPT
-    return consensus, edge
 
 
 def route_escalated(

@@ -5,12 +5,15 @@ vocabulary entry. Distinct tokens then have near-orthogonal embeddings, so a
 cosine-similarity threshold close to 1 effectively tests "same token" while
 still supporting the soft matching the cache and the consensus rule use.
 Vectors are plain float64 arrays: one embedding is a 1-d row, a set of peers
-or centroids is (count, dim) rows. A TokenCache holds token ids over the
-run's one embedding table, and every cache of a run shares one ProbeState,
-whose similarity bounds settle most probes without a product. Both take each
-pair's similarity from pair_similarity alone. The engine's client-round walk
-probes the cache first for each escalated token that tries the lateral
-tiers, before the peer and edge flags.
+or centroids is (count, dim) rows. Every similarity is one row-wise einsum,
+pair_similarity, and every norm another, row_norms, so a pair's value does
+not depend on what else shares the call. peer_consensus and edge_validate
+decide one token; lateral_decisions takes both tiers' flags for a round's
+escalated tokens with the same arithmetic. A TokenCache holds token ids over
+the run's one embedding table, and every cache of a run shares one
+ProbeState, whose similarity bounds settle most probes without a product.
+The engine's client-round walk probes the cache first for each escalated
+token that tries the lateral tiers, before the peer and edge flags.
 """
 
 from __future__ import annotations
@@ -88,8 +91,16 @@ def pair_similarity(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
     einsum rounds each row's sum on its own, so a row's value is the same bit
     for bit whichever other rows share the call. A BLAS product does not
     promise that: it may round a row differently inside a batch than alone.
+    A strided or Fortran-ordered input may also round differently, so the
+    rows are made C-contiguous first.
     """
-    return np.einsum("ij,j->i", rows, row)
+    return np.einsum("ij,j->i", np.ascontiguousarray(rows), np.ascontiguousarray(row))
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each of the (count, dim) rows, as pair_similarity takes its sums."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def centroid(rows: np.ndarray) -> np.ndarray:
@@ -107,12 +118,14 @@ def centroid(rows: np.ndarray) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Standard cosine similarity of two 1-d vectors, clipped into [-1, 1] against rounding spill.
 
-    A vector of norm at most 1e-12 has no direction and raises ValueError.
+    The dot comes from pair_similarity and the norms from row_norms. A vector
+    of norm at most 1e-12 has no direction and raises ValueError.
     """
-    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    pair = np.stack([a, b]).astype(np.float64, copy=False)
+    norm_a, norm_b = row_norms(pair).tolist()
     if min(norm_a, norm_b) <= _NORM_EPS:
         raise ValueError("zero vector rejected")
-    sim = float(np.dot(a, b)) / (norm_a * norm_b)
+    sim = pair_similarity(pair[:1], pair[1]).item() / (norm_a * norm_b)
     return min(max(sim, -1.0), 1.0)
 
 
@@ -147,12 +160,76 @@ class EdgeDecision(enum.Enum):
 
 
 def edge_validate(own: np.ndarray, centers: np.ndarray, cfg: PeerConfig) -> EdgeDecision:
-    """Edge-tier check of own against neighboring clusters' (count, dim) centroid rows."""
+    """Edge-tier check of own against neighboring clusters' (count, dim) centroid rows.
+
+    A centroid of norm at most 1e-12 has no direction and is skipped, in
+    whatever order the centroids come.
+    """
     threshold = cfg.effective_edge_threshold()
     for center in centers:
-        if cosine_similarity(own, center) >= threshold:
+        if row_norms([center]).item() > _NORM_EPS and cosine_similarity(own, center) >= threshold:
             return EdgeDecision.ACCEPT
     return EdgeDecision.FORWARD
+
+
+def lateral_decisions(
+    predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consensus-accept and edge-accept flags at the masked (client, t) cells of a round; False elsewhere.
+
+    Clients publish the embedding of their predicted token at every
+    timestep, local or not, so the cluster sums and means take every
+    client's row. The edge tier compares the own row with every other
+    cluster's mean, skipping empty clusters and means of norm at most
+    1e-12. Its cosines take cosine_similarity's dots and norms in the same
+    order, so each masked edge flag is edge_validate's decision. A client's
+    peer centroid is its cluster's sum less its own row (no peers
+    escalate). That float cosine decides only when it clears its threshold
+    by more than a bound on the rounding of this path and of the exact
+    per-token one; the bound grows as the peer sum cancels. Near ties are
+    re-decided by peer_consensus (fsum centroid), so each masked consensus
+    flag equals its decision.
+    """
+    eps, dim = np.finfo(np.float64).eps, emb.shape[1]
+    tol = (3 * dim + 8) * eps  # rounding of one cosine, on either path
+    thr, edge_thr = cfg.similarity_threshold, cfg.effective_edge_threshold()
+    consensus, edge = np.zeros((2, *predicted.shape), dtype=bool)
+    rows, steps = np.nonzero(mask)
+    if not len(rows):
+        return consensus, edge
+    count, sizes = predicted.shape[1], np.array([len(m) for m in clusters])
+    norms = row_norms(emb)[predicted]  # (clients, T)
+    sums, norm_sums = np.zeros((len(clusters), count, dim)), np.zeros((len(clusters), count))
+    cluster_of = np.empty(len(predicted), np.int64)
+    for c, members in enumerate(clusters):
+        if members:
+            sums[c], norm_sums[c] = emb[predicted[members]].sum(axis=0), norms[members].sum(axis=0)
+            cluster_of[members] = c
+    means = sums / np.maximum(sizes, 1)[:, None, None]  # (clusters, T, d); an empty cluster's is 0
+    mnorm = row_norms(means.reshape(-1, dim)).reshape(len(clusters), count)[:, steps].T  # (cells, clusters)
+    tokens, own, mine = predicted[rows, steps], norms[rows, steps], cluster_of[rows]
+    own_rows, k = emb[tokens], sizes[mine]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = mine * count + steps
+        peer_sum = sums.reshape(-1, dim)[at] - own_rows
+        norm = row_norms(peer_sum)
+        cos = np.einsum("nd,nd->n", own_rows, peer_sum) / (own * norm)
+        # err bounds the float peer sum's error and its norm's rounding: slack < exact norm.
+        err = (k + dim) * eps * norm_sums.ravel()[at]
+        slack = norm - 2 * err
+        sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
+        consensus[rows, steps], redo = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
+        # Each masked token's dot with every cluster mean, taken per distinct token and gathered per
+        # cell. A BLAS product here raised the run's peak memory by its work buffers; einsum does not.
+        distinct, at = np.unique(tokens, return_inverse=True)
+        cos = np.einsum("ud,ctd->uct", emb[distinct], means)[at, :, steps] / (own[:, None] * mnorm)
+    live = (mnorm > _NORM_EPS) & (np.arange(len(clusters)) != mine[:, None])
+    edge[rows, steps] = (live & (cos >= edge_thr)).any(axis=-1)
+    for i, t in zip(rows[redo].tolist(), steps[redo].tolist()):
+        peers = [m for m in clusters[cluster_of[i]] if m != i]
+        decision = peer_consensus(emb[predicted[i, t]], emb[predicted[peers, t]], cfg)
+        consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
+    return consensus, edge
 
 
 @dataclass(frozen=True)

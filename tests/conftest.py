@@ -87,7 +87,6 @@ def one_token_round(tmp_path):
             topology=ClusterTopology(num_clients=1, num_clusters=1), profile=ModelProfile(vocab=vocab),
             partition=PartitionSpec(num_classes=2), rounds=1, tokens_per_client=1, mode=mode,
             uncertainty_kind=KIND_ENTROPY, trace_path=str(path), initial_threshold=threshold,
-            static_threshold=threshold,
         )
         return run_round(SimulationState(cfg), 0).outcomes
 

@@ -104,7 +104,6 @@ VALUES = {
     "run.seed": value(st.integers(0, 2**64)),
     "run.mode": value(st.sampled_from(["fedhlm", "uhlm", "rand"])),
     "run.p_offload": value(UNIT),
-    "run.static_threshold": value(UNIT),
     "run.uncertainty_kind": value(st.sampled_from(["disagreement", "entropy"])),
     "run.heterogeneity": value(NONNEGATIVE),
     "run.skew_sharpness_coupling": value(NONNEGATIVE),

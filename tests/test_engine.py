@@ -36,7 +36,6 @@ from fedhlm.engine import (
     _Workload,
     client_token_entropy,
     default_config,
-    lateral_decisions,
     route_escalated,
     run,
     run_round,
@@ -61,6 +60,7 @@ from fedhlm.peers import (
     cosine_similarity,
     edge_validate,
     embedding_matrix,
+    lateral_decisions,
     peer_consensus,
 )
 from fedhlm.reporting import emit_metrics_csv, emit_trace
@@ -440,11 +440,7 @@ def per_token_flags(predicted, emb, clusters, cfg):
                 own = emb[predicted[i, t]]
                 rows = emb[[predicted[p, t] for p in members if p != i]]
                 consensus[i, t] = peer_consensus(own, rows, cfg) is ConsensusDecision.ACCEPT_LOCAL
-                centers = [
-                    mean[t]
-                    for o, mean in enumerate(means)
-                    if o != c and mean is not None and float(np.linalg.norm(mean[t])) > 1e-12
-                ]
+                centers = [mean[t] for o, mean in enumerate(means) if o != c and mean is not None]
                 edge[i, t] = edge_validate(own, centers, cfg) is EdgeDecision.ACCEPT
     return consensus, edge
 
@@ -526,6 +522,35 @@ def test_lateral_decisions_settle_near_ties_exactly(case):
     _assert_flags_match_oracle(*case)
 
 
+@settings(max_examples=40)
+@given(st.integers(1, 64), st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_each_edge_cosine_of_a_round_is_cosine_similarity(dim, num_clusters, steps, seed):
+    # With every cluster emptied but a cell's own and one other, the cell's
+    # edge flag reads that other cluster's cosine alone. It accepts at
+    # cosine_similarity(own, mean) and not one ulp above, so the round's
+    # cosine equals the per-token one bit for bit.
+    rng = np.random.default_rng(seed)
+    emb = np.abs(rng.standard_normal((6, dim)))  # positive rows: every cosine lies in (0, 1]
+    clients = 3 * num_clusters
+    clusters = [part.tolist() for part in np.array_split(rng.permutation(clients), num_clusters)]
+    predicted = rng.integers(len(emb), size=(clients, steps))
+    mask = rng.random(predicted.shape) < 0.5
+    for c, members in enumerate(clusters):
+        mine = np.zeros_like(mask)
+        mine[members] = mask[members]
+        for o, others in enumerate(clusters):
+            if o == c:
+                continue
+            kept = [m if j in (c, o) else [] for j, m in enumerate(clusters)]
+            means = emb[predicted[others]].mean(axis=0)
+            for i, t in zip(*np.nonzero(mine)):
+                sim = cosine_similarity(emb[predicted[i, t]], means[t])
+                for threshold, accepts in ((sim, True), (float(np.nextafter(sim, 2.0)), False)):
+                    if threshold <= 1.0:
+                        _, edge = lateral_decisions(predicted, emb, kept, PeerConfig(edge_threshold=threshold), mine)
+                        assert edge[i, t] == accepts
+
+
 def test_a_nearly_cancelling_peer_sum_is_decided_exactly():
     # Client 0's peers nearly cancel: their sum is about 1e-9 long, while the
     # float sum over the whole cluster carries rounding of order 1e-16.
@@ -590,7 +615,7 @@ def test_rand_gate_ignores_uncertainty():
     # a zero threshold, and every token escalates at 1 under a threshold of 1.
     for p_offload, want in ((0.0, Stage.LOCAL), (1.0, Stage.LLM)):
         threshold = 1.0 - p_offload
-        cfg = small_config(mode="rand", p_offload=p_offload, initial_threshold=threshold, static_threshold=threshold)
+        cfg = small_config(mode="rand", p_offload=p_offload, initial_threshold=threshold)
         assert run(cfg).outcome_totals()[want] == cfg.rounds * cfg.topology.num_clients * cfg.tokens_per_client
 
 
@@ -625,7 +650,6 @@ def tiny_configs(draw):
         rounds=draw(st.integers(1, 3)),
         tokens_per_client=draw(st.integers(1, 8)),
         initial_threshold=draw(st.one_of(st.just(0.0), unit)),
-        static_threshold=draw(unit),
         p_offload=draw(unit),
         seed=draw(st.integers(0, 2**32)),
         mode=draw(st.sampled_from(MODES)),
@@ -654,7 +678,7 @@ def test_round_columns_hold_their_invariants(cfg):
     report, fresh = run(cfg), SimulationState(cfg)
     stage_of = {stage: STAGES.index(stage) for stage in Stage}
     c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
-    prev = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
+    prev = cfg.initial_threshold
     clusters = [cfg.topology.members(c) for c in range(cfg.topology.num_clusters)]
     cluster_prev = [prev] * len(clusters)
     header, *rows = metrics_lines(report)
@@ -766,7 +790,7 @@ def test_trace_driven_workload(tmp_path):
 
 
 def test_uhlm_baseline_never_uses_peers():
-    report = run(small_config(mode="uhlm", static_threshold=0.25))
+    report = run(small_config(mode="uhlm", initial_threshold=0.25))
     totals = report.outcome_totals()
     assert totals[Stage.P2P] == 0
     assert totals[Stage.EDGE] == 0
@@ -897,7 +921,7 @@ def reference_run(cfg: SimulationConfig):
     emb = embedding_matrix(cfg.profile.vocab, cfg.peer)
     caches = [ReferenceLRU(emb, cfg.cache_capacity, cfg.peer.similarity_threshold) for _ in range(n)]
     estimators = [ListEstimator(cfg.cost) for _ in range(n)]
-    threshold = cfg.static_threshold if cfg.mode == "uhlm" else cfg.initial_threshold
+    threshold = cfg.initial_threshold
     cluster_values = [threshold] * len(clusters)
     c_p2p, c_llm = cfg.cost.c_p2p, cfg.cost.c_llm
     rounds = []
@@ -926,10 +950,7 @@ def reference_run(cfg: SimulationConfig):
                 if attempted:
                     cost = c_p2p
                     peers = emb[[predicted[p, t] for p in clusters[home] if p != i]]
-                    centers = [
-                        m[t] for o, m in enumerate(means)
-                        if o != home and m is not None and float(np.linalg.norm(m[t])) > 1e-12
-                    ]
+                    centers = [m[t] for o, m in enumerate(means) if o != home and m is not None]
                     if (hit := cache.lookup(final)) is not None:
                         estimator.record(True)
                         stage, final = Stage.P2P, hit

@@ -22,6 +22,7 @@ from fedhlm.peers import (
     embedding_matrix,
     pair_similarity,
     peer_consensus,
+    row_norms,
     token_embedding,
 )
 
@@ -163,6 +164,14 @@ def test_edge_validate_cases():
     assert edge_validate(own, rows(), cfg) is EdgeDecision.FORWARD
 
 
+def test_edge_validate_skips_a_centroid_without_direction_in_any_order():
+    cfg = PeerConfig()
+    own, flat = vec(1.0, 0.0), vec(0.0, 0.0)
+    assert edge_validate(own, rows(flat, own), cfg) is EdgeDecision.ACCEPT
+    assert edge_validate(own, rows(own, flat), cfg) is EdgeDecision.ACCEPT
+    assert edge_validate(own, rows(flat, vec(1e-13, 0.0)), cfg) is EdgeDecision.FORWARD
+
+
 def test_separate_edge_threshold_honored():
     cfg = PeerConfig(similarity_threshold=0.85, edge_threshold=0.2)
     assert cfg.effective_edge_threshold() == 0.2
@@ -182,13 +191,19 @@ def test_peer_config_validation():
 
 @given(st.integers(1, 300), st.integers(1, 130), st.integers(0, 2**32 - 1))
 def test_pair_similarity_of_a_row_does_not_depend_on_the_other_rows(count, dim, seed):
-    # The exact probe bound rests on this: a row's similarity inside any
-    # batch equals, bit for bit, its similarity alone.
+    # The exact probe bound and the round's edge flags rest on this: a row's
+    # similarity and norm inside any batch equal, bit for bit, its values
+    # alone, and a strided or Fortran-ordered input gives its C-ordered copy's.
     rng = np.random.default_rng(seed)
-    rows, row = rng.standard_normal((count, dim)), rng.standard_normal(dim)
-    together = pair_similarity(rows, row)
+    wide, long = rng.standard_normal((2 * count, 2 * dim)), rng.standard_normal(2 * dim)
+    rows, row = np.ascontiguousarray(wide[::2, ::2]), np.ascontiguousarray(long[::2])
+    together, norms = pair_similarity(rows, row), row_norms(rows)
     alone = np.concatenate([pair_similarity(rows[[i]], row) for i in range(count)])
     assert together.tobytes() == alone.tobytes()
+    assert norms.tobytes() == np.concatenate([row_norms(rows[[i]]) for i in range(count)]).tobytes()
+    for layout in (wide[::2, ::2], np.asfortranarray(rows)):
+        assert pair_similarity(layout, long[::2]).tobytes() == together.tobytes()
+        assert row_norms(layout).tobytes() == norms.tobytes()
 
 
 # Rows of a 2-d unit table: token 0 points along x, tokens 1 and 2 lie at

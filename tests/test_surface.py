@@ -3,8 +3,10 @@
 No module under src/fedhlm/ imports a name it never uses, and
 fedhlm/__init__.py re-exports exactly the names that README.md's python
 blocks and the demos take from the package; everything else is imported
-from its module. The perfbench harness, loaded from its files unchanged,
-still finds the functions it traces and still sets its workloads up.
+from its module. A private name crosses from one module to a sibling only
+where PRIVATE_IMPORTS lists it. The perfbench harness, loaded from its
+files unchanged, still finds the functions it traces and still sets its
+workloads up.
 """
 
 import ast
@@ -48,6 +50,26 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# Underscore names that one module takes from a sibling; every other private name stays in its module.
+PRIVATE_IMPORTS = {
+    "config._float",
+    "model_source._draw_slm", "model_source._peaked_rows", "model_source._unchecked_distribution",
+    "uncertainty._cumulative", "uncertainty._score_blocks", "uncertainty._search",
+}
+
+
+def test_private_names_cross_module_boundaries_only_where_listed():
+    crossing = {
+        f"{node.module}.{alias.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert crossing == PRIVATE_IMPORTS
 
 
 def test_package_exports_what_readme_and_demos_import():
