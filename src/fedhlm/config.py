@@ -170,11 +170,15 @@ def _build(values: dict[str, str]) -> SimulationConfig:
 
 
 def parse_config(path: str | Path) -> SimulationConfig:
-    """Read a configuration file; missing keys fall back to defaults."""
+    """Read a UTF-8 configuration file; missing keys fall back to defaults."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"configuration file not found: {path}")
-    return _build(_parse_lines(path.read_text(encoding="utf-8")))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path} is not UTF-8: {exc}") from None
+    return _build(_parse_lines(text))
 
 
 def parse_config_text(text: str) -> SimulationConfig:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ def fit_cache_alpha(sizes: list[int], hit_ratios: list[float]) -> float:
     return max(alpha, 1e-12)
 
 
-@dataclass
 class PHitEstimator:
     """Sliding-window estimate of the peer/cache resolution probability.
 
@@ -89,18 +88,14 @@ class PHitEstimator:
     the opportunistic policy exploring during cold start.
     """
 
-    window: int = 50
-    prior: float = 0.5
-    _history: deque = field(default_factory=deque, repr=False)
-    _hits: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
+    def __init__(self, window: int = 50, prior: float = 0.5):
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if not 0.0 <= self.prior <= 1.0:
+        if not 0.0 <= prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
-        self._history = deque(self._history, maxlen=self.window)
-        self._hits = sum(self._history)
+        self.window, self.prior = window, prior
+        self._history: deque[bool] = deque(maxlen=window)
+        self._hits = 0
 
     def record(self, resolved: bool) -> None:
         resolved = bool(resolved)

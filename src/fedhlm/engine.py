@@ -94,10 +94,6 @@ class ConfigInvalid(ValueError):
     """Simulation configuration violates a cross-field constraint."""
 
 
-class EmptyHistory(ValueError):
-    """Token entropy requested for a client that accepted no tokens."""
-
-
 class Stage(enum.Enum):
     LOCAL = "local"
     P2P = "p2p"
@@ -184,16 +180,14 @@ def default_config(**overrides) -> SimulationConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-@dataclass(frozen=True)
-class ClientMetrics:
+class ClientMetrics(NamedTuple):
     token_entropy: float
     cache_hit_ratio: float
     llm_token_count: int
     accuracy: float
 
 
-@dataclass
-class RoundOutcomes:
+class RoundOutcomes(NamedTuple):
     """One round's tokens as (clients, T) columns, row i for client i. stage indexes STAGES; cost is 0
     for a local token; beta, the cloud's rejection probability, is NaN for a token the cloud did not see."""
 
@@ -215,8 +209,7 @@ class RoundOutcomes:
         )
 
 
-@dataclass
-class RoundReport:
+class RoundReport(NamedTuple):
     """One round: its outcome columns, their stage counts and total cost, each client's threshold
     after local learning, and the cluster and global thresholds; the global one gates the next round."""
 
@@ -229,8 +222,7 @@ class RoundReport:
     total_cost: float
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
     config: SimulationConfig
     rounds: list[RoundReport]
     client_metrics: dict[int, ClientMetrics]
@@ -251,9 +243,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
-    """Empirical entropy of accepted tokens, normalized into [0, 1] by ln(V)."""
-    if len(history) == 0:
-        raise EmptyHistory("client accepted no tokens")
+    """Empirical entropy of a non-empty history of accepted tokens, normalized into [0, 1] by ln(V)."""
     counts = np.bincount(np.asarray(history, dtype=np.int64), minlength=vocab.size)
     p = counts[counts > 0] / len(history)
     entropy = float(-(p * np.log(p)).sum())

@@ -21,8 +21,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,10 +34,6 @@ from .model_source import VocabSpec
 EMBEDDING_SEED = 0x7E0C5
 
 _NORM_EPS = 1e-12
-
-
-class NoPeers(ValueError):
-    """Centroid requested over an empty peer list."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +101,12 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def centroid(rows: np.ndarray) -> np.ndarray:
-    """Elementwise mean of (count, dim) peer rows.
+    """Elementwise mean of (count, dim) peer rows; rows holds at least one peer.
 
     Each coordinate is an exactly rounded sum, so any reordering of the
-    peers yields the identical vector. Raises NoPeers when there are none.
+    peers yields the identical vector.
     """
     count = len(rows)
-    if count == 0:
-        raise NoPeers("cannot take the centroid of zero peers")
     return np.array([math.fsum(column) / count for column in rows.T.tolist()], dtype=np.float64)
 
 
@@ -232,12 +227,10 @@ def lateral_decisions(
     return consensus, edge
 
 
-@dataclass(frozen=True)
-class CacheResult:
-    """A hit's stored token and similarity; a miss has token None."""
+class CacheResult(NamedTuple):
+    """A hit's stored token; a miss has token None."""
 
     token: int | None = None
-    similarity: float | None = None
 
 
 _MISS = CacheResult()
@@ -278,7 +271,6 @@ class ProbeState:
         return entry
 
 
-@dataclass
 class TokenCache:
     """Bounded semantic cache of token ids with least-recently-used eviction.
 
@@ -296,20 +288,17 @@ class TokenCache:
     threshold. Every other lookup takes the product over the cached rows.
     """
 
-    units: np.ndarray = field(repr=False)
-    capacity: int = 256
-    probes: ProbeState | None = field(default=None, repr=False)
-    # Slot i's token id, and each cached token's slot, least recently used first.
-    _tokens: list[int] = field(default_factory=list, repr=False)
-    _slots: OrderedDict[int, int] = field(default_factory=OrderedDict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
+    def __init__(self, units: np.ndarray, capacity: int = 256, probes: ProbeState | None = None):
+        if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if self.probes is None:
-            self.probes = ProbeState(self.units)
-        elif self.probes.units is not self.units:
+        if probes is None:
+            probes = ProbeState(units)
+        elif probes.units is not units:
             raise ValueError("probes must bound the cache's own table")
+        self.units, self.capacity, self.probes = units, capacity, probes
+        # Slot i's token id, and each cached token's slot, least recently used first.
+        self._tokens: list[int] = []
+        self._slots: OrderedDict[int, int] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -322,15 +311,15 @@ class TokenCache:
         if rival < thr:
             if own < thr or token not in self._slots:
                 return _MISS
-            hit, similarity = token, own
+            hit = token
         else:
             sims = pair_similarity(self.units.take(self._tokens, axis=0), self.units[token])
             best = sims.argmax().item()
-            hit, similarity = self._tokens[best], sims[best].item()
-            if similarity < thr:
+            if sims[best] < thr:
                 return _MISS
+            hit = self._tokens[best]
         self._slots.move_to_end(hit)
-        return CacheResult(hit, min(similarity, 1.0))
+        return CacheResult(hit)
 
     def insert(self, token: int) -> None:
         if token in self._slots:

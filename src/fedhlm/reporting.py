@@ -18,18 +18,12 @@ from .engine import STAGES, RoundReport, SimulationReport, Stage
 
 def round_trr(report: RoundReport) -> float:
     """Fraction of the round's tokens kept away from the large model."""
-    total = sum(report.outcome_counts.values())
-    if total == 0:
-        return 1.0
-    return 1.0 - report.outcome_counts[Stage.LLM] / total
+    return 1.0 - report.outcome_counts[Stage.LLM] / sum(report.outcome_counts.values())
 
 
 def compute_trr(report: SimulationReport) -> float:
     """Whole-run transmission reduction: 1 - (large-model tokens / all tokens)."""
-    total = report.total_tokens()
-    if total == 0:
-        return 1.0
-    return 1.0 - report.outcome_totals()[Stage.LLM] / total
+    return 1.0 - report.outcome_totals()[Stage.LLM] / report.total_tokens()
 
 
 def _fmt(value: float) -> str:
@@ -39,7 +33,7 @@ def _fmt(value: float) -> str:
 
 def _transmission_rate(report: RoundReport) -> float:
     total = sum(report.outcome_counts.values())
-    return (total - report.outcome_counts[Stage.LOCAL]) / total if total else 0.0
+    return (total - report.outcome_counts[Stage.LOCAL]) / total
 
 
 def _avg_uncertainty(report: RoundReport) -> float:
@@ -119,13 +113,11 @@ def summarize(report: SimulationReport) -> str:
     """Human-readable one-line run summary for terminals and logs."""
     totals = report.outcome_totals()
     total = report.total_tokens()
-    if total == 0:
-        return "no tokens resolved"
     parts = [
         f"tokens={total}",
         *(f"{stage.value}={totals[stage]} ({totals[stage] / total:.1%})" for stage in STAGES),
         f"trr={compute_trr(report):.4f}",
         f"cost={report.total_cost():.1f}",
-        f"final_threshold={report.rounds[-1].global_threshold:.4f}" if report.rounds else "",
+        f"final_threshold={report.rounds[-1].global_threshold:.4f}",
     ]
-    return "  ".join(p for p in parts if p)
+    return "  ".join(parts)

@@ -11,6 +11,8 @@ it accepts must run, and then:
 - each round's costs recount from trace.jsonl to metrics.csv, and every
   token is charged a price its stage allows;
 - every threshold stays in [0, 1];
+- the run summarizes, and its transmission reduction recounts from
+  metrics.csv, so no accepted config yields a report without tokens;
 - the config survives config_to_text and parse_config_text unchanged;
 - a second run writes byte-identical metrics.csv and trace.jsonl.
 
@@ -37,7 +39,7 @@ from fedhlm.model_source import (
     gen_distribution_rows,
     save_logit_trace,
 )
-from fedhlm.reporting import emit_metrics_csv, emit_trace
+from fedhlm.reporting import compute_trr, emit_metrics_csv, emit_trace, summarize
 
 BASE = "topology.num_clients = 4\ntopology.num_clusters = 2\nrun.rounds = 2\nrun.tokens_per_client = 6\n"
 TRACE_DIR = "@trace-dir@"
@@ -191,3 +193,6 @@ def test_accepted_configs_run_and_keep_their_invariants(text, trace_dir):
         ]
         assert all(0.0 <= t <= 1.0 for t in thresholds)
         assert rnd.outcome_counts[Stage.LOCAL] == counts["local"]
+    summarize(report)
+    llm, total = sum(int(row[5]) for row in rows), sum(int(cell) for row in rows for cell in row[2:6])
+    assert compute_trr(report) == 1.0 - llm / total

@@ -3,7 +3,7 @@
 import json
 import re
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +288,7 @@ def _report(counts: dict[Stage, int], outcomes: RoundOutcomes, round_index: int 
 
 def _counts_report(local: int, p2p: int, edge: int, llm: int) -> SimulationReport:
     counts = {Stage.LOCAL: local, Stage.P2P: p2p, Stage.EDGE: edge, Stage.LLM: llm}
-    return _report(counts, RoundOutcomes(*(np.empty((0, 0)) for _ in fields(RoundOutcomes))))
+    return _report(counts, RoundOutcomes(*(np.empty((0, 0)) for _ in RoundOutcomes._fields)))
 
 
 def test_trr_endpoints():
@@ -479,6 +479,14 @@ def test_cli_bad_config_exits_2(tmp_path):
     ):
         conf.write_text(text + "\n", encoding="utf-8")
         assert main(["run", "--config", str(conf)]) == 2, text
+
+
+def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(b"run.rounds = 2\n\xff\n")
+    assert main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(conf) in err
 
 
 @pytest.mark.parametrize(

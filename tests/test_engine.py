@@ -24,7 +24,6 @@ from fedhlm.engine import (
     STAGES,
     ClientMetrics,
     ConfigInvalid,
-    EmptyHistory,
     RoundOutcomes,
     SimulationConfig,
     SimulationState,
@@ -312,8 +311,6 @@ def test_client_token_entropy_limits():
     vocab = VocabSpec(8)
     assert client_token_entropy([3] * 50, vocab) == 0.0
     assert client_token_entropy(list(range(8)) * 4, vocab) == pytest.approx(1.0)
-    with pytest.raises(EmptyHistory):
-        client_token_entropy([], vocab)
 
 
 def test_resolve_retains_at_threshold_boundary(one_token_round):
@@ -336,7 +333,7 @@ def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
     out = RoundOutcomes.local(work.predicted, work.target, work.uncertainty)
     rng = np.random.default_rng(mode)
     route_escalated(0, client.cache, client.estimator, work, routed, llm[None], [consensus], [edge], cfg, rng, out)
-    cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in vars(out).items()})
+    cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in out._asdict().items()})
     cells.stage = STAGES[cells.stage]
     return cells
 
@@ -973,7 +970,7 @@ def reference_run(cfg: SimulationConfig):
                         cache.insert(final)
                 cols.stage[i, t], cols.final_token[i, t], cols.cost[i, t] = STAGES.index(stage), final, cost
                 cols.p2p_attempted[i, t] = attempted
-        cols.correct = cols.final_token == work.target
+        cols = cols._replace(correct=cols.final_token == work.target)
         local = dict.fromkeys(range(n), threshold)
         if lateral:
             eta = lr_schedule(cfg.learner.eta0, r)
@@ -1050,7 +1047,7 @@ def test_whole_run_matches_per_token_oracle(cfg, trace_rows):
             cfg = replace(cfg, trace_path=f"{tmp}/t.csv")
         report, (rounds, metrics) = run(cfg), reference_run(cfg)
     for rnd, (cols, local, cluster_values, threshold) in zip(report.rounds, rounds, strict=True):
-        for name, column in vars(cols).items():
+        for name, column in cols._asdict().items():
             assert bits(getattr(rnd.outcomes, name)) == bits(column), name
         assert rnd.thresholds_local == local
         assert rnd.cluster_thresholds == cluster_values and rnd.global_threshold == threshold

@@ -4,18 +4,24 @@ No module under src/fedhlm/ imports a name it never uses, and
 fedhlm/__init__.py re-exports exactly the names that README.md's python
 blocks and the demos take from the package; everything else is imported
 from its module. A private name crosses from one module to a sibling only
-where PRIVATE_IMPORTS lists it. The perfbench harness, loaded from its
+where PRIVATE_IMPORTS lists it. Only the validated configs in DATACLASSES
+are dataclasses; records are NamedTuples, and stateful classes take only
+their public parameters. The perfbench harness, loaded from its
 files unchanged, still finds the functions it traces and still sets its
 workloads up.
 """
 
 import ast
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from fedhlm.costs import PHitEstimator
+from fedhlm.peers import TokenCache
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fedhlm"
@@ -70,6 +76,34 @@ def test_private_names_cross_module_boundaries_only_where_listed():
         if alias.name.startswith("_")
     }
     assert crossing == PRIVATE_IMPORTS
+
+
+# The validated configs, whose replace, equality and checks rely on the generated methods, and
+# TokenDistribution, which validates outside input.
+DATACLASSES = {
+    "VocabSpec", "ModelProfile", "SamplerConfig", "LearnerConfig", "PeerConfig", "CostModel",
+    "ClusterTopology", "PartitionSpec", "SimulationConfig", "TokenDistribution",
+}
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def test_only_the_validated_configs_are_dataclasses():
+    decorated = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(is_dataclass_decorator(d) for d in node.decorator_list)
+    }
+    assert decorated == DATACLASSES
+    # Stateful classes are built from their public parameters alone.
+    assert list(inspect.signature(TokenCache).parameters) == ["units", "capacity", "probes"]
+    assert list(inspect.signature(PHitEstimator).parameters) == ["window", "prior"]
 
 
 def test_package_exports_what_readme_and_demos_import():
