@@ -193,6 +193,6 @@ def test_accepted_configs_run_and_keep_their_invariants(text, trace_dir):
         ]
         assert all(0.0 <= t <= 1.0 for t in thresholds)
         assert rnd.outcome_counts[Stage.LOCAL] == counts["local"]
-    summarize(report)
     llm, total = sum(int(row[5]) for row in rows), sum(int(cell) for row in rows for cell in row[2:6])
+    assert summarize(report).startswith(f"tokens={total}  ")
     assert compute_trr(report) == 1.0 - llm / total

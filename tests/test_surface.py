@@ -4,9 +4,9 @@ No module under src/fedhlm/ imports a name it never uses, and
 fedhlm/__init__.py re-exports exactly the names that README.md's python
 blocks and the demos take from the package; everything else is imported
 from its module. A private name crosses from one module to a sibling only
-where PRIVATE_IMPORTS lists it. Only the validated configs in DATACLASSES
-are dataclasses; records are NamedTuples, and stateful classes take only
-their public parameters. The perfbench harness, loaded from its
+where PRIVATE_IMPORTS lists it. Only the classes in DATACLASSES are
+dataclasses, and the cache and the hit-rate estimator take only their
+public parameters. The perfbench harness, loaded from its
 files unchanged, still finds the functions it traces and still sets its
 workloads up.
 """
