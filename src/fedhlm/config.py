@@ -170,12 +170,13 @@ def _build(values: dict[str, str]) -> SimulationConfig:
 
 
 def parse_config(path: str | Path) -> SimulationConfig:
-    """Read a UTF-8 configuration file; missing keys fall back to defaults."""
+    """Read a UTF-8 configuration file, with or without a byte-order mark; missing keys fall back to
+    defaults."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"configuration file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not UTF-8: {exc}") from None
     return _build(_parse_lines(text))

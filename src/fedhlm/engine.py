@@ -8,13 +8,13 @@ then decides, in one array comparison per round, which tokens escalate:
 scores against the threshold, or in `rand` mode coins from a lane of their
 own. The rest stay on device. Only escalated tokens get a cloud row, drawn
 after the gate. One function, route_escalated, then walks a client-round's
-escalated tokens in timestep order and writes where each one ended into
-the round's columns. In the learned `fedhlm` mode an escalated token tries
-the client's semantic cache and then peer consensus, falls back to edge
-validation, and finally asks the cloud model to adjudicate. Consensus and
-edge decisions depend only on the round's predicted tokens, so
-peers.lateral_decisions takes them once per round, for the escalated
-tokens. The `uhlm` (static threshold) and `rand` (coin flip) baselines
+escalated tokens in timestep order and records where each one ended; the
+round writes those records into its columns once. In the learned `fedhlm`
+mode an escalated token tries the client's semantic cache and then peer
+consensus, falls back to edge validation, and finally asks the cloud model
+to adjudicate. Consensus and edge decisions depend only on the round's
+predicted tokens, so peers.lateral_decisions takes them once per round,
+for the escalated tokens. The `uhlm` (static threshold) and `rand` (coin flip) baselines
 differ only in the gate and send every escalated token straight to the
 cloud. A round's outcomes are kept as (clients, T) columns. Every client
 gates a round on the same threshold, which the state holds once: the
@@ -25,12 +25,14 @@ cluster-weighted and global averages of those steps become the next
 round's threshold.
 
 All randomness flows from one seed through named per-client, per-round
-streams, so reruns are bit-identical.
+streams, so reruns are bit-identical. A round seeds each lane's streams
+for all its clients with one vectorized pass of SeedSequence's hash.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -39,6 +41,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .adjudication import llm_adjudicate
 from .costs import CostModel, PHitEstimator, should_attempt_p2p
@@ -78,15 +81,16 @@ _TAG_RESOLVE = 4
 _TAG_COIN = 5
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# rows, softened CDFs or entropy logs and escalated tokens' LLM rows (each at
-# most clients*T x V; the escalated count is known only after the gate), the
-# one embedding table (V x d), which the lateral tables and the caches both
-# read, the lateral tables, a client-round's MC search (T x samples x V), the
-# run's outcome columns, and the probe state (three numbers per probed token
-# and two per held one, each token one of the run's, so at most
-# 5 x min(V, tokens)). A cache holds at most min(capacity, V) token ids and
-# slots, fewer than a round's rows. 2**24 float64 cells are 128 MiB; the stock
-# run's largest term is 57,600 (a round's tables).
+# rows, softened CDFs or entropy logs, gamma concentrations and escalated
+# tokens' LLM rows (at most three of these at once, each at most clients*T x
+# V; the escalated count is known only after the gate), the one embedding
+# table (V x d), which the lateral tables and the caches both read, the
+# lateral tables, a round's MC uniforms (clients*T x samples), the run's
+# outcome columns, and the probe state (three numbers per probed token and two
+# per held one, each token one of the run's, so at most 5 x min(V, tokens)).
+# A cache holds at most min(capacity, V) token ids and slots, fewer than a
+# round's rows. 2**24 float64 cells are 128 MiB; the stock run's largest term
+# is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 
@@ -164,7 +168,7 @@ class SimulationConfig:
         held = max(
             3 * clients * self.tokens_per_client * vocab, vocab * dim,
             clients * self.tokens_per_client * max(dim, self.topology.num_clusters),
-            self.tokens_per_client * self.sampler.num_samples * vocab, tokens, 5 * min(vocab, tokens),
+            clients * self.tokens_per_client * self.sampler.num_samples, tokens, 5 * min(vocab, tokens),
         )
         if held > MAX_CELLS:
             raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
@@ -237,9 +241,82 @@ class SimulationReport(NamedTuple):
         return math.fsum(rnd.total_cost for rnd in self.rounds)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j modulo 2**32, for j = 0..count, as uint32."""
+    powers = np.full(count + 1, mult, np.uint32)
+    powers[0] = init
+    return np.multiply.accumulate(powers, out=powers)
+
+
+def _xorshift(values: np.ndarray) -> np.ndarray:
+    values ^= values >> 16
+    return values
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, j: int, width: int) -> np.ndarray:
+    """SeedSequence's hashmix of values[..., m] with its (j + m)-th hash constant, for m < width."""
+    return _xorshift((values ^ consts[j : j + width]) * consts[j + 1 : j + width + 1])
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _xorshift(x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R))
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> np.ndarray:
+    """SeedSequence's pool after it mixes the words [seed, 0, 0, 0], the start of every path's entropy."""
+    consts = _powers(_INIT_A, _MULT_A, 16)
+    pool = _hashmix(np.array([seed, 0, 0, 0], np.uint32), consts, 0, 4)
+    for src in range(4):
+        # Each pool word mixes into the other three, each with its own constant.
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], consts, 4 + 3 * src, 3))
+    pool.setflags(write=False)
+    return pool
+
+
+class _PathSeed(ISeedSequence):
+    """The four uint64 words SeedSequence(entropy=seed, spawn_key=path).generate_state(4, np.uint64)
+    gives, which is all PCG64 asks of its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for generate_state(4, np.uint64)
+
+
+def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
+    """substream(seed, *path) for each row of paths, an (n, k) array of ints in [0, 2**32), k >= 1.
+
+    SeedSequence hashes the uint32 words [seed, 0, 0, 0, *path]; that hash
+    runs here once over all the paths in uint32 arithmetic. A seed of 2**32
+    or more coerces to more than one word, and goes through SeedSequence
+    path by path.
+    """
+    paths = np.asarray(paths)
+    if seed >= 2**32:
+        return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=p)) for p in map(tuple, paths.tolist())]
+    consts = _powers(_INIT_A, _MULT_A, 16 + 4 * paths.shape[1])
+    pool = _seed_pool(seed)
+    for j, word in enumerate(paths.astype(np.uint32).T):
+        pool = _mix(pool, _hashmix(word[:, None], consts, 16 + 4 * j, 4))
+    # generate_state(4, np.uint64) mixes the pool, cycled to 8 words, as hashmix does, with its own constants.
+    consts = _powers(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.tile(pool, 2), consts, 0, 8)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_PathSeed(w))) for w in words]
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for one named lane of the run's randomness."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
+    """Independent generator for one named lane of the run's randomness: the default_rng of
+    SeedSequence(entropy=seed, spawn_key=path)."""
+    return substreams(seed, np.array([path]))[0]
 
 
 def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
@@ -383,6 +460,25 @@ def _cloud_rows(
     return _peaked_rows(profile.vocab.size, modes, [profile.llm_sharpness] * len(rngs), profile.background, rngs)
 
 
+class _Walk(NamedTuple):
+    """The routed tokens' cells in the order the walk meets them: client by client, each client's
+    timesteps in order, which is the C order of the round's escalated mask. beta is NaN for a token
+    the cloud did not see."""
+
+    stage: list[int]
+    final_token: list[int]
+    cost: list[float]
+    beta: list[float]
+    p2p_attempted: list[bool]
+
+    def write(self, out: RoundOutcomes, escalated: np.ndarray, target: np.ndarray) -> None:
+        """Overwrite out's cells at the escalated mask, each column at once, then every token's
+        correctness: its final token equals its target."""
+        for name, cells in zip(self._fields, self):
+            getattr(out, name)[escalated] = cells
+        np.equal(out.final_token, target, out=out.correct)
+
+
 def route_escalated(
     cid: int,
     cache: TokenCache | None,
@@ -394,9 +490,9 @@ def route_escalated(
     edge: Sequence[bool],
     cfg: SimulationConfig,
     rng: np.random.Generator,
-    out: RoundOutcomes,
+    walk: _Walk,
 ) -> None:
-    """Walk one client-round's escalated timesteps, in order, and write where each token ended.
+    """Walk one client-round's escalated timesteps, in order, and append where each token ended.
 
     run_round has already applied the gate; llm[j] is the cloud's row for
     timestep routed[j]. Only `fedhlm` mode tries the lateral tiers, when the
@@ -405,16 +501,15 @@ def route_escalated(
     row of lateral_decisions). The baselines take every escalated token
     straight to the cloud and ignore both flags. The cloud's final token
     enters the cache in `fedhlm` mode. Each token's stage, final token,
-    cost, beta, correctness (final token equals its target) and attempt go
-    into row cid of out and of work. The baselines pass None for cache and
-    estimator.
+    cost, beta and attempt are appended to walk's lists. The baselines pass
+    None for cache and estimator.
     """
     cost = cfg.cost
     lateral = cfg.mode == MODE_FEDHLM
-    slm = work.slm[cid]
-    predicted, target = work.predicted[cid].tolist(), work.target[cid].tolist()
+    slm, predicted = work.slm[cid], work.predicted[cid].tolist()
+    stages, finals, costs, betas, attempts = walk
     for t, cloud in zip(routed, llm):
-        stage, final, charged = _LLM, predicted[t], cost.c_llm
+        stage, final, charged, beta = _LLM, predicted[t], cost.c_llm, math.nan
         attempted = lateral and should_attempt_p2p(estimator.estimate(), cost)
         if attempted:
             hit = cache.lookup(final, cfg.peer).token
@@ -433,25 +528,33 @@ def route_escalated(
             charged = cost.c_p2p if stage != _LLM else cost.c_p2p + cost.c_llm
         if stage == _LLM:
             result = llm_adjudicate(_unchecked_distribution(slm[t]), _unchecked_distribution(cloud), final, rng)
-            final, out.beta[cid, t] = result.final_token, result.rejection_prob
+            final, beta = result.final_token, result.rejection_prob
             if lateral:
                 cache.insert(final)
-        out.stage[cid, t], out.final_token[cid, t], out.cost[cid, t] = stage, final, charged
-        out.correct[cid, t], out.p2p_attempted[cid, t] = final == target[t], attempted
+        stages.append(stage)
+        finals.append(final)
+        costs.append(charged)
+        betas.append(beta)
+        attempts.append(attempted)
+
+
+def _lane(seed: int, tag: int, cids: np.ndarray, round_index: int) -> list[np.random.Generator]:
+    """Client cids[i]'s stream of lane tag in this round, for each i."""
+    return substreams(seed, np.column_stack((np.full(len(cids), tag), cids, np.full(len(cids), round_index))))
 
 
 def run_round(state: SimulationState, round_index: int) -> RoundReport:
     """Advance the world by one round and report what happened."""
     cfg = state.cfg
-    clients = range(cfg.topology.num_clients)
+    clients = np.arange(cfg.topology.num_clients)
     # Replaying a trace scored by entropy draws nothing, so such a round builds no generation streams.
     draws = state.trace is None or cfg.uncertainty_kind != KIND_ENTROPY
-    rngs = [substream(cfg.seed, _TAG_GEN, cid, round_index) for cid in clients] if draws else []
+    rngs = _lane(cfg.seed, _TAG_GEN, clients, round_index) if draws else []
     work = _draw_round(state, round_index, rngs)
     predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
     # Every mode gates by array before any routing; rand's coins have their own lane.
     if cfg.mode == MODE_RAND:
-        coins = [substream(cfg.seed, _TAG_COIN, cid, round_index) for cid in clients]
+        coins = _lane(cfg.seed, _TAG_COIN, clients, round_index)
         escalated = np.array([rng.random(cfg.tokens_per_client) for rng in coins]) < cfg.p_offload
     else:
         escalated = uncertainty > state.threshold
@@ -462,20 +565,20 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     else:
         consensus = edge = np.zeros(predicted.shape, bool)
 
-    # Every token starts as a local one; the walk overwrites a routed token's cells.
-    out = RoundOutcomes.local(predicted, target, uncertainty)
     consensus, edge = consensus.tolist(), edge.tolist()
-    start = 0
-    for cid in clients:
-        if not (routed := np.flatnonzero(escalated[cid]).tolist()):
-            continue
-        rng = substream(cfg.seed, _TAG_RESOLVE, cid, round_index)
+    routing = np.flatnonzero(escalated.any(axis=1))
+    walk, start = _Walk([], [], [], [], []), 0
+    for cid, rng in zip(routing.tolist(), _lane(cfg.seed, _TAG_RESOLVE, routing, round_index)):
+        routed = np.flatnonzero(escalated[cid]).tolist()
         rows, start = llm[start : start + len(routed)], start + len(routed)
         route_escalated(
-            cid, state.caches[cid], state.estimators[cid], work, routed, rows, consensus[cid], edge[cid], cfg, rng, out
+            cid, state.caches[cid], state.estimators[cid], work, routed, rows, consensus[cid], edge[cid], cfg, rng, walk
         )
+    # Every token starts as a local one; the walk's cells overwrite the routed ones.
+    out = RoundOutcomes.local(predicted, target, uncertainty)
+    walk.write(out, escalated, target)
 
-    thresholds_local = dict.fromkeys(clients, state.threshold)
+    thresholds_local = dict.fromkeys(clients.tolist(), state.threshold)
     if cfg.mode == MODE_FEDHLM:
         eta = lr_schedule(cfg.learner.eta0, round_index)
         for cid, mine in enumerate(out.stage == _LLM):

@@ -122,14 +122,15 @@ def _peaked_rows(
     normalized. A row whose variates all underflow to 0 becomes one-hot at
     its mode.
     """
-    p, start = np.empty((sum(len(m) for m in modes), size)), 0
-    for mine, width, rng in zip(modes, sharpness, rngs):
-        if len(mine):  # a client without rows costs no call
-            alpha = np.full((len(mine), size), background)
-            alpha[np.arange(len(mine)), mine] += width
-            rng.standard_gamma(alpha, out=p[start : start + len(mine)])
-            start += len(mine)
-    modes, rows = np.concatenate(modes), np.arange(len(p))
+    counts = [len(mine) for mine in modes]
+    modes, rows = np.concatenate(modes), np.arange(sum(counts))
+    alpha, p = np.full((len(rows), size), background), np.empty((len(rows), size))
+    alpha[rows, modes] += np.repeat(sharpness, counts)
+    start = 0
+    for count, rng in zip(counts, rngs):
+        if count:  # a client without rows costs no call
+            rng.standard_gamma(alpha[start : start + count], out=p[start : start + count])
+            start += count
     total = p.sum(axis=1)
     empty = total == 0.0
     p[empty, modes[empty]] = total[empty] = 1.0
@@ -212,13 +213,14 @@ def _parse_probs(cells: list[str], line_no: int) -> np.ndarray:
 def load_logit_trace(path: str | Path, vocab: VocabSpec) -> LogitTrace:
     """Parse a logit-trace file.
 
-    Format: a `# vocab=<V>` header line, then one CSV row per step holding
+    Format (UTF-8, a leading byte-order mark allowed): a `# vocab=<V>` header
+    line, then one CSV row per step holding
     `reference_token, slm_p0..slm_p{V-1}, llm_p0..llm_p{V-1}`. Rows whose
     probabilities fail to normalize within 1e-6 raise MalformedRow; rows
     encoding a different vocabulary width raise VocabMismatch.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip().startswith("# vocab="):
         raise MalformedRow("missing `# vocab=<V>` header line")

@@ -3,6 +3,13 @@
 score_rows scores a (T, V) array of probability rows in one array pass and
 returns one score in [0, 1] per row. A round scores all its clients' rows in
 one pass, each client drawing from its own generator.
+
+The Monte-Carlo score never finds which token a sample drew. A softened
+row's CDF never decreases, being a running sum of nonnegative values divided
+by its positive last entry, so a right-sided search lands on the predicted
+token p exactly when the uniform u satisfies cdf[p - 1] <= u < cdf[p] (with
+cdf[-1] = -inf). Each sample therefore costs two comparisons with the
+predicted token's interval, whatever the vocabulary size.
 """
 
 from __future__ import annotations
@@ -44,21 +51,24 @@ def _search(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _score_blocks(probs: np.ndarray, kind: str, cfg: SamplerConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """score_rows over equal row blocks, block i drawing from rngs[i]; only the MC search is per block."""
+    """score_rows over equal row blocks, block i drawing its uniforms from rngs[i]."""
     if kind == KIND_ENTROPY:
         logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
         logs *= probs
         return np.minimum(np.maximum(-logs.sum(axis=1), 0.0) / math.log(probs.shape[1]), 1.0)
-    cdf = probs ** (1.0 / cfg.temperature)
-    cdf /= cdf.sum(axis=1, keepdims=True)
-    _cumulative(cdf, out=cdf)
-    predicted, count = probs.argmax(axis=1)[:, None], probs.shape[0] // len(rngs)
-    disagreements = np.empty(probs.shape[0], np.int64)
+    running = probs ** (1.0 / cfg.temperature)
+    running /= running.sum(axis=1, keepdims=True)
+    np.cumsum(running, axis=1, out=running)
+    # The predicted token's CDF interval [lo, hi), as the quotients _cumulative would give.
+    rows, predicted = np.arange(len(probs)), probs.argmax(axis=1)
+    last = running[:, -1]
+    hi = running[rows, predicted] / last
+    lo = np.where(predicted > 0, running[rows, predicted - 1] / last, -np.inf)
+    uniforms, count = np.empty((len(probs), cfg.num_samples)), len(probs) // len(rngs)
     for i, rng in enumerate(rngs):
-        rows = slice(i * count, (i + 1) * count)
-        draws = _search(cdf[rows], rng.random((count, cfg.num_samples)))
-        disagreements[rows] = np.count_nonzero(draws != predicted[rows], axis=1)
-    return disagreements / cfg.num_samples
+        rng.random(out=uniforms[i * count : (i + 1) * count])
+    agreements = np.count_nonzero((lo[:, None] <= uniforms) & (uniforms < hi[:, None]), axis=1)
+    return (cfg.num_samples - agreements) / cfg.num_samples
 
 
 def score_rows(probs: np.ndarray, kind: str, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
@@ -71,11 +81,13 @@ def score_rows(probs: np.ndarray, kind: str, cfg: SamplerConfig, rng: np.random.
     KIND_DISAGREEMENT: the fraction of cfg.num_samples draws from the
     temperature-softened row, p_i^(1/T) renormalized, that differ from the
     unsoftened argmax; a multiple of 1/num_samples. One (T, num_samples)
-    uniform matrix is drawn, in row order, and each uniform is inverted
-    through its row's softened CDF (rescaled to end at exactly 1) by a
-    right-sided search: the count of CDF entries at or below it. Row by row
-    this is the draw Generator.choice(V, size=num_samples, p=softened) makes,
-    from the same uniforms, so it picks the same tokens and leaves the
-    generator in the same state.
+    uniform matrix is drawn, in row order. Generator.choice(V,
+    size=num_samples, p=softened) inverts each of these uniforms through the
+    row's softened CDF (rescaled to end at exactly 1) by a right-sided
+    search, so its draw equals the argmax exactly when the uniform lies in
+    the argmax's CDF interval [cdf[p - 1], cdf[p]). Counting the uniforms in
+    that interval, with the interval's ends computed as choice computes
+    them, therefore gives choice's score from the same uniforms and leaves
+    the generator in the same state.
     """
     return _score_blocks(probs, kind, cfg, [rng])

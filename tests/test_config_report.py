@@ -132,7 +132,7 @@ def test_constraint_errors_name_the_key():
         "profile.vocab_size = 100000000000": "profile.vocab_size",
         # the lateral tables' clients x T x d term binds where the two V x d tables' does not
         "peer.embedding_dim = 100000": "peer.embedding_dim",
-        # a client-round's MC search holds T x num_samples x V cells
+        # a round's MC uniforms hold clients x T x num_samples cells
         "sampler.num_samples = 100000": "sampler.num_samples",
     }
     for text, key in cases.items():
@@ -153,6 +153,16 @@ def test_the_ceiling_counts_the_one_embedding_table():
     with pytest.raises(InvalidValue, match="over the ceiling") as err:
         parse_config_text(text + "peer.embedding_dim = 12")  # 18.0M cells
     assert err.value.key == "profile.vocab_size"
+
+
+def test_the_ceiling_counts_a_rounds_monte_carlo_uniforms():
+    # The stock round draws 20 clients x 30 tokens x num_samples scoring
+    # uniforms at once, and no cell of it is vocabulary-wide. Every other
+    # term of the stock config is at most 57,600 cells.
+    assert parse_config_text("sampler.num_samples = 27962").sampler.num_samples == 27962  # 16,777,200 cells
+    with pytest.raises(InvalidValue, match="over the ceiling") as err:
+        parse_config_text("sampler.num_samples = 27963")  # 16,777,800 cells, over 2^24 = 16,777,216
+    assert err.value.key == "sampler.num_samples"
 
 
 def test_the_ceiling_counts_a_rounds_three_vocabulary_tables():
@@ -487,6 +497,12 @@ def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     assert main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(conf) in err
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    conf = tmp_path / "bom.conf"
+    conf.write_bytes(b"\xef\xbb\xbfrun.rounds = 2\n")
+    assert parse_config(conf).rounds == 2
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from fedhlm.engine import (
     _draw_modes,
     _draw_round,
     _trace_steps,
+    _Walk,
     _Workload,
     client_token_entropy,
     default_config,
@@ -39,6 +40,7 @@ from fedhlm.engine import (
     run,
     run_round,
     substream,
+    substreams,
 )
 from fedhlm.federation import ClusterTopology, PartitionSpec, dirichlet_partition
 from fedhlm.model_source import (
@@ -87,9 +89,14 @@ def make_client(prior: float, cfg: SimulationConfig, units: np.ndarray | None = 
     )
 
 
+def seed_stream(seed: int, *path: int) -> np.random.Generator:
+    """The run's stream for path, built by SeedSequence itself, as the reference draws take it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
+
+
 def client_mixtures(cfg: SimulationConfig) -> list[np.ndarray]:
     """Each client's class mixture, redrawn on the run's partition stream."""
-    partition = dirichlet_partition(cfg.partition, cfg.topology, substream(cfg.seed, _TAG_PARTITION))
+    partition = dirichlet_partition(cfg.partition, cfg.topology, seed_stream(cfg.seed, _TAG_PARTITION))
     return [partition[c] for c in range(cfg.topology.num_clients)]
 
 
@@ -105,7 +112,7 @@ def argmax(row: np.ndarray) -> int:
 
 def round_work(state: SimulationState, round_index: int) -> _Workload:
     """The round's workload on the run's own generation streams, as run_round draws it."""
-    rngs = [substream(state.cfg.seed, _TAG_GEN, c, round_index) for c in range(state.cfg.topology.num_clients)]
+    rngs = [seed_stream(state.cfg.seed, _TAG_GEN, c, round_index) for c in range(state.cfg.topology.num_clients)]
     return _draw_round(state, round_index, rngs)
 
 
@@ -265,7 +272,7 @@ def test_round_block_matches_per_client_reference(case):
         state = SimulationState(cfg)
     mixtures = client_mixtures(cfg)
     for round_index in range(cfg.rounds):
-        ours, refs = ([substream(cfg.seed, _TAG_GEN, c, round_index) for c in range(len(mixtures))] for _ in "ab")
+        ours, refs = ([seed_stream(cfg.seed, _TAG_GEN, c, round_index) for c in range(len(mixtures))] for _ in "ab")
         got = _draw_round(state, round_index, ours)
         escalated = np.random.default_rng([cfg.seed, round_index]).random(got.predicted.shape) < share
         llm, start = _cloud_rows(state, round_index, got, escalated, ours), 0
@@ -307,6 +314,19 @@ def test_substream_reproducible_and_independent():
     assert not np.array_equal(a, c)
 
 
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([2**32 - 1, 2**32]), st.integers(2**32, 2**80)),
+    paths=st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width), min_size=1, max_size=6)
+    ),
+)
+def test_vectorized_streams_equal_seed_sequence_streams(seed, paths):
+    # Tags, clients and rounds as any uint32 words; a seed from 2**32 up takes the per-path route.
+    want = [seed_stream(seed, *path).bit_generator.state for path in paths]
+    assert [rng.bit_generator.state for rng in substreams(seed, np.array(paths))] == want
+    assert substream(seed, *paths[0]).bit_generator.state == want[0]
+
+
 def test_client_token_entropy_limits():
     vocab = VocabSpec(8)
     assert client_token_entropy([3] * 50, vocab) == 0.0
@@ -327,12 +347,14 @@ def test_resolve_retains_at_threshold_boundary(one_token_round):
 
 
 def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
-    """route_escalated over a one-token client-round holding crafted_pair(cfg, mode); its cells as scalars."""
+    """route_escalated over a one-token client-round holding crafted_pair(cfg, mode), written as
+    run_round writes a walk; its cells as scalars."""
     slm, llm = crafted_pair(cfg, mode=mode)
     work = _Workload(slm[None, None], np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]]))
-    out = RoundOutcomes.local(work.predicted, work.target, work.uncertainty)
+    out, walk = RoundOutcomes.local(work.predicted, work.target, work.uncertainty), _Walk([], [], [], [], [])
     rng = np.random.default_rng(mode)
-    route_escalated(0, client.cache, client.estimator, work, routed, llm[None], [consensus], [edge], cfg, rng, out)
+    route_escalated(0, client.cache, client.estimator, work, routed, llm[None], [consensus], [edge], cfg, rng, walk)
+    walk.write(out, np.isin([[0]], routed), work.target)
     cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in out._asdict().items()})
     cells.stage = STAGES[cells.stage]
     return cells
@@ -891,9 +913,9 @@ def round_sources(state: SimulationState, round_index: int):
     client-round draws."""
     cfg = state.cfg
     clients = range(cfg.topology.num_clients)
-    rngs = [substream(cfg.seed, _TAG_GEN, c, round_index) for c in clients]
+    rngs = [seed_stream(cfg.seed, _TAG_GEN, c, round_index) for c in clients]
     work = _draw_round(state, round_index, rngs)
-    coins = [substream(cfg.seed, _TAG_COIN, c, round_index) for c in clients]
+    coins = [seed_stream(cfg.seed, _TAG_COIN, c, round_index) for c in clients]
     coins = [rng.random(cfg.tokens_per_client) for rng in coins]
     if state.trace is not None:
         steps = _trace_steps(state, round_index)
@@ -931,7 +953,7 @@ def reference_run(cfg: SimulationConfig):
         )
         means = [emb[predicted[m]].mean(axis=0) if m else None for m in clusters]
         for i in range(n):
-            rng, home = substream(cfg.seed, _TAG_RESOLVE, i, r), cfg.topology.assignment[i]
+            rng, home = seed_stream(cfg.seed, _TAG_RESOLVE, i, r), cfg.topology.assignment[i]
             cache, estimator = caches[i], estimators[i]
             for t in range(count):
                 if cfg.mode == "rand":

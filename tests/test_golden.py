@@ -172,13 +172,13 @@ def test_entropy_replay_builds_no_generation_streams(tmp_path, capsys, monkeypat
     text = TRACE_CONFIG.replace("disagreement", "entropy") + f"run.trace_path = {trace_path}\n"
     cfg_path.write_text(text, encoding="utf-8")
     tags = []
-    substream = fedhlm.engine.substream
+    substreams = fedhlm.engine.substreams
 
-    def counted(seed, *path):
-        tags.append(path[0])
-        return substream(seed, *path)
+    def counted(seed, paths):
+        tags.extend(np.asarray(paths)[:, 0].tolist())
+        return substreams(seed, paths)
 
-    monkeypatch.setattr(fedhlm.engine, "substream", counted)
+    monkeypatch.setattr(fedhlm.engine, "substreams", counted)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     assert "llm=148 " in capsys.readouterr().out

@@ -208,6 +208,15 @@ def test_trace_roundtrip(tmp_path):
     assert np.allclose(loaded.llm, trace.llm, atol=1e-9)
 
 
+def test_trace_with_a_byte_order_mark_reads_as_without(tmp_path):
+    vocab = VocabSpec(4)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_logit_trace(plain, _tiny_trace(vocab, 2))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for want, got in zip(load_logit_trace(plain, vocab), load_logit_trace(marked, vocab)):
+        assert np.array_equal(want, got)
+
+
 def test_trace_rejects_negative_probability(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# vocab=2\n0,-0.1,1.1,0.5,0.5\n", encoding="utf-8")

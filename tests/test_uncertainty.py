@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from fedhlm.engine import STAGES, Stage
 from fedhlm.thresholds import LearnerConfig, local_loss
-from fedhlm.uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
+from fedhlm.uncertainty import (
+    KIND_DISAGREEMENT,
+    KIND_ENTROPY,
+    SamplerConfig,
+    _cumulative,
+    _score_blocks,
+    _search,
+    score_rows,
+)
 
 
 def one_hot_rows(size: int, indices: list[int]) -> np.ndarray:
@@ -106,6 +114,51 @@ def test_scoring_draw_matches_generator_choice(vocab, alpha, num_samples, temper
     for _ in range(3):
         assert disagreement(probs, cfg, ours).tolist() == [_choice_disagreement(p, cfg, ref) for p in probs]
     assert ours.random() == ref.random()
+
+
+def _search_disagreement(probs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    # reference: one block's samples found by a right-sided search of each softened CDF
+    q = probs ** (1.0 / cfg.temperature)
+    q /= q.sum(axis=1, keepdims=True)
+    draws = _search(_cumulative(q), rng.random((len(probs), cfg.num_samples)))
+    return np.count_nonzero(draws != probs.argmax(axis=1)[:, None], axis=1) / cfg.num_samples
+
+
+ROW_KINDS = ("dirichlet", "zeros", "one_hot", "uniform")
+
+
+@given(
+    vocab=st.integers(2, 60),
+    blocks=st.integers(1, 4),
+    count=st.integers(1, 5),
+    num_samples=st.integers(1, 40),
+    temperature=st.floats(1.0, 8.0, exclude_min=True),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=20, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_scores_match_a_per_block_search(vocab, blocks, count, num_samples, temperature, kinds, seed):
+    # The interval test gives the search's score on rows with exact zeros,
+    # one-hot rows and uniform rows (argmax ties), block for block, and
+    # leaves each block's generator where the search leaves it.
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds[: blocks * count]:
+        if kind == "one_hot":
+            row = np.eye(vocab)[rng.integers(vocab)]
+        elif kind == "uniform":
+            row = np.full(vocab, 1.0 / vocab)
+        else:
+            row = rng.dirichlet(np.full(vocab, 0.3))
+            if kind == "zeros":
+                row[rng.random(vocab) < 0.5] = 0.0
+                row[rng.integers(vocab)] += 1.0  # keep a positive entry
+                row /= row.sum()
+        rows.append(row)
+    probs, cfg = np.array(rows), SamplerConfig(num_samples=num_samples, temperature=temperature)
+    ours, refs = ([np.random.default_rng([seed, b]) for b in range(blocks)] for _ in "ab")
+    want = [_search_disagreement(probs[b * count : (b + 1) * count], cfg, ref) for b, ref in enumerate(refs)]
+    assert _score_blocks(probs, KIND_DISAGREEMENT, cfg, ours).tolist() == np.concatenate(want).tolist()
+    assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in refs]
 
 
 def test_soften_flattens_toward_uniform():
