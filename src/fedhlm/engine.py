@@ -81,16 +81,15 @@ _TAG_RESOLVE = 4
 _TAG_COIN = 5
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# rows, softened CDFs or entropy logs, gamma concentrations and escalated
-# tokens' LLM rows (at most three of these at once, each at most clients*T x
-# V; the escalated count is known only after the gate), the one embedding
-# table (V x d), which the lateral tables and the caches both read, the
-# lateral tables, a round's MC uniforms (clients*T x samples), the run's
-# outcome columns, and the probe state (three numbers per probed token and two
-# per held one, each token one of the run's, so at most 5 x min(V, tokens)).
-# A cache holds at most min(capacity, V) token ids and slots, fewer than a
-# round's rows. 2**24 float64 cells are 128 MiB; the stock run's largest term
-# is 57,600 (a round's tables).
+# rows, softened CDFs or entropy logs and escalated tokens' LLM rows (each at
+# most clients*T x V; the escalated count is known only after the gate), the
+# one embedding table (V x d), which the lateral tables and the caches both
+# read, the lateral tables, a round's MC uniforms (clients*T x samples), the
+# run's outcome columns, and the probe state (three numbers per probed token
+# and two per held one, each token one of the run's, so at most
+# 5 x min(V, tokens)). A cache holds at most min(capacity, V) token ids and
+# slots, fewer than a round's rows. 2**24 float64 cells are 128 MiB; the stock
+# run's largest term is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 

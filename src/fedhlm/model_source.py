@@ -118,18 +118,19 @@ def _peaked_rows(
     """One Dirichlet row per mode, concentrated on it, with the row's maximum in the mode slot; modes[i]
     holds client i's modes, whose rows follow client i - 1's, drawn from rngs[i] with sharpness[i].
 
-    A client's rows are one standard_gamma draw over their alpha rows,
-    normalized. A row whose variates all underflow to 0 becomes one-hot at
-    its mode.
+    The stack's alpha rows are built at once; a client's rows are then one
+    standard_gamma draw over its own, normalized. Each variate overwrites
+    its alpha cell, which standard_gamma reads first. A row whose variates
+    all underflow to 0 becomes one-hot at its mode.
     """
     counts = [len(mine) for mine in modes]
     modes, rows = np.concatenate(modes), np.arange(sum(counts))
-    alpha, p = np.full((len(rows), size), background), np.empty((len(rows), size))
-    alpha[rows, modes] += np.repeat(sharpness, counts)
+    p = np.full((len(rows), size), background)
+    p[rows, modes] += np.repeat(sharpness, counts)
     start = 0
     for count, rng in zip(counts, rngs):
         if count:  # a client without rows costs no call
-            rng.standard_gamma(alpha[start : start + count], out=p[start : start + count])
+            rng.standard_gamma(p[start : start + count], out=p[start : start + count])
             start += count
     total = p.sum(axis=1)
     empty = total == 0.0
