@@ -26,7 +26,6 @@ from fedhlm import (
     peer_consensus,
     rejection_probability,
     score_rows,
-    token_embedding,
 )
 
 
@@ -44,7 +43,7 @@ def main() -> None:
     token = int(slm_rows[0].argmax())
     print(f"small model proposes token {token} with p={slm_rows[0, token]:.3f}")
 
-    score = float(score_rows(slm_rows, KIND_DISAGREEMENT, sampler, rng)[0])
+    score = float(score_rows(slm_rows, KIND_DISAGREEMENT, sampler, [rng])[0])
     print(f"disagreement across {sampler.num_samples} softened samples: {score:.2f}")
 
     threshold = 0.1
@@ -55,18 +54,19 @@ def main() -> None:
         print("token stays on the device at zero transport cost")
         return
 
-    own = token_embedding(token, vocab)
+    table = embedding_matrix(vocab, peer_cfg)
+    own = table[token]
 
-    cache = TokenCache(embedding_matrix(vocab, peer_cfg), capacity=8)
+    cache = TokenCache(table, capacity=8)
     hit = cache.lookup(token, peer_cfg)
     print(f"semantic cache: {'hit' if hit.token is not None else 'miss (cache is cold)'}")
 
     # two agreeable peers and one dissenter
-    peers = np.stack([own, own, token_embedding((token + 1) % vocab.size, vocab)])
+    peers = table[[token, token, (token + 1) % vocab.size]]
     verdict = peer_consensus(own, peers, peer_cfg)
     print(f"peer consensus over {len(peers)} neighbors: {verdict.name}")
 
-    centroids = np.stack([token_embedding((token + 5) % vocab.size, vocab)])
+    centroids = table[[(token + 5) % vocab.size]]
     edge = edge_validate(own, centroids, peer_cfg)
     print(f"edge centroid check: {edge.name}")
 

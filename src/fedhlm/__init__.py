@@ -10,7 +10,7 @@ from .adjudication import llm_adjudicate
 from .costs import CostModel, cache_hit_curve, expected_cost, fit_cache_alpha, should_attempt_p2p
 from .engine import SimulationReport, Stage, default_config, run
 from .model_source import ModelProfile, TokenDistribution, VocabSpec, gen_distribution_rows
-from .peers import PeerConfig, TokenCache, edge_validate, embedding_matrix, peer_consensus, token_embedding
+from .peers import PeerConfig, TokenCache, edge_validate, embedding_matrix, peer_consensus
 from .reporting import compute_trr, summarize
 from .thresholds import lr_schedule, rejection_probability
 from .uncertainty import KIND_DISAGREEMENT, SamplerConfig, score_rows

@@ -179,7 +179,7 @@ def parse_config(path: str | Path) -> SimulationConfig:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not UTF-8: {exc}") from None
-    return _build(_parse_lines(text))
+    return parse_config_text(text)
 
 
 def parse_config_text(text: str) -> SimulationConfig:

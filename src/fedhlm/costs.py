@@ -88,7 +88,7 @@ class PHitEstimator:
     the opportunistic policy exploring during cold start.
     """
 
-    def __init__(self, window: int = 50, prior: float = 0.5):
+    def __init__(self, window: int, prior: float):
         if window < 1:
             raise ValueError("window must be >= 1")
         if not 0.0 <= prior <= 1.0:

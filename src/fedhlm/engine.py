@@ -66,7 +66,7 @@ from .model_source import (
 )
 from .peers import PeerConfig, ProbeState, TokenCache, embedding_matrix, lateral_decisions
 from .thresholds import LearnerConfig, loss_gradient, lr_schedule, sgd_step
-from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, _cumulative, _score_blocks, _search
+from .uncertainty import KIND_DISAGREEMENT, KIND_ENTROPY, SamplerConfig, score_rows
 
 MODE_FEDHLM = "fedhlm"
 MODE_RAND = "rand"
@@ -202,15 +202,6 @@ class RoundOutcomes(NamedTuple):
     correct: np.ndarray
     p2p_attempted: np.ndarray
 
-    @classmethod
-    def local(cls, predicted: np.ndarray, target: np.ndarray, uncertainty: np.ndarray) -> RoundOutcomes:
-        """Every token kept on device: free, unadjudicated, its own prediction."""
-        shape = predicted.shape
-        return cls(
-            np.full(shape, _LOCAL, np.int8), predicted.copy(), np.zeros(shape), uncertainty,
-            np.full(shape, np.nan), predicted == target, np.zeros(shape, bool),
-        )
-
 
 class RoundReport(NamedTuple):
     """One round: its outcome columns, their stage counts and total cost, each client's threshold
@@ -291,7 +282,8 @@ class _PathSeed(ISeedSequence):
 
 
 def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
-    """substream(seed, *path) for each row of paths, an (n, k) array of ints in [0, 2**32), k >= 1.
+    """Independent generators, one per named lane of the run's randomness: the default_rng of
+    SeedSequence(entropy=seed, spawn_key=path) for each row of paths, (n, k) ints in [0, 2**32), k >= 1.
 
     SeedSequence hashes the uint32 words [seed, 0, 0, 0, *path]; that hash
     runs here once over all the paths in uint32 arithmetic. A seed of 2**32
@@ -310,12 +302,6 @@ def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
     state = _hashmix(np.tile(pool, 2), consts, 0, 8)
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_PathSeed(w))) for w in words]
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for one named lane of the run's randomness: the default_rng of
-    SeedSequence(entropy=seed, spawn_key=path)."""
-    return substreams(seed, np.array([path]))[0]
 
 
 def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
@@ -343,9 +329,9 @@ class SimulationState:
     def __init__(self, cfg: SimulationConfig):
         self.cfg = cfg
         vocab, n, profile = cfg.profile.vocab, cfg.topology.num_clients, cfg.profile
-        partition = dirichlet_partition(cfg.partition, cfg.topology, substream(cfg.seed, _TAG_PARTITION))
+        partition_rng, profile_rng = substreams(cfg.seed, [[_TAG_PARTITION], [_TAG_PROFILES]])
+        partition = dirichlet_partition(cfg.partition, cfg.topology, partition_rng)
         mixtures = np.stack([partition[c] for c in range(n)])
-        profile_rng = substream(cfg.seed, _TAG_PROFILES)
         # As Python floats, a multiplier that overflowed to inf carries on
         # without warnings until the sharpness clamp below saturates it.
         with np.errstate(over="ignore"):
@@ -376,7 +362,9 @@ class SimulationState:
         # Zipf CDF, padded with inf past the run's width.
         regions = np.array_split(np.arange(vocab.size), cfg.partition.num_classes)
         self.class_starts = np.array([region[0] for region in regions])
-        self.class_cdf = _cumulative(mixtures)
+        # Running sums rescaled to end at exactly 1: the CDF Generator.choice builds from p.
+        self.class_cdf = np.cumsum(mixtures, axis=1)
+        self.class_cdf /= self.class_cdf[:, -1:].copy()  # dividing by a view would first copy all of it
         self.class_widths = np.array([len(region) for region in regions])
         self.zipf = np.full((len(regions), self.class_widths.max()), np.inf)
         for c, width in enumerate(self.class_widths):
@@ -406,7 +394,7 @@ def _zipf_cumulative(width: int, exponent: float) -> np.ndarray:
 
 def _draw_modes(state: SimulationState, class_uniforms: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Each token's mode from its (clients, T) class uniform and pick: a class, then a rank in it."""
-    classes = _search(state.class_cdf, class_uniforms)
+    classes = np.count_nonzero(state.class_cdf[:, None] <= class_uniforms[..., None], axis=-1)
     ranks = np.count_nonzero(state.zipf[classes] <= picks[..., None], axis=-1)
     return state.class_starts[classes] + np.minimum(ranks, state.class_widths[classes] - 1)
 
@@ -440,7 +428,7 @@ def _draw_round(state: SimulationState, round_index: int, rngs: Sequence[np.rand
                 scattered[i] = rng.integers(v, size=count)
         modes = np.where(uniforms[2] < miss_rate[:, None], scattered, _draw_modes(state, uniforms[0], uniforms[1]))
         slm, target = _draw_slm(cfg.profile, state.sharpness, state.agreement, modes, rngs)
-    uncertainty = _score_blocks(slm, cfg.uncertainty_kind, cfg.sampler, rngs).reshape(n, count)
+    uncertainty = score_rows(slm, cfg.uncertainty_kind, cfg.sampler, rngs).reshape(n, count)
     predicted = slm.argmax(axis=1).reshape(n, count)
     return _Workload(slm.reshape(n, count, v), predicted, target, uncertainty)
 
@@ -470,12 +458,17 @@ class _Walk(NamedTuple):
     beta: list[float]
     p2p_attempted: list[bool]
 
-    def write(self, out: RoundOutcomes, escalated: np.ndarray, target: np.ndarray) -> None:
-        """Overwrite out's cells at the escalated mask, each column at once, then every token's
-        correctness: its final token equals its target."""
-        for name, cells in zip(self._fields, self):
-            getattr(out, name)[escalated] = cells
-        np.equal(out.final_token, target, out=out.correct)
+    def outcomes(self, work: _Workload, escalated: np.ndarray) -> RoundOutcomes:
+        """The round's columns: every token starts local (free, unadjudicated, its own prediction), the
+        walk's cells overwrite the escalated ones, and a token is correct when its final token is its target."""
+        shape = escalated.shape
+        stage, final, cost, beta, attempted = columns = (
+            np.full(shape, _LOCAL, np.int8), work.predicted.copy(), np.zeros(shape), np.full(shape, np.nan),
+            np.zeros(shape, bool),
+        )
+        for column, cells in zip(columns, self):
+            column[escalated] = cells
+        return RoundOutcomes(stage, final, cost, work.uncertainty, beta, final == work.target, attempted)
 
 
 def route_escalated(
@@ -550,7 +543,7 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     draws = state.trace is None or cfg.uncertainty_kind != KIND_ENTROPY
     rngs = _lane(cfg.seed, _TAG_GEN, clients, round_index) if draws else []
     work = _draw_round(state, round_index, rngs)
-    predicted, target, uncertainty = work.predicted, work.target, work.uncertainty
+    predicted, uncertainty = work.predicted, work.uncertainty
     # Every mode gates by array before any routing; rand's coins have their own lane.
     if cfg.mode == MODE_RAND:
         coins = _lane(cfg.seed, _TAG_COIN, clients, round_index)
@@ -573,9 +566,7 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
         route_escalated(
             cid, state.caches[cid], state.estimators[cid], work, routed, rows, consensus[cid], edge[cid], cfg, rng, walk
         )
-    # Every token starts as a local one; the walk's cells overwrite the routed ones.
-    out = RoundOutcomes.local(predicted, target, uncertainty)
-    walk.write(out, escalated, target)
+    out = walk.outcomes(work, escalated)
 
     thresholds_local = dict.fromkeys(clients.tolist(), state.threshold)
     if cfg.mode == MODE_FEDHLM:

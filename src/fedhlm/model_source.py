@@ -66,7 +66,7 @@ class TokenDistribution:
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if not abs(float(p.sum()) - 1.0) <= NORMALIZATION_ATOL:  # NaN fails too
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
 
     @property
     def size(self) -> int:
@@ -207,7 +207,7 @@ def _parse_probs(cells: list[str], line_no: int) -> np.ndarray:
     if np.any(p < 0.0):
         raise MalformedRow(f"line {line_no}: negative probability")
     if abs(float(p.sum()) - 1.0) > TRACE_NORMALIZATION_ATOL:
-        raise MalformedRow(f"line {line_no}: probabilities sum to {p.sum()!r}")
+        raise MalformedRow(f"line {line_no}: probabilities sum to {float(p.sum())!r}")
     return p / p.sum()
 
 
@@ -262,10 +262,10 @@ def load_logit_trace(path: str | Path, vocab: VocabSpec) -> LogitTrace:
     return LogitTrace(np.array(references, dtype=np.int64), *rows)
 
 
-def save_logit_trace(path: str | Path, trace: LogitTrace, decimals: int = 8) -> None:
-    """Write a trace in the same format load_logit_trace reads."""
-    fmt = f"%.{decimals}f"
+def save_logit_trace(path: str | Path, trace: LogitTrace) -> None:
+    """Write a trace in the format load_logit_trace reads, each probability as its repr, which reads
+    back as the same float: a row that sums to 1 within 1e-6 reloads at any vocabulary size."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vocab={trace.slm.shape[1]}\n")
-        for reference, slm, llm in zip(trace.reference.tolist(), trace.slm, trace.llm):
-            fh.write(",".join([str(reference), *(fmt % p for p in slm), *(fmt % p for p in llm)]) + "\n")
+        for reference, slm, llm in zip(trace.reference.tolist(), trace.slm.tolist(), trace.llm.tolist()):
+            fh.write(",".join([str(reference), *map(repr, slm), *map(repr, llm)]) + "\n")

@@ -73,15 +73,6 @@ def embedding_matrix(vocab: VocabSpec, cfg: PeerConfig) -> np.ndarray:
     return _embedding_matrix(vocab.size, cfg.embedding_dim, cfg.embedding_seed)
 
 
-def token_embedding(
-    token: int, vocab: VocabSpec, dim: int = 64, seed: int = EMBEDDING_SEED
-) -> np.ndarray:
-    """Deterministic unit embedding for a token, a read-only 1-d row: same inputs, same vector, always."""
-    if not 0 <= token < vocab.size:
-        raise ValueError(f"token {token} outside vocabulary of size {vocab.size}")
-    return _embedding_matrix(vocab.size, dim, seed)[token]
-
-
 def pair_similarity(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Each of the (count, dim) rows' dot product with row, taken as one row-wise einsum.
 
@@ -288,7 +279,7 @@ class TokenCache:
     threshold. Every other lookup takes the product over the cached rows.
     """
 
-    def __init__(self, units: np.ndarray, capacity: int = 256, probes: ProbeState | None = None):
+    def __init__(self, units: np.ndarray, capacity: int, probes: ProbeState | None = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if probes is None:

@@ -38,28 +38,37 @@ class SamplerConfig:
             raise ValueError("temperature must be > 1")
 
 
-def _cumulative(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each row's running sums, rescaled to end at exactly 1: the CDF Generator.choice builds from p."""
-    cdf = np.cumsum(rows, axis=-1, out=out)
-    cdf /= cdf[..., -1:].copy()  # dividing by a view of cdf would first copy all of cdf
-    return cdf
+def score_rows(probs: np.ndarray, kind: str, cfg: SamplerConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One uncertainty score per row of probs, a (T, V) array of distributions.
 
+    KIND_ENTROPY: the row's Shannon entropy (0*ln(0) counts as 0) divided by
+    ln(V), clamped at 1 because a uniform row can round to just above it.
+    Draws no randomness, so rngs may be empty.
 
-def _search(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Right-sided search of each row's uniforms in its CDF: the indices Generator.choice draws."""
-    return np.count_nonzero(cdf[..., None, :] <= uniforms[..., None], axis=-1)
-
-
-def _score_blocks(probs: np.ndarray, kind: str, cfg: SamplerConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """score_rows over equal row blocks, block i drawing its uniforms from rngs[i]."""
+    KIND_DISAGREEMENT: the fraction of cfg.num_samples draws from the
+    temperature-softened row, p_i^(1/T) renormalized, that differ from the
+    unsoftened argmax; a multiple of 1/num_samples. The rows split into
+    len(rngs) equal blocks, and block i draws one (rows, num_samples)
+    uniform matrix from rngs[i], in row order. No generators, or rows that
+    do not split evenly, raise ValueError. Generator.choice(V,
+    size=num_samples, p=softened) inverts each of these uniforms through the
+    row's softened CDF (rescaled to end at exactly 1) by a right-sided
+    search, so its draw equals the argmax exactly when the uniform lies in
+    the argmax's CDF interval [cdf[p - 1], cdf[p]). Counting the uniforms in
+    that interval, with the interval's ends computed as choice computes
+    them, therefore gives choice's score from the same uniforms and leaves
+    each generator in the same state.
+    """
     if kind == KIND_ENTROPY:
         logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
         logs *= probs
         return np.minimum(np.maximum(-logs.sum(axis=1), 0.0) / math.log(probs.shape[1]), 1.0)
+    if not rngs or len(probs) % len(rngs):
+        raise ValueError(f"{len(probs)} rows do not split into {len(rngs)} equal blocks")
     running = probs ** (1.0 / cfg.temperature)
     running /= running.sum(axis=1, keepdims=True)
     np.cumsum(running, axis=1, out=running)
-    # The predicted token's CDF interval [lo, hi), as the quotients _cumulative would give.
+    # The predicted token's CDF interval [lo, hi): each running sum divided by the last, as choice divides.
     rows, predicted = np.arange(len(probs)), probs.argmax(axis=1)
     last = running[:, -1]
     hi = running[rows, predicted] / last
@@ -69,25 +78,3 @@ def _score_blocks(probs: np.ndarray, kind: str, cfg: SamplerConfig, rngs: Sequen
         rng.random(out=uniforms[i * count : (i + 1) * count])
     agreements = np.count_nonzero((lo[:, None] <= uniforms) & (uniforms < hi[:, None]), axis=1)
     return (cfg.num_samples - agreements) / cfg.num_samples
-
-
-def score_rows(probs: np.ndarray, kind: str, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    """One uncertainty score per row of probs, a (T, V) array of distributions.
-
-    KIND_ENTROPY: the row's Shannon entropy (0*ln(0) counts as 0) divided by
-    ln(V), clamped at 1 because a uniform row can round to just above it.
-    Draws no randomness.
-
-    KIND_DISAGREEMENT: the fraction of cfg.num_samples draws from the
-    temperature-softened row, p_i^(1/T) renormalized, that differ from the
-    unsoftened argmax; a multiple of 1/num_samples. One (T, num_samples)
-    uniform matrix is drawn, in row order. Generator.choice(V,
-    size=num_samples, p=softened) inverts each of these uniforms through the
-    row's softened CDF (rescaled to end at exactly 1) by a right-sided
-    search, so its draw equals the argmax exactly when the uniform lies in
-    the argmax's CDF interval [cdf[p - 1], cdf[p]). Counting the uniforms in
-    that interval, with the interval's ends computed as choice computes
-    them, therefore gives choice's score from the same uniforms and leaves
-    the generator in the same state.
-    """
-    return _score_blocks(probs, kind, cfg, [rng])

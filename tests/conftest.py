@@ -80,7 +80,7 @@ def one_token_round(tmp_path):
     path = tmp_path / "one.trace"
     save_logit_trace(path, LogitTrace(np.array([0]), slm, slm[:, ::-1].copy()))
     rows = load_logit_trace(path, vocab).slm
-    score = float(score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))[0])
+    score = float(score_rows(rows, KIND_ENTROPY, SamplerConfig(), [])[0])
 
     def play(mode: str, threshold: float) -> RoundOutcomes:
         cfg = SimulationConfig(

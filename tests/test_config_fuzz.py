@@ -131,7 +131,7 @@ def trace_dir(tmp_path_factory) -> Path:
     vocab = VocabSpec(32)
     rng = np.random.default_rng(0)
     slm, llm = gen_distribution_rows(ModelProfile(vocab=vocab), rng.integers(vocab.size, size=5), rng)
-    save_logit_trace(directory / "valid.trace", LogitTrace(llm.argmax(axis=1), slm, llm), decimals=10)
+    save_logit_trace(directory / "valid.trace", LogitTrace(llm.argmax(axis=1), slm, llm))
     (directory / "malformed.trace").write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")
     return directory
 

@@ -124,7 +124,7 @@ def test_estimator_window_slides():
 
 def test_estimator_validation():
     with pytest.raises(ValueError):
-        PHitEstimator(window=0)
+        PHitEstimator(window=0, prior=0.5)
     with pytest.raises(ValueError):
         PHitEstimator(window=3, prior=1.5)
 
@@ -140,10 +140,10 @@ def test_estimator_over_one_history():
     # fewer outcomes than the window: the prior stands in
     assert estimate(history, window=8, prior=0.3) == 0.3
     # a full window averages every outcome, a short one only the latest
-    assert estimate(history, window=5) == pytest.approx(0.6)
-    assert estimate(history, window=2) == pytest.approx(0.5)
+    assert estimate(history, window=5, prior=0.5) == pytest.approx(0.6)
+    assert estimate(history, window=2, prior=0.5) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        estimate(history, window=0)
+        estimate(history, window=0, prior=0.5)
 
 
 @given(

@@ -185,7 +185,7 @@ def test_normalized_entropy_limit_is_log_vocab():
     half = np.zeros(vocab.size)
     half[[3, 17]] = 0.5
     rows = np.stack([np.full(vocab.size, 1.0 / vocab.size), half])
-    scores = score_rows(rows, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))
+    scores = score_rows(rows, KIND_ENTROPY, SamplerConfig(), [])
     assert scores.tolist() == pytest.approx([1.0, 0.2])
 
 
@@ -200,13 +200,39 @@ def test_trace_roundtrip(tmp_path):
     vocab = VocabSpec(6)
     trace = _tiny_trace(vocab, 3)
     path = tmp_path / "trace.csv"
-    save_logit_trace(path, trace, decimals=12)
+    save_logit_trace(path, trace)
     loaded = load_logit_trace(path, vocab)
     assert loaded.reference.dtype == np.int64 and loaded.slm.shape == loaded.llm.shape == (3, vocab.size)
     assert np.array_equal(loaded.reference, trace.reference)
     assert np.allclose(loaded.slm, trace.slm, atol=1e-9)
     assert np.allclose(loaded.llm, trace.llm, atol=1e-9)
 
+
+def test_a_saved_uniform_trace_reloads_at_a_large_vocabulary(tmp_path):
+    # Written to 8 decimals, 600 entries of 1/600 summed to 1.000002, outside the reader's 1e-6.
+    vocab = VocabSpec(600)
+    uniform = np.full((2, vocab.size), 1.0 / vocab.size)
+    path = tmp_path / "uniform.csv"
+    save_logit_trace(path, LogitTrace(np.array([0, 1]), uniform, uniform))
+    loaded = load_logit_trace(path, vocab)
+    assert loaded.slm.tolist() == loaded.llm.tolist() == [(row / row.sum()).tolist() for row in uniform]
+
+
+@given(
+    vocab=st.integers(2, 2000),
+    alpha=st.sampled_from([0.01, 0.6, 5.0]),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(vocab=100_000, alpha=0.6, steps=1, seed=0)
+def test_a_saved_trace_reloads_as_each_row_over_its_sum(vocab, alpha, steps, seed):
+    slm, llm = np.random.default_rng(seed).dirichlet(np.full(vocab, alpha), size=(2, steps))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        save_logit_trace(path, LogitTrace(llm.argmax(axis=1), slm, llm))
+        loaded = load_logit_trace(path, VocabSpec(vocab))
+    for got, rows in ((loaded.slm, slm), (loaded.llm, llm)):
+        assert got.tolist() == [(row / row.sum()).tolist() for row in rows]
 
 def test_trace_with_a_byte_order_mark_reads_as_without(tmp_path):
     vocab = VocabSpec(4)

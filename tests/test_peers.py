@@ -22,7 +22,6 @@ from fedhlm.peers import (
     pair_similarity,
     peer_consensus,
     row_norms,
-    token_embedding,
 )
 
 
@@ -45,19 +44,17 @@ def test_embedding_rejects_zero_vector():
 
 def test_token_embedding_determinism_and_norm():
     vocab = VocabSpec(32)
-    a = token_embedding(5, vocab)
-    b = token_embedding(5, vocab)
-    assert np.array_equal(a, b)
-    assert abs(float(np.linalg.norm(a)) - 1.0) <= 1e-9
-    with pytest.raises(ValueError):
-        token_embedding(32, vocab)
+    a = embedding_matrix(vocab, PeerConfig())
+    b = embedding_matrix(VocabSpec(32), PeerConfig())
+    assert np.array_equal(a, b) and not a.flags.writeable  # callers share one read-only table
+    assert np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-9)
 
 
 def test_distinct_tokens_are_nearly_orthogonal():
     # concentration check: at dim 64 no pair of the 32 token vectors should
     # come anywhere near the 0.85 consensus threshold
     vocab = VocabSpec(32)
-    vectors = np.stack([token_embedding(t, vocab) for t in range(32)])
+    vectors = embedding_matrix(vocab, PeerConfig())
     gram = vectors @ vectors.T
     off_diag = gram[~np.eye(32, dtype=bool)]
     assert float(np.abs(off_diag).max()) < 0.5

@@ -4,11 +4,12 @@ No module under src/fedhlm/ imports a name it never uses, and
 fedhlm/__init__.py re-exports exactly the names that README.md's python
 blocks and the demos take from the package; everything else is imported
 from its module. A private name crosses from one module to a sibling only
-where PRIVATE_IMPORTS lists it. Only the classes in DATACLASSES are
-dataclasses, and the cache and the hit-rate estimator take only their
-public parameters. The perfbench harness, loaded from its
-files unchanged, still finds the functions it traces and still sets its
-workloads up.
+where PRIVATE_IMPORTS lists it, and a public function or class is left to
+the tests alone only where TEST_ONLY lists it. Only the classes in
+DATACLASSES are dataclasses, and the cache and the hit-rate estimator take
+only their public parameters. The perfbench harness, loaded from its files
+unchanged, still finds the functions it traces and still sets its workloads
+up.
 """
 
 import ast
@@ -60,9 +61,7 @@ def test_every_import_is_used(path):
 
 # Underscore names that one module takes from a sibling; every other private name stays in its module.
 PRIVATE_IMPORTS = {
-    "config._float",
-    "model_source._draw_slm", "model_source._peaked_rows", "model_source._unchecked_distribution",
-    "uncertainty._cumulative", "uncertainty._score_blocks", "uncertainty._search",
+    "config._float", "model_source._draw_slm", "model_source._peaked_rows", "model_source._unchecked_distribution",
 }
 
 
@@ -106,14 +105,51 @@ def test_only_the_validated_configs_are_dataclasses():
     assert list(inspect.signature(PHitEstimator).parameters) == ["window", "prior"]
 
 
+def readme_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.DOTALL)
+
+
 def test_package_exports_what_readme_and_demos_import():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
-    sources += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources = readme_blocks() + [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
     wanted = set().union(*(package_names(ast.parse(source)) for source in sources))
     exported = {name for name, _ in imported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))}
     assert sorted(exported - wanted) == [], "re-exported, but neither README.md nor a demo imports it"
     assert sorted(wanted - exported) == [], "imported by README.md or a demo, but not re-exported"
+
+
+# Public functions and classes that only the tests call: README documents the trace writer, and the
+# gradient test checks loss_gradient against the loss it differentiates.
+TEST_ONLY = {"model_source.save_logit_trace", "thresholds.local_loss"}
+
+
+def named(tree: ast.AST) -> set[str]:
+    """Every name, attribute, imported name and string constant in tree; the harness names its
+    traced functions by string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_only_the_listed_public_names_are_used_by_tests_alone():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths] + [ast.parse(b) for b in readme_blocks()]
+    used = set().union(*map(named, trees))
+    unused = {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert unused == TEST_ONLY
 
 
 # Layers the harness names that the package no longer has; every other target must be found.

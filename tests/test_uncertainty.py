@@ -13,9 +13,6 @@ from fedhlm.uncertainty import (
     KIND_DISAGREEMENT,
     KIND_ENTROPY,
     SamplerConfig,
-    _cumulative,
-    _score_blocks,
-    _search,
     score_rows,
 )
 
@@ -25,11 +22,11 @@ def one_hot_rows(size: int, indices: list[int]) -> np.ndarray:
 
 
 def disagreement(probs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    return score_rows(probs, KIND_DISAGREEMENT, cfg, rng)
+    return score_rows(probs, KIND_DISAGREEMENT, cfg, [rng])
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
-    return score_rows(probs, KIND_ENTROPY, SamplerConfig(), np.random.default_rng(0))
+    return score_rows(probs, KIND_ENTROPY, SamplerConfig(), [])
 
 
 def softened(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -120,7 +117,10 @@ def _search_disagreement(probs: np.ndarray, cfg: SamplerConfig, rng: np.random.G
     # reference: one block's samples found by a right-sided search of each softened CDF
     q = probs ** (1.0 / cfg.temperature)
     q /= q.sum(axis=1, keepdims=True)
-    draws = _search(_cumulative(q), rng.random((len(probs), cfg.num_samples)))
+    cdf = np.cumsum(q, axis=1)
+    cdf = cdf / cdf[:, -1:]  # rescaled to end at exactly 1, as Generator.choice rescales
+    uniforms = rng.random((len(probs), cfg.num_samples))
+    draws = np.count_nonzero(cdf[:, None, :] <= uniforms[:, :, None], axis=-1)
     return np.count_nonzero(draws != probs.argmax(axis=1)[:, None], axis=1) / cfg.num_samples
 
 
@@ -157,9 +157,18 @@ def test_block_scores_match_a_per_block_search(vocab, blocks, count, num_samples
     probs, cfg = np.array(rows), SamplerConfig(num_samples=num_samples, temperature=temperature)
     ours, refs = ([np.random.default_rng([seed, b]) for b in range(blocks)] for _ in "ab")
     want = [_search_disagreement(probs[b * count : (b + 1) * count], cfg, ref) for b, ref in enumerate(refs)]
-    assert _score_blocks(probs, KIND_DISAGREEMENT, cfg, ours).tolist() == np.concatenate(want).tolist()
+    assert score_rows(probs, KIND_DISAGREEMENT, cfg, ours).tolist() == np.concatenate(want).tolist()
     assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in refs]
 
+
+def test_disagreement_needs_rows_that_split_evenly_over_at_least_one_generator():
+    probs, cfg = np.full((5, 4), 0.25), SamplerConfig()
+    with pytest.raises(ValueError, match="5 rows do not split into 2 equal blocks"):
+        score_rows(probs, KIND_DISAGREEMENT, cfg, [np.random.default_rng(0), np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="5 rows do not split into 0 equal blocks"):
+        score_rows(probs, KIND_DISAGREEMENT, cfg, [])
+    # entropy draws nothing, so it needs no generators
+    assert score_rows(probs, KIND_ENTROPY, cfg, []).tolist() == pytest.approx([1.0] * 5)
 
 def test_soften_flattens_toward_uniform():
     # Oracle: a row disagrees with its argmax at rate 1 - q_0, where q is the
@@ -184,7 +193,7 @@ def test_entropy_score_limits():
     before = rng.bit_generator.state
     rows = np.vstack([one_hot_rows(8, [0]), np.full((1, 8), 0.125)])
     # one-hot rows have no entropy; a uniform row's ln(8) is the ceiling, so it scores 1
-    assert score_rows(rows, KIND_ENTROPY, SamplerConfig(), rng).tolist() == [0.0, pytest.approx(1.0)]
+    assert score_rows(rows, KIND_ENTROPY, SamplerConfig(), [rng]).tolist() == [0.0, pytest.approx(1.0)]
     assert rng.bit_generator.state == before  # the entropy kind draws no randomness
 
 
