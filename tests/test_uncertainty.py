@@ -170,6 +170,7 @@ def test_disagreement_needs_rows_that_split_evenly_over_at_least_one_generator()
     # entropy draws nothing, so it needs no generators
     assert score_rows(probs, KIND_ENTROPY, cfg, []).tolist() == pytest.approx([1.0] * 5)
 
+
 def test_soften_flattens_toward_uniform():
     # Oracle: a row disagrees with its argmax at rate 1 - q_0, where q is the
     # softened row; near T = 1 that is 1 - 0.7, and it grows toward the
