@@ -53,6 +53,7 @@ from .federation import (
     dirichlet_partition,
     global_aggregate,
     mixture_skew,
+    normalized_entropy,
 )
 from .model_source import (
     MAX_CONCENTRATION,
@@ -306,10 +307,7 @@ def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
 
 def client_token_entropy(history: Sequence[int], vocab: VocabSpec) -> float:
     """Empirical entropy of a non-empty history of accepted tokens, normalized into [0, 1] by ln(V)."""
-    counts = np.bincount(np.asarray(history, dtype=np.int64), minlength=vocab.size)
-    p = counts[counts > 0] / len(history)
-    entropy = float(-(p * np.log(p)).sum())
-    return min(max(entropy / math.log(vocab.size), 0.0), 1.0)
+    return normalized_entropy(np.bincount(np.asarray(history, dtype=np.int64), minlength=vocab.size) / len(history))
 
 
 class _Workload(NamedTuple):
@@ -442,9 +440,8 @@ def _cloud_rows(
     standard_gamma call per client-round."""
     if state.trace is not None:
         return state.trace.llm[_trace_steps(state, round_index)[escalated]]
-    profile = state.cfg.profile
-    modes = [mine[up] for mine, up in zip(work.target, escalated)]
-    return _peaked_rows(profile.vocab.size, modes, [profile.llm_sharpness] * len(rngs), profile.background, rngs)
+    p, counts = state.cfg.profile, np.count_nonzero(escalated, axis=1)
+    return _peaked_rows(p.vocab.size, work.target[escalated], counts, [p.llm_sharpness] * len(rngs), p.background, rngs)
 
 
 class _Walk(NamedTuple):
@@ -570,10 +567,10 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
 
     thresholds_local = dict.fromkeys(clients.tolist(), state.threshold)
     if cfg.mode == MODE_FEDHLM:
-        eta = lr_schedule(cfg.learner.eta0, round_index)
-        for cid, mine in enumerate(out.stage == _LLM):
-            grad = loss_gradient(uncertainty[cid, mine], out.beta[cid, mine], state.threshold, cfg.learner)
-            thresholds_local[cid] = sgd_step(state.threshold, grad, eta)
+        # Each client learns from its own cloud tokens: the C order of the mask gives the client blocks.
+        eta, cloud = lr_schedule(cfg.learner.eta0, round_index), out.stage == _LLM
+        grads = loss_gradient(uncertainty[cloud], out.beta[cloud], state.threshold, cfg.learner, cloud.sum(axis=1))
+        thresholds_local = {cid: sgd_step(state.threshold, grad, eta) for cid, grad in enumerate(grads)}
 
         # A client's weight is the number of tokens it transmitted.
         transmitted = np.count_nonzero(out.stage != _LOCAL, axis=1).tolist()

@@ -50,15 +50,8 @@ class ClusterTopology:
 
 def _contiguous_assignment(num_clients: int, num_clusters: int) -> dict[int, int]:
     """Contiguous blocks of near-equal size; earlier clusters absorb the remainder."""
-    base, extra = divmod(num_clients, num_clusters)
-    assignment: dict[int, int] = {}
-    client = 0
-    for cluster in range(num_clusters):
-        size = base + (1 if cluster < extra else 0)
-        for _ in range(size):
-            assignment[client] = cluster
-            client += 1
-    return assignment
+    blocks = np.array_split(np.arange(num_clients), num_clusters)
+    return {client: cluster for cluster, block in enumerate(blocks) for client in block.tolist()}
 
 
 @dataclass(frozen=True)
@@ -92,15 +85,17 @@ def dirichlet_partition(
     return {client: rng.dirichlet(alpha) for client in range(topology.num_clients)}
 
 
+def normalized_entropy(p: np.ndarray) -> float:
+    """Shannon entropy of a 1-d distribution over its nonzero entries, divided by ln(p.size) (p.size >= 2)
+    and clamped into [0, 1]."""
+    nz = p[p > 0.0]
+    return min(max(float(-(nz * np.log(nz)).sum()) / math.log(p.size), 0.0), 1.0)
+
+
 def mixture_skew(mixture: np.ndarray) -> float:
     """How far a class mixture is from uniform: 1 - H(m)/ln(num_classes), in [0, 1]."""
     m = np.asarray(mixture, dtype=np.float64)
-    if m.size <= 1:
-        return 0.0
-    nz = m[m > 0.0]
-    entropy = float(-(nz * np.log(nz)).sum())
-    skew = 1.0 - entropy / math.log(m.size)
-    return min(max(skew, 0.0), 1.0)
+    return 0.0 if m.size <= 1 else 1.0 - normalized_entropy(m)
 
 
 def cluster_aggregate(thresholds: list[float], weights: list[int]) -> float:

@@ -112,19 +112,18 @@ def _unchecked_distribution(probs: np.ndarray) -> TokenDistribution:
 
 
 def _peaked_rows(
-    size: int, modes: Sequence[np.ndarray], sharpness: Sequence[float], background: float,
+    size: int, modes: np.ndarray, counts: Sequence[int], sharpness: Sequence[float], background: float,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """One Dirichlet row per mode, concentrated on it, with the row's maximum in the mode slot; modes[i]
-    holds client i's modes, whose rows follow client i - 1's, drawn from rngs[i] with sharpness[i].
+    """One Dirichlet row per mode, concentrated on it, with the row's maximum in the mode slot. modes is
+    flat in client order: block i, the next counts[i] modes, is drawn from rngs[i] with sharpness[i].
 
     The stack's alpha rows are built at once; a client's rows are then one
     standard_gamma draw over its own, normalized. Each variate overwrites
     its alpha cell, which standard_gamma reads first. A row whose variates
     all underflow to 0 becomes one-hot at its mode.
     """
-    counts = [len(mine) for mine in modes]
-    modes, rows = np.concatenate(modes), np.arange(sum(counts))
+    rows = np.arange(len(modes))
     p = np.full((len(rows), size), background)
     p[rows, modes] += np.repeat(sharpness, counts)
     start = 0
@@ -154,7 +153,7 @@ def _draw_slm(
     its LLM rows."""
     n, count = modes.shape
     v = profile.vocab.size
-    slm = _peaked_rows(v, modes, slm_sharpness, profile.background, rngs)
+    slm = _peaked_rows(v, modes.ravel(), [count] * n, slm_sharpness, profile.background, rngs)
     uniforms, other = np.empty((n, count)), np.empty((n, count), np.int64)
     for i, rng in enumerate(rngs):
         rng.random(out=uniforms[i])
@@ -185,7 +184,7 @@ def gen_distribution_rows(
     if modes.size and not (0 <= modes.min() and modes.max() < v):
         raise ValueError(f"modes must lie in the vocabulary of size {v}")
     slm, llm_modes = _draw_slm(profile, [profile.slm_sharpness], [profile.agreement], modes[None], [rng])
-    return slm, _peaked_rows(v, llm_modes, [profile.llm_sharpness], profile.background, [rng])
+    return slm, _peaked_rows(v, llm_modes[0], [modes.size], [profile.llm_sharpness], profile.background, [rng])
 
 
 class LogitTrace(NamedTuple):

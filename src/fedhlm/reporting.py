@@ -80,7 +80,7 @@ TRACE_COST = ',"cost":%r,"correct":%s}'
 
 
 def emit_trace(report: SimulationReport, path: str | Path) -> None:
-    """One JSON object per token, ordered by round, client, timestep.
+    """One JSON object per token, ordered by round, client, timestep, written one round at a time.
 
     beta is null for a token the cloud did not adjudicate (NaN in its column).
     A round's tokens share few (stage, score) and (stage, cost, correct)
@@ -90,23 +90,23 @@ def emit_trace(report: SimulationReport, path: str | Path) -> None:
     of equal floats whose reprs differ.
     """
     names = [stage.value for stage in STAGES]
-    lines: list[str] = []
-    for rnd in report.rounds:
-        o, r = rnd.outcomes, rnd.round_index
-        scores: dict[tuple, str] = {}
-        costs: dict[tuple, str] = {}
-        columns = (o.stage.tolist(), o.uncertainty.tolist(), o.beta.tolist(), o.cost.tolist(), o.correct.tolist())
-        for client, row in enumerate(zip(*columns)):
-            head = TRACE_HEAD % (r, client)
-            for t, (s, u, b, c, ok) in enumerate(zip(*row)):
-                score = scores.get(key := (s, u))
-                if score is None:
-                    score = scores[key] = TRACE_SCORE % (names[s], u)
-                cost = costs.get(key := (s, c, ok))
-                if cost is None:
-                    cost = costs[key] = TRACE_COST % (c, "true" if ok else "false")
-                lines.append(f"{head}{t}{score}{'null' if b != b else repr(b)}{cost}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for rnd in report.rounds:
+            o, r, lines = rnd.outcomes, rnd.round_index, []
+            scores: dict[tuple, str] = {}
+            costs: dict[tuple, str] = {}
+            columns = (o.stage.tolist(), o.uncertainty.tolist(), o.beta.tolist(), o.cost.tolist(), o.correct.tolist())
+            for client, row in enumerate(zip(*columns)):
+                head = TRACE_HEAD % (r, client)
+                for t, (s, u, b, c, ok) in enumerate(zip(*row)):
+                    score = scores.get(key := (s, u))
+                    if score is None:
+                        score = scores[key] = TRACE_SCORE % (names[s], u)
+                    cost = costs.get(key := (s, c, ok))
+                    if cost is None:
+                        cost = costs[key] = TRACE_COST % (c, "true" if ok else "false")
+                    lines.append(f"{head}{t}{score}{'null' if b != b else repr(b)}{cost}\n")
+            fh.write("".join(lines))
 
 
 def summarize(report: SimulationReport) -> str:

@@ -1,16 +1,18 @@
 """Per-client learning of the transmission threshold.
 
 Each round a client learns from the tokens the cloud model adjudicated.
-Its feedback is two arrays in token order: the uncertainty each token
-carried when it was sent, and the rejection probability the cloud reported
-for it. The local loss penalizes sending tokens the cloud was likely to
-accept, so its gradient only ever pushes the threshold upward (toward
-keeping more tokens on device). One projected SGD step runs per round with
-a 1/(1+round) learning-rate decay.
+The feedback arrives as the round's cloud tokens in client blocks: the
+uncertainty each token carried when it was sent and the rejection
+probability the cloud reported for it, client by client in token order,
+plus each client's token count. The local loss penalizes sending tokens
+the cloud was likely to accept, so its gradient only ever pushes the
+threshold upward (toward keeping more tokens on device). One projected
+SGD step runs per client per round with a 1/(1+round) learning-rate decay.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,18 +72,20 @@ def local_loss(scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: Lea
     return float(np.dot(_soft_gates(scores, threshold, cfg.gamma), _weights(betas, cfg.lam)))
 
 
-def loss_gradient(scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: LearnerConfig) -> float:
-    """d(local_loss)/d(threshold); every term is <= 0, so the step only raises the threshold.
+def loss_gradient(
+    scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: LearnerConfig, counts: Sequence[int]
+) -> list[float]:
+    """d(local_loss)/d(threshold) of each client block of the round's cloud tokens, block i the next
+    counts[i] tokens (0.0 for none); every term is <= 0, so a step only raises the threshold.
 
-    Extreme gamma or lambda can overflow the sum to -inf, which the
+    Extreme gamma or lambda can overflow a sum to -inf, which the
     projected step turns into a threshold of 1.
     """
-    if len(scores) == 0:
-        return 0.0
     gates = _soft_gates(scores, threshold, cfg.gamma)
     terms = gates * (1.0 - gates) * _weights(betas, cfg.lam)
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
     with np.errstate(over="ignore"):
-        return float(-cfg.gamma * np.sum(terms))
+        return [float(-cfg.gamma * np.sum(terms[a:b])) if b > a else 0.0 for a, b in zip([0, *ends], ends)]
 
 
 def sgd_step(threshold: float, gradient: float, learning_rate: float) -> float:

@@ -71,7 +71,7 @@ def test_criterion_1_gradient_matches_finite_differences():
                 return (w / (1.0 + np.exp(-z))).sum()
 
             fd = float((loss_ld(threshold + step) - loss_ld(threshold - step)) / (2 * step))
-            analytic = loss_gradient(scores, betas, threshold, cfg)
+            analytic = loss_gradient(scores, betas, threshold, cfg, [size])[0]
             rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
             worst = max(worst, rel)
             sets += 1

@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -402,6 +403,20 @@ def test_trace_layout_and_order(tmp_path, tiny_report):
         assert record["stage"] in {"local", "p2p", "edge", "llm"}
         assert (record["beta"] is None) == (record["stage"] != "llm")
         assert isinstance(record["correct"], bool)
+
+
+def test_trace_is_written_one_round_at_a_time(tmp_path, stock_runs):
+    # The stock run's trace is 18,000 lines, about 1.9 MB; only a round's
+    # 600 lines of text may be held at once.
+    report = stock_runs["fedhlm"][0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        emit_trace(report, tmp_path / "trace.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2**20
 
 
 def test_csv_counts_agree_with_trace(tmp_path, tiny_report):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedhlm import engine
@@ -327,6 +327,24 @@ def test_client_token_entropy_limits():
     vocab = VocabSpec(8)
     assert client_token_entropy([3] * 50, vocab) == 0.0
     assert client_token_entropy(list(range(8)) * 4, vocab) == pytest.approx(1.0)
+
+
+def entropy_by_former_formula(history: list[int], vocab: VocabSpec) -> float:
+    """client_token_entropy as it was written before normalized_entropy: only the seen tokens divided."""
+    counts = np.bincount(np.asarray(history, dtype=np.int64), minlength=vocab.size)
+    p = counts[counts > 0] / len(history)
+    entropy = float(-(p * np.log(p)).sum())
+    return min(max(entropy / math.log(vocab.size), 0.0), 1.0)
+
+
+@given(st.integers(2, 64).flatmap(lambda v: st.tuples(st.just(v), st.lists(st.integers(0, v - 1), min_size=1))))
+@example(case=(5, [0, 1, 2, 3, 4]))  # an entropy that rounds past ln(5)
+@example(case=(8, [3] * 50))  # entropy -0.0
+def test_client_token_entropy_keeps_its_former_bits(case):
+    size, history = case
+    vocab = VocabSpec(size)
+    want = entropy_by_former_formula(history, vocab)
+    assert np.float64(client_token_entropy(history, vocab)).tobytes() == np.float64(want).tobytes()
 
 
 def test_resolve_retains_at_threshold_boundary(one_token_round):
@@ -726,7 +744,7 @@ def test_round_columns_hold_their_invariants(cfg):
         for c in range(cfg.topology.num_clients):
             want = prev
             if cfg.mode == "fedhlm":
-                grad = loss_gradient(o.uncertainty[c, llm[c]], o.beta[c, llm[c]], prev, cfg.learner)
+                grad = loss_gradient(o.uncertainty[c, llm[c]], o.beta[c, llm[c]], prev, cfg.learner, [llm[c].sum()])[0]
                 want = sgd_step(prev, grad, lr_schedule(cfg.learner.eta0, rnd.round_index))
             assert rnd.thresholds_local[c] == want
         # the broadcast: clusters average by transmitted tokens (keeping their last value when
@@ -756,6 +774,24 @@ def test_round_columns_hold_their_invariants(cfg):
             f"{1.0 - counts[stage_of[Stage.LLM]] / total:.6f}",
         ]
         assert row.split(",") == want_row
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_learning_takes_one_gradient_call_per_round(mode, monkeypatch):
+    # A fedhlm round hands every client's cloud tokens to the learner at
+    # once, in client blocks; the baselines never learn.
+    calls = []
+    gradient = engine.loss_gradient
+
+    def counted(*args):
+        calls.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(engine, "loss_gradient", counted)
+    cfg = small_config(mode=mode)
+    run(cfg)
+    assert len(calls) == (cfg.rounds if mode == "fedhlm" else 0)
+    assert all(len(args[-1]) == cfg.topology.num_clients for args in calls)
 
 
 def test_broadcast_thresholds_are_uniform():
@@ -917,7 +953,7 @@ def round_sources(state: SimulationState, round_index: int):
     p = cfg.profile
 
     def cloud_row(i, t):
-        return _peaked_rows(p.vocab.size, [work.target[i, t : t + 1]], [p.llm_sharpness], p.background, [rngs[i]])[0]
+        return _peaked_rows(p.vocab.size, work.target[i, t : t + 1], [1], [p.llm_sharpness], p.background, [rngs[i]])[0]
 
     return work, lambda i, t, rng: coins[i][t], cloud_row
 
@@ -992,7 +1028,8 @@ def reference_run(cfg: SimulationConfig):
             eta = lr_schedule(cfg.learner.eta0, r)
             for i in range(n):
                 cloud = cols.stage[i] == STAGES.index(Stage.LLM)
-                grad = loss_gradient(work.uncertainty[i, cloud], cols.beta[i, cloud], threshold, cfg.learner)
+                scores, betas = work.uncertainty[i, cloud], cols.beta[i, cloud]
+                grad = loss_gradient(scores, betas, threshold, cfg.learner, [len(scores)])[0]
                 local[i] = sgd_step(threshold, grad, eta)
             sent = np.count_nonzero(cols.stage != STAGES.index(Stage.LOCAL), axis=1).tolist()
             cluster_values = [

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedhlm.federation import (
     AllWeightsZero,
@@ -15,6 +17,7 @@ from fedhlm.federation import (
     dirichlet_partition,
     global_aggregate,
     mixture_skew,
+    normalized_entropy,
 )
 
 
@@ -76,6 +79,29 @@ def test_mixture_skew_limits():
     for _ in range(100):
         skew = mixture_skew(rng.dirichlet(np.full(6, 0.3)))
         assert 0.0 <= skew <= 1.0
+
+
+def skew_by_former_formula(m: np.ndarray) -> float:
+    """mixture_skew as it was written before normalized_entropy: the clamp after the subtraction."""
+    if m.size <= 1:
+        return 0.0
+    nz = m[m > 0.0]
+    entropy = float(-(nz * np.log(nz)).sum())
+    return min(max(1.0 - entropy / math.log(m.size), 0.0), 1.0)
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=64).filter(any))
+@example([1.0, 0.0, 0.0])  # entropy -0.0
+@example([0.2] * 5)  # a uniform mixture whose entropy rounds past ln(5)
+@example([1 / 3] * 3)
+@example([0.7])
+def test_mixture_skew_is_one_minus_normalized_entropy_bit_for_bit(weights):
+    m = np.array(weights) / math.fsum(weights)
+    skew = mixture_skew(m)
+    assert np.float64(skew).tobytes() == np.float64(skew_by_former_formula(m)).tobytes()
+    if m.size > 1:
+        assert np.float64(1.0 - normalized_entropy(m)).tobytes() == np.float64(skew).tobytes()
+        assert 0.0 <= normalized_entropy(m) <= 1.0
 
 
 def test_cluster_aggregate_examples():

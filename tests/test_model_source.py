@@ -126,10 +126,9 @@ def test_peaked_rows_hold_each_rows_maximum_at_its_mode(seed, vocab, counts, sha
     # hold its row's maximum. An exact tie there (say, at a denormal maximum)
     # may put argmax on an earlier slot, so the test reads the maximum.
     rng = np.random.default_rng(seed)
-    modes = [rng.integers(vocab, size=count) for count in counts]
+    flat = np.concatenate([rng.integers(vocab, size=count) for count in counts])
     rngs = [np.random.default_rng([seed, i]) for i in range(len(counts))]
-    rows = _peaked_rows(vocab, modes, [sharpness * (i + 1) for i in range(len(counts))], background, rngs)
-    flat = np.concatenate(modes)
+    rows = _peaked_rows(vocab, flat, counts, [sharpness * (i + 1) for i in range(len(counts))], background, rngs)
     assert rows.shape == (len(flat), vocab)
     assert np.array_equal(rows[np.arange(len(flat)), flat], rows.max(axis=1))
     assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)

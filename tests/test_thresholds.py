@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedhlm.model_source import TokenDistribution
 from fedhlm.thresholds import (
@@ -96,16 +98,16 @@ def test_loss_nonincreasing_in_threshold():
 
 def test_gradient_at_gate_midpoint():
     cfg = LearnerConfig(gamma=10.0, lam=0.0)
-    assert loss_gradient(*one(0.4, 0.2), 0.4, cfg) == pytest.approx(-1.6)
+    assert loss_gradient(*one(0.4, 0.2), 0.4, cfg, [1])[0] == pytest.approx(-1.6)
 
 
 def test_gradient_empty_and_nonpositive():
     cfg = LearnerConfig()
-    assert loss_gradient(*NONE, 0.3, cfg) == 0.0
+    assert loss_gradient(*NONE, 0.3, cfg, [0])[0] == 0.0
     rng = np.random.default_rng(3)
     for _ in range(200):
         records = random_feedback(rng, int(rng.integers(1, 50)))
-        g = loss_gradient(*records, float(rng.random()), cfg)
+        g = loss_gradient(*records, float(rng.random()), cfg, [len(records[0])])[0]
         assert g <= 0.0
 
 
@@ -119,8 +121,53 @@ def test_gradient_matches_finite_difference_spot_checks():
         th = 0.37
         h = 1e-6
         fd = (local_loss(*records, th + h, cfg) - local_loss(*records, th - h, cfg)) / (2 * h)
-        analytic = loss_gradient(*records, th, cfg)
+        analytic = loss_gradient(*records, th, cfg, [len(records[0])])[0]
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def one_client_gradient(scores: np.ndarray, betas: np.ndarray, threshold: float, cfg: LearnerConfig) -> float:
+    """The gradient of one client's cloud tokens on their own, as loss_gradient took them one client at a
+    time: 0.0 without tokens, else -gamma times the sum of gate * (1 - gate) * ((1 - beta)^2 + lambda)."""
+    if len(scores) == 0:
+        return 0.0
+    z = cfg.gamma * (scores - threshold)
+    gates = np.empty_like(z)
+    pos = z >= 0
+    gates[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    gates[~pos] = ez / (1.0 + ez)
+    terms = gates * (1.0 - gates) * ((1.0 - betas) ** 2 + cfg.lam)
+    with np.errstate(over="ignore"):
+        return float(-cfg.gamma * np.sum(terms))
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@given(
+    blocks=st.lists(st.lists(st.tuples(UNIT, UNIT), max_size=40), min_size=1, max_size=6),
+    threshold=st.one_of(st.just(-0.0), UNIT),
+    gamma=st.one_of(st.sampled_from([1.0, 10.0, 1e6, 1e300]), st.floats(1e-3, 1e3)),
+    lam=st.sampled_from([0.0, 0.01, 1e6, 1e300]),
+)
+@example(blocks=[[], [], []], threshold=-0.0, gamma=10.0, lam=0.01)  # every block empty
+@example(blocks=[[(1.0, 0.5)] * 3, [], [(0.0, 0.2)]], threshold=0.5, gamma=1e6, lam=0.01)  # saturated: -0.0
+@example(blocks=[[(1.0, 0.5)], [(0.5, 0.0)] * 2], threshold=-0.0, gamma=1e6, lam=0.0)  # -0.0 stepped twice
+@example(blocks=[[(0.5, 0.0)] * 4, [(0.5, 1.0)]], threshold=0.5, gamma=1e300, lam=1e300)  # sums overflow to -inf
+def test_block_gradient_matches_one_client_at_a_time(blocks, threshold, gamma, lam):
+    # The round's cloud tokens in client blocks give, block for block, the
+    # bits of each client's tokens taken on their own, and so does the step.
+    cfg = LearnerConfig(gamma=gamma, lam=lam)
+    scores, betas = (np.array([x[k] for block in blocks for x in block], dtype=np.float64) for k in (0, 1))
+    counts = np.array([len(block) for block in blocks])
+    grads = loss_gradient(scores, betas, threshold, cfg, counts)
+    assert len(grads) == len(blocks)
+    ends = np.cumsum(counts)
+    for grad, start, end in zip(grads, ends - counts, ends):
+        want = one_client_gradient(scores[start:end], betas[start:end], threshold, cfg)
+        assert np.float64(grad).tobytes() == np.float64(want).tobytes()
+        stepped, step = sgd_step(threshold, grad, 0.05), sgd_step(threshold, want, 0.05)
+        assert np.float64(stepped).tobytes() == np.float64(step).tobytes()
 
 
 def test_sgd_step_moves_and_clamps():
@@ -137,7 +184,7 @@ def test_nonpositive_gradients_never_lower_threshold():
     th = 0.1
     for round_index in range(40):
         records = random_feedback(rng, int(rng.integers(1, 30)))
-        g = loss_gradient(*records, th, cfg)
+        g = loss_gradient(*records, th, cfg, [len(records[0])])[0]
         new = sgd_step(th, g, lr_schedule(cfg.eta0, round_index))
         assert th <= new <= 1.0
         th = new
