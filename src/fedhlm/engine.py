@@ -7,16 +7,17 @@ each token's target, the cloud model's mode, comes with its row. A gate
 then decides, in one array comparison per round, which tokens escalate:
 scores against the threshold, or in `rand` mode coins from a lane of their
 own. The rest stay on device. Only escalated tokens get a cloud row, drawn
-after the gate. One function, route_escalated, then walks a client-round's
-escalated tokens in timestep order and records where each one ended; the
-round writes those records into its columns once. In the learned `fedhlm`
-mode an escalated token tries the client's semantic cache and then peer
-consensus, falls back to edge validation, and finally asks the cloud model
-to adjudicate. Consensus and edge decisions depend only on the round's
-predicted tokens, so peers.lateral_decisions takes them once per round,
-for the escalated tokens. The `uhlm` (static threshold) and `rand` (coin flip) baselines
-differ only in the gate and send every escalated token straight to the
-cloud. A round's outcomes are kept as (clients, T) columns. Every client
+after the gate. One function, route_escalated, then walks the round's
+escalated tokens once, in the C order of the mask (client by client, each
+client's in timestep order), and writes where each one ended into the
+round's columns. In the learned `fedhlm` mode an escalated token tries the
+client's semantic cache and then peer consensus, falls back to edge
+validation, and finally asks the cloud model to adjudicate. Consensus and
+edge decisions depend only on the round's predicted tokens, so
+peers.lateral_decisions takes them once per round, one of each per
+escalated token in that same order. The `uhlm` (static threshold) and
+`rand` (coin flip) baselines differ only in the gate and send every
+escalated token straight to the cloud. A round's outcomes are kept as (clients, T) columns. Every client
 gates a round on the same threshold, which the state holds once: the
 initial threshold, which only `fedhlm` mode moves, and there the last
 broadcast. There the cloud's
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -82,15 +84,16 @@ _TAG_RESOLVE = 4
 _TAG_COIN = 5
 
 # Ceiling on the cells (floats or ints) a run holds at once: a round's SLM
-# rows, softened CDFs or entropy logs and escalated tokens' LLM rows (each at
-# most clients*T x V; the escalated count is known only after the gate), the
-# one embedding table (V x d), which the lateral tables and the caches both
-# read, the lateral tables, a round's MC uniforms (clients*T x samples), the
-# run's outcome columns, and the probe state (three numbers per probed token
-# and two per held one, each token one of the run's, so at most
-# 5 x min(V, tokens)). A cache holds at most min(capacity, V) token ids and
-# slots, fewer than a round's rows. 2**24 float64 cells are 128 MiB; the stock
-# run's largest term is 57,600 (a round's tables).
+# rows, softened CDFs or entropy logs (in the walk, the escalated tokens'
+# SLM rows) and escalated tokens' LLM rows (each at most clients*T x V; the
+# escalated count is known only after the gate), the one embedding table
+# (V x d), which the lateral tables and the caches both read, the lateral
+# tables, a round's MC uniforms (clients*T x samples), the run's outcome
+# columns, and the probe state (three numbers per probed token and two per
+# held one, each token one of the run's, so at most 5 x min(V, tokens)). A
+# cache holds at most min(capacity, V) token ids and slots, fewer than a
+# round's rows. 2**24 float64 cells are 128 MiB; the stock run's largest
+# term is 57,600 (a round's tables).
 MAX_CELLS = 2**24
 
 
@@ -259,10 +262,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> np.ndarray:
-    """SeedSequence's pool after it mixes the words [seed, 0, 0, 0], the start of every path's entropy."""
+def _seed_pool(words: tuple[int, int, int, int]) -> np.ndarray:
+    """SeedSequence's pool after it mixes the seed's first four words, the start of every path's entropy."""
     consts = _powers(_INIT_A, _MULT_A, 16)
-    pool = _hashmix(np.array([seed, 0, 0, 0], np.uint32), consts, 0, 4)
+    pool = _hashmix(np.array(words, np.uint32), consts, 0, 4)
     for src in range(4):
         # Each pool word mixes into the other three, each with its own constant.
         others = [dst for dst in range(4) if dst != src]
@@ -286,17 +289,17 @@ def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
     """Independent generators, one per named lane of the run's randomness: the default_rng of
     SeedSequence(entropy=seed, spawn_key=path) for each row of paths, (n, k) ints in [0, 2**32), k >= 1.
 
-    SeedSequence hashes the uint32 words [seed, 0, 0, 0, *path]; that hash
-    runs here once over all the paths in uint32 arithmetic. A seed of 2**32
-    or more coerces to more than one word, and goes through SeedSequence
-    path by path.
+    SeedSequence hashes the seed's little-endian uint32 words, padded with
+    zeros to four, then the path's words; that hash runs here once over all
+    the paths in uint32 arithmetic. The first four words fill the pool, and
+    any further words (a seed of 2**128 or more) mix in before the path's.
     """
     paths = np.asarray(paths)
-    if seed >= 2**32:
-        return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=p)) for p in map(tuple, paths.tolist())]
-    consts = _powers(_INIT_A, _MULT_A, 16 + 4 * paths.shape[1])
-    pool = _seed_pool(seed)
-    for j, word in enumerate(paths.astype(np.uint32).T):
+    words = np.frombuffer(seed.to_bytes(4 * max(4, -(-seed.bit_length() // 32)), "little"), "<u4")
+    columns = [*words[4:, None], *paths.astype(np.uint32).T]
+    consts = _powers(_INIT_A, _MULT_A, 16 + 4 * len(columns))
+    pool = _seed_pool(tuple(words[:4].tolist()))
+    for j, word in enumerate(columns):
         pool = _mix(pool, _hashmix(word[:, None], consts, 16 + 4 * j, 4))
     # generate_state(4, np.uint64) mixes the pool, cycled to 8 words, as hashmix does, with its own constants.
     consts = _powers(_INIT_B, _MULT_B, 8)
@@ -444,87 +447,66 @@ def _cloud_rows(
     return _peaked_rows(p.vocab.size, work.target[escalated], counts, [p.llm_sharpness] * len(rngs), p.background, rngs)
 
 
-class _Walk(NamedTuple):
-    """The routed tokens' cells in the order the walk meets them: client by client, each client's
-    timesteps in order, which is the C order of the round's escalated mask. beta is NaN for a token
-    the cloud did not see."""
-
-    stage: list[int]
-    final_token: list[int]
-    cost: list[float]
-    beta: list[float]
-    p2p_attempted: list[bool]
-
-    def outcomes(self, work: _Workload, escalated: np.ndarray) -> RoundOutcomes:
-        """The round's columns: every token starts local (free, unadjudicated, its own prediction), the
-        walk's cells overwrite the escalated ones, and a token is correct when its final token is its target."""
-        shape = escalated.shape
-        stage, final, cost, beta, attempted = columns = (
-            np.full(shape, _LOCAL, np.int8), work.predicted.copy(), np.zeros(shape), np.full(shape, np.nan),
-            np.zeros(shape, bool),
-        )
-        for column, cells in zip(columns, self):
-            column[escalated] = cells
-        return RoundOutcomes(stage, final, cost, work.uncertainty, beta, final == work.target, attempted)
-
-
 def route_escalated(
-    cid: int,
-    cache: TokenCache | None,
-    estimator: PHitEstimator | None,
+    state: SimulationState,
     work: _Workload,
-    routed: Sequence[int],
+    escalated: np.ndarray,
     llm: np.ndarray,
-    consensus: Sequence[bool],
-    edge: Sequence[bool],
-    cfg: SimulationConfig,
-    rng: np.random.Generator,
-    walk: _Walk,
-) -> None:
-    """Walk one client-round's escalated timesteps, in order, and append where each token ended.
+    consensus: Iterable[bool],
+    edge: Iterable[bool],
+    rngs: dict[int, np.random.Generator],
+) -> RoundOutcomes:
+    """Walk a round's escalated cells once, in the C order of the mask, and return the round's columns.
 
-    run_round has already applied the gate; llm[j] is the cloud's row for
-    timestep routed[j]. Only `fedhlm` mode tries the lateral tiers, when the
-    estimator's hit rate makes an attempt pay: the cache, then the
-    consensus flag, then the edge flag (consensus and edge are the client's
-    row of lateral_decisions). The baselines take every escalated token
-    straight to the cloud and ignore both flags. The cloud's final token
-    enters the cache in `fedhlm` mode. Each token's stage, final token,
-    cost, beta and attempt are appended to walk's lists. The baselines pass
-    None for cache and estimator.
+    run_round has already applied the gate. Every per-cell input comes in
+    that order: llm holds the cloud's rows, consensus and edge the flags of
+    lateral_decisions. rngs maps each routed client to its resolve stream.
+    Only `fedhlm` mode tries the lateral tiers, when the client's estimator
+    makes an attempt pay: its cache, then the consensus flag, then the edge
+    flag. The baselines take every escalated cell straight to the cloud and
+    ignore both flags. The cloud's final token enters the client's cache in
+    `fedhlm` mode. Every cell starts local (free, unadjudicated, its own
+    prediction), the walk's cells overwrite the escalated ones, and a token
+    is correct when its final token is its target.
     """
-    cost = cfg.cost
+    cfg, cost = state.cfg, state.cfg.cost
     lateral = cfg.mode == MODE_FEDHLM
-    slm, predicted = work.slm[cid], work.predicted[cid].tolist()
-    stages, finals, costs, betas, attempts = walk
-    for t, cloud in zip(routed, llm):
-        stage, final, charged, beta = _LLM, predicted[t], cost.c_llm, math.nan
+    cids, cells = np.nonzero(escalated)[0].tolist(), []
+    for cid, slm, cloud, final, agree, near in zip(
+        cids, work.slm[escalated], llm, work.predicted[escalated].tolist(), consensus, edge
+    ):
+        cache, estimator = state.caches[cid], state.estimators[cid]
+        stage, charged, beta = _LLM, cost.c_llm, math.nan
         attempted = lateral and should_attempt_p2p(estimator.estimate(), cost)
         if attempted:
             hit = cache.lookup(final, cfg.peer).token
             if hit is not None:
                 estimator.record(True)
                 stage, final = _P2P, hit
-            elif consensus[t]:
+            elif agree:
                 estimator.record(True)
                 cache.insert(final)
                 stage = _P2P
             else:
                 estimator.record(False)
-                if edge[t]:
+                if near:
                     cache.insert(final)
                     stage = _EDGE
             charged = cost.c_p2p if stage != _LLM else cost.c_p2p + cost.c_llm
         if stage == _LLM:
-            result = llm_adjudicate(_unchecked_distribution(slm[t]), _unchecked_distribution(cloud), final, rng)
+            result = llm_adjudicate(_unchecked_distribution(slm), _unchecked_distribution(cloud), final, rngs[cid])
             final, beta = result.final_token, result.rejection_prob
             if lateral:
                 cache.insert(final)
-        stages.append(stage)
-        finals.append(final)
-        costs.append(charged)
-        betas.append(beta)
-        attempts.append(attempted)
+        cells.append((stage, final, charged, beta, attempted))
+    shape = escalated.shape
+    stages, finals, costs, betas, attempts = columns = (
+        np.full(shape, _LOCAL, np.int8), work.predicted.copy(), np.zeros(shape), np.full(shape, np.nan),
+        np.zeros(shape, bool),
+    )
+    for column, values in zip(columns, zip(*cells)):
+        column[escalated] = values
+    return RoundOutcomes(stages, finals, costs, work.uncertainty, betas, finals == work.target, attempts)
 
 
 def _lane(seed: int, tag: int, cids: np.ndarray, round_index: int) -> list[np.random.Generator]:
@@ -550,20 +532,13 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
     llm = _cloud_rows(state, round_index, work, escalated, rngs)
     # The baselines never look at peers, so their flags stay False.
     if cfg.mode == MODE_FEDHLM:
-        consensus, edge = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer, escalated)
+        flags = lateral_decisions(predicted, state.embeddings, state.cluster_members, cfg.peer, escalated)
+        consensus, edge = (cells.tolist() for cells in flags)
     else:
-        consensus = edge = np.zeros(predicted.shape, bool)
-
-    consensus, edge = consensus.tolist(), edge.tolist()
+        consensus = edge = itertools.repeat(False)
     routing = np.flatnonzero(escalated.any(axis=1))
-    walk, start = _Walk([], [], [], [], []), 0
-    for cid, rng in zip(routing.tolist(), _lane(cfg.seed, _TAG_RESOLVE, routing, round_index)):
-        routed = np.flatnonzero(escalated[cid]).tolist()
-        rows, start = llm[start : start + len(routed)], start + len(routed)
-        route_escalated(
-            cid, state.caches[cid], state.estimators[cid], work, routed, rows, consensus[cid], edge[cid], cfg, rng, walk
-        )
-    out = walk.outcomes(work, escalated)
+    resolve = dict(zip(routing.tolist(), _lane(cfg.seed, _TAG_RESOLVE, routing, round_index)))
+    out = route_escalated(state, work, escalated, llm, consensus, edge, resolve)
 
     thresholds_local = dict.fromkeys(clients.tolist(), state.threshold)
     if cfg.mode == MODE_FEDHLM:

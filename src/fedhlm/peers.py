@@ -161,7 +161,8 @@ def edge_validate(own: np.ndarray, centers: np.ndarray, cfg: PeerConfig) -> Edge
 def lateral_decisions(
     predicted: np.ndarray, emb: np.ndarray, clusters: list[list[int]], cfg: PeerConfig, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Consensus-accept and edge-accept flags at the masked (client, t) cells of a round; False elsewhere.
+    """Consensus-accept and edge-accept flags of a round's masked (client, t) cells, one of each per
+    cell in the mask's C order.
 
     Clients publish the embedding of their predicted token at every
     timestep, local or not, so the cluster sums and means take every
@@ -179,10 +180,9 @@ def lateral_decisions(
     eps, dim = np.finfo(np.float64).eps, emb.shape[1]
     tol = (3 * dim + 8) * eps  # rounding of one cosine, on either path
     thr, edge_thr = cfg.similarity_threshold, cfg.effective_edge_threshold()
-    consensus, edge = np.zeros((2, *predicted.shape), dtype=bool)
     rows, steps = np.nonzero(mask)
     if not len(rows):
-        return consensus, edge
+        return np.zeros(0, bool), np.zeros(0, bool)
     count, sizes = predicted.shape[1], np.array([len(m) for m in clusters])
     norms = row_norms(emb)[predicted]  # (clients, T)
     sums, norm_sums = np.zeros((len(clusters), count, dim)), np.zeros((len(clusters), count))
@@ -204,17 +204,18 @@ def lateral_decisions(
         err = (k + dim) * eps * norm_sums.ravel()[at]
         slack = norm - 2 * err
         sure = (slack > 2 * _NORM_EPS * (k - 1)) & (np.abs(cos - thr) > 2 * err / slack + tol)
-        consensus[rows, steps], redo = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
+        consensus, redo = (k > 1) & sure & (cos >= thr), (k > 1) & ~sure
         # Each masked token's dot with every cluster mean, taken per distinct token and gathered per
         # cell. A BLAS product here raised the run's peak memory by its work buffers; einsum does not.
         distinct, at = np.unique(tokens, return_inverse=True)
         cos = np.einsum("ud,ctd->uct", emb[distinct], means)[at, :, steps] / (own[:, None] * mnorm)
     live = (mnorm > _NORM_EPS) & (np.arange(len(clusters)) != mine[:, None])
-    edge[rows, steps] = (live & (cos >= edge_thr)).any(axis=-1)
-    for i, t in zip(rows[redo].tolist(), steps[redo].tolist()):
-        peers = [m for m in clusters[cluster_of[i]] if m != i]
+    edge = (live & (cos >= edge_thr)).any(axis=-1)
+    for j in np.flatnonzero(redo).tolist():
+        i, t = rows[j], steps[j]
+        peers = [m for m in clusters[mine[j]] if m != i]
         decision = peer_consensus(emb[predicted[i, t]], emb[predicted[peers, t]], cfg)
-        consensus[i, t] = decision is ConsensusDecision.ACCEPT_LOCAL
+        consensus[j] = decision is ConsensusDecision.ACCEPT_LOCAL
     return consensus, edge
 
 

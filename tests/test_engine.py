@@ -32,7 +32,6 @@ from fedhlm.engine import (
     _draw_modes,
     _draw_round,
     _trace_steps,
-    _Walk,
     _Workload,
     client_token_entropy,
     default_config,
@@ -312,13 +311,17 @@ def test_substream_reproducible_and_independent():
 
 
 @given(
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([2**32 - 1, 2**32]), st.integers(2**32, 2**80)),
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**260]),
+        st.integers(2**32, 2**260),
+    ),
     paths=st.integers(1, 4).flatmap(
         lambda width: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width), min_size=1, max_size=6)
     ),
 )
 def test_vectorized_streams_equal_seed_sequence_streams(seed, paths):
-    # Tags, clients and rounds as any uint32 words; a seed from 2**32 up takes the per-path route.
+    # Tags, clients and rounds as any uint32 words; a seed of 2**128 or more has words past the pool's four.
     want = [seed_stream(seed, *path).bit_generator.state for path in paths]
     assert [rng.bit_generator.state for rng in substreams(seed, np.array(paths))] == want
 
@@ -361,13 +364,14 @@ def test_resolve_retains_at_threshold_boundary(one_token_round):
 
 
 def walk_one(cfg, client, mode, consensus=False, edge=False, routed=(0,)):
-    """route_escalated over a one-token client-round holding crafted_pair(cfg, mode), written as
-    run_round writes a walk; its cells as scalars."""
+    """route_escalated over a one-token round of one client holding crafted_pair(cfg, mode); its cells
+    as scalars."""
     slm, llm = crafted_pair(cfg, mode=mode)
     work = _Workload(slm[None, None], np.array([[argmax(slm)]]), np.array([[argmax(llm)]]), np.array([[0.9]]))
-    walk, rng = _Walk([], [], [], [], []), np.random.default_rng(mode)
-    route_escalated(0, client.cache, client.estimator, work, routed, llm[None], [consensus], [edge], cfg, rng, walk)
-    out = walk.outcomes(work, np.isin([[0]], routed))
+    state = SimpleNamespace(cfg=cfg, caches=[client.cache], estimators=[client.estimator])
+    escalated = np.isin([[0]], routed)
+    rngs = {0: np.random.default_rng(mode)}
+    out = route_escalated(state, work, escalated, llm[None][escalated[0]], [consensus], [edge], rngs)
     cells = SimpleNamespace(**{name: column[0, 0].item() for name, column in out._asdict().items()})
     cells.stage = STAGES[cells.stage]
     return cells
@@ -478,12 +482,13 @@ def per_token_flags(predicted, emb, clusters, cfg):
 
 
 def _assert_flags_match_oracle(predicted, emb, clusters, cfg, mask=None):
-    """Masked flags equal the oracle's and the rest are False; no mask means every cell."""
+    """The flags, one per masked cell in C order, equal the oracle's at those cells; no mask means
+    every cell."""
     mask = np.ones(predicted.shape, bool) if mask is None else mask
     got = lateral_decisions(predicted, emb, clusters, cfg, mask)
     want = per_token_flags(predicted, emb, clusters, cfg)
     for flags, oracle in zip(got, want):
-        assert np.array_equal(flags[mask], oracle[mask]) and not flags[~mask].any()
+        assert flags.dtype == bool and np.array_equal(flags, oracle[mask])
     return got
 
 
@@ -575,12 +580,12 @@ def test_each_edge_cosine_of_a_round_is_cosine_similarity(dim, num_clusters, ste
                 continue
             kept = [m if j in (c, o) else [] for j, m in enumerate(clusters)]
             means = emb[predicted[others]].mean(axis=0)
-            for i, t in zip(*np.nonzero(mine)):
+            for cell, (i, t) in enumerate(zip(*np.nonzero(mine))):
                 sim = cosine_similarity(emb[predicted[i, t]], means[t])
                 for threshold, accepts in ((sim, True), (float(np.nextafter(sim, 2.0)), False)):
                     if threshold <= 1.0:
                         _, edge = lateral_decisions(predicted, emb, kept, PeerConfig(edge_threshold=threshold), mine)
-                        assert edge[i, t] == accepts
+                        assert edge[cell] == accepts
 
 
 def test_a_nearly_cancelling_peer_sum_is_decided_exactly():
@@ -592,13 +597,14 @@ def test_a_nearly_cancelling_peer_sum_is_decided_exactly():
     for threshold in (exact, float(np.nextafter(exact, 2.0))):
         cfg = PeerConfig(similarity_threshold=threshold)
         consensus, _ = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2]], cfg)
-        assert consensus[0, 0] == (threshold == exact)
+        assert consensus.reshape(predicted.shape)[0, 0] == (threshold == exact)
 
 
 def test_a_client_without_peers_escalates():
     emb = np.eye(3)
     predicted = np.array([[0, 1], [0, 1], [0, 1]])
     consensus, _ = _assert_flags_match_oracle(predicted, emb, [[0], [1, 2]], PeerConfig())
+    consensus = consensus.reshape(predicted.shape)
     assert not consensus[0].any()  # alone in its cluster, with no peers to agree with
     assert consensus[1:].all()
 
@@ -612,7 +618,7 @@ def test_an_empty_cluster_has_no_centroid():
         with_empty = _assert_flags_match_oracle(predicted, emb, [[0, 1], [], [2]], cfg)
     without = lateral_decisions(predicted, emb, [[0, 1], [2]], cfg, np.ones(predicted.shape, bool))
     assert all(np.array_equal(a, b) for a, b in zip(with_empty, without))
-    assert with_empty[1].tolist() == [[True, False], [True, False], [True, False]]
+    assert with_empty[1].reshape(predicted.shape).tolist() == [[True, False], [True, False], [True, False]]
 
 
 def test_cancelled_centroids_escalate_and_are_skipped():
@@ -620,12 +626,19 @@ def test_cancelled_centroids_escalate_and_are_skipped():
     emb = np.array([[1.0], [-1.0]])
     predicted = np.array([[0], [0], [1], [0], [1]])
     cfg = PeerConfig(similarity_threshold=0.5, edge_threshold=0.5)
-    consensus, edge = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2], [3, 4]], cfg)
+    flags = _assert_flags_match_oracle(predicted, emb, [[0, 1, 2], [3, 4]], cfg)
+    consensus, edge = (f.reshape(predicted.shape) for f in flags)
     # Clients 0 and 1 see a cancelled peer sum; the rest disagree with theirs.
     assert not consensus.any()
     # Cluster 1's mean cancels, so cluster 0 has no neighbour to match; the
     # mean of cluster 0 is +1/3, which client 3's +1 matches.
     assert edge[:, 0].tolist() == [False, False, False, True, False]
+
+
+def test_an_empty_mask_has_no_flags():
+    predicted = np.array([[0, 1], [1, 0]])
+    flags = lateral_decisions(predicted, np.eye(2), [[0, 1]], PeerConfig(), np.zeros(predicted.shape, bool))
+    assert [(f.shape, f.dtype) for f in flags] == [((0,), np.dtype(bool))] * 2
 
 
 @pytest.mark.parametrize("mode", ["uhlm", "rand"])
@@ -792,6 +805,55 @@ def test_learning_takes_one_gradient_call_per_round(mode, monkeypatch):
     run(cfg)
     assert len(calls) == (cfg.rounds if mode == "fedhlm" else 0)
     assert all(len(args[-1]) == cfg.topology.num_clients for args in calls)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_walk_per_round(mode, monkeypatch):
+    # Every mode routes a round's escalated cells in one call.
+    calls = []
+    walk = engine.route_escalated
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(engine, "route_escalated", counted)
+    cfg = small_config(mode=mode)
+    run(cfg)
+    assert len(calls) == cfg.rounds
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_replays_from_its_own_rows(mode, monkeypatch):
+    # Entropy scoring draws nothing, so replaying a run's own SLM rows,
+    # targets and cloud rows through state.trace, in _trace_steps order,
+    # takes every decision the run took. Cells that did not escalate read no
+    # cloud row; their SLM rows stand in.
+    cfg = default_config(seed=101, mode=mode, uncertainty_kind=KIND_ENTROPY)
+    recorded, cloud_rows = [], engine._cloud_rows
+
+    def recording(state, round_index, work, escalated, rngs):
+        llm = cloud_rows(state, round_index, work, escalated, rngs)
+        recorded.append((work.slm, work.target, escalated, llm))
+        return llm
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_cloud_rows", recording)
+        report = run(cfg)
+    state = SimulationState(cfg)
+    size, v = cfg.rounds * cfg.topology.num_clients * cfg.tokens_per_client, cfg.profile.vocab.size
+    state.trace = LogitTrace(np.empty(size, np.int64), np.empty((size, v)), np.empty((size, v)))
+    for round_index, (slm, target, escalated, llm) in enumerate(recorded):
+        steps = _trace_steps(state, round_index)
+        state.trace.reference[steps], state.trace.slm[steps], state.trace.llm[steps] = target, slm, slm
+        state.trace.llm[steps[escalated]] = llm
+    for rnd in report.rounds:
+        replayed = run_round(state, rnd.round_index)
+        for name, column in rnd.outcomes._asdict().items():
+            assert bits(getattr(replayed.outcomes, name)) == bits(column), name
+        assert replayed.thresholds_local == rnd.thresholds_local
+        assert replayed.cluster_thresholds == rnd.cluster_thresholds
+        assert replayed.global_threshold == rnd.global_threshold
 
 
 def test_broadcast_thresholds_are_uniform():

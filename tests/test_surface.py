@@ -183,3 +183,33 @@ def test_the_harness_sets_up_each_gated_workload(name, monkeypatch, tmp_path):
     workload = load_harness("workloads", monkeypatch).make(name, 101, tmp_path)
     workload.setup()
     assert workload.cfg.seed == 101
+
+
+def skipped_layers(checks) -> set[str]:
+    """The layers of the reconciles the harness skipped, as their details name them."""
+    return {c.detail.split()[1] for c in checks if c.detail.startswith("skipped: ")}
+
+
+@pytest.mark.parametrize("name", ["stock", "lateral", "uhlm"])
+def test_a_traced_operation_passes_every_harness_check(name, monkeypatch, tmp_path):
+    # One traced operation per gated workload, checked and reconciled as the
+    # benchmark does, so a change that breaks a reconcile fails here first.
+    workloads = load_harness("workloads", monkeypatch)
+    layertrace = load_harness("layertrace", monkeypatch)
+    workload = workloads.make(name, 101, tmp_path)
+    workload.setup()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        result = tracer.run_op(0, workload.prepare(0))
+    finally:
+        restored = tracer.remove()
+    assert restored and result.ok, result.error
+    workload.finish_op(result)
+    checks, stats = workload.check([result])
+    layers = [layertrace.fold([tracer.take()])]
+    reconciles = workloads.reconcile(workload, layers, stats, tracer.missing)
+    assert [c.as_dict() for c in checks + reconciles if not c.ok] == []
+    # Only the layers the package no longer has go unreconciled.
+    reconciled = skipped_layers(workloads.reconcile(workload, layers, stats, [t.name for t in layertrace.TARGETS]))
+    assert skipped_layers(reconciles) == reconciled & HARNESS_GONE
