@@ -448,13 +448,8 @@ def _cloud_rows(
 
 
 def route_escalated(
-    state: SimulationState,
-    work: _Workload,
-    escalated: np.ndarray,
-    llm: np.ndarray,
-    consensus: Iterable[bool],
-    edge: Iterable[bool],
-    rngs: dict[int, np.random.Generator],
+    state: SimulationState, work: _Workload, escalated: np.ndarray, llm: np.ndarray,
+    consensus: Iterable[bool], edge: Iterable[bool], rngs: dict[int, np.random.Generator],
 ) -> RoundOutcomes:
     """Walk a round's escalated cells once, in the C order of the mask, and return the round's columns.
 

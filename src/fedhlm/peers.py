@@ -9,11 +9,12 @@ or centroids is (count, dim) rows. Every similarity is one row-wise einsum,
 pair_similarity, and every norm another, row_norms, so a pair's value does
 not depend on what else shares the call. peer_consensus and edge_validate
 decide one token; lateral_decisions takes both tiers' flags for a round's
-escalated tokens with the same arithmetic. A TokenCache holds token ids over
-the run's one embedding table, and every cache of a run shares one
-ProbeState, whose similarity bounds settle most probes without a product.
-The engine's client-round walk probes the cache first for each escalated
-token that tries the lateral tiers, before the peer and edge flags.
+escalated tokens with the same arithmetic, one of each per token. A
+TokenCache holds token ids over the run's one embedding table, and every
+cache of a run shares one ProbeState, whose similarity bounds settle most
+probes without a product. The engine's walk over a round's escalated
+tokens probes the cache first for each one that tries the lateral tiers,
+before the peer and edge flags.
 """
 
 from __future__ import annotations

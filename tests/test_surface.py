@@ -9,7 +9,8 @@ the tests alone only where TEST_ONLY lists it. Only the classes in
 DATACLASSES are dataclasses, and the cache and the hit-rate estimator take
 only their public parameters. The perfbench harness, loaded from its files
 unchanged, still finds the functions it traces and still sets its workloads
-up.
+up, and one traced operation of each gated workload passes every check and
+reconcile it makes.
 """
 
 import ast
