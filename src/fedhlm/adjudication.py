@@ -1,8 +1,8 @@
-"""Cloud-side accept/reject decision over a submitted token.
+"""The cloud's rule: its rejection probability and accept-or-resample over a submitted token.
 
 The large model plays verifier: the submitted token is kept with
-probability min(llm[t]/slm[t], 1) and otherwise replaced by a draw from the
-normalized surplus max(llm - slm, 0). Under that rule a token sampled from
+probability min(llm[t]/slm[t], 1), one minus rejection_probability, and
+otherwise replaced by a draw from the normalized surplus max(llm - slm, 0). Under that rule a token sampled from
 the small model and corrected this way is marginally distributed exactly as
 the large model would have sampled it.
 
@@ -11,21 +11,17 @@ from the generator, located in the running sum of the weights. That is the
 draw ``Generator.choice(n, p=w)`` performs internally, so it consumes
 exactly the same single uniform and returns the same token, without
 ``choice``'s re-validation of a ``p`` that is already a probability vector
-by construction. ``choice`` divides the whole running sum by its last entry
-and searches it; dividing only the entries a binary search probes gives the
-same quotients, hence the same index, in O(log n) divisions.
+by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
-from .model_source import TokenDistribution
-from .thresholds import rejection_probability
+from .model_source import PROB_FLOOR, TokenDistribution
 
 
 class Verdict(enum.Enum):
@@ -39,6 +35,24 @@ _ACCEPTED = Verdict.ACCEPTED
 _RESAMPLED = Verdict.RESAMPLED
 _sum = np.add.reduce
 _running_sum = np.add.accumulate
+
+
+def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token: int) -> float:
+    """Chance the cloud rejects the submitted token: max(1 - llm[t]/slm[t], 0).
+
+    The denominator is floored at 1e-12 so a vanishing SLM probability
+    cannot blow up the ratio.
+    """
+    # Scalar reads and comparisons rather than float()/max(): the cloud
+    # calls this once per escalated token, and the result is the same float.
+    probs = slm.probs
+    if not 0 <= token < probs.size:
+        raise ValueError(f"token {token} outside vocabulary")
+    denom = probs.item(token)
+    if denom < PROB_FLOOR:
+        denom = PROB_FLOOR
+    beta = 1.0 - llm.probs.item(token) / denom
+    return 0.0 if beta < 0.0 else beta
 
 
 class AdjudicationResult(NamedTuple):
@@ -76,8 +90,6 @@ def llm_adjudicate(
     else:
         weights /= total
     cdf = _running_sum(weights)
-    last = cdf[-1]
-    # first index whose normalized running sum exceeds the uniform, as
-    # cdf.searchsorted(u, side="right") finds it after cdf /= cdf[-1]
-    replacement = bisect_right(cdf, rng.random(), key=lambda c: c / last)
+    cdf /= cdf[-1]
+    replacement = int(cdf.searchsorted(rng.random(), side="right"))
     return AdjudicationResult(replacement, _RESAMPLED, beta)

@@ -58,9 +58,9 @@ def _float(text: str) -> float:
     return value
 
 
-def _assignment(text: str) -> dict[int, int]:
+def _assignment(text: str) -> tuple[int, ...]:
     try:
-        return dict(enumerate(int(c) for c in text.split(",")))
+        return tuple(int(c) for c in text.split(","))
     except ValueError:
         raise ValueError("expected comma-separated cluster ids") from None
 
@@ -69,9 +69,7 @@ def _assignment(text: str) -> dict[int, int]:
 KEYS: dict[str, tuple[str | None, str, Callable[[str], object], Callable[[object], str]]] = {
     "topology.num_clients": ("topology", "num_clients", _int, str),
     "topology.num_clusters": ("topology", "num_clusters", _int, str),
-    "topology.assignment": (
-        "topology", "assignment", _assignment, lambda a: ",".join(str(a[c]) for c in range(len(a)))
-    ),
+    "topology.assignment": ("topology", "assignment", _assignment, lambda a: ",".join(map(str, a))),
     "partition.dirichlet_alpha": ("partition", "dirichlet_alpha", _float, str),
     "partition.num_classes": ("partition", "num_classes", _int, str),
     "profile.vocab_size": ("profile", "vocab", lambda t: VocabSpec(_int(t)), lambda v: str(v.size)),
@@ -135,7 +133,7 @@ def _apply(cast: dict[str, object]) -> SimulationConfig:
     A topology without an assignment recomputes the contiguous one, so the
     default assignment follows a changed client or cluster count.
     """
-    fields: dict[str | None, dict[str, object]] = {"topology": {"assignment": {}}}
+    fields: dict[str | None, dict[str, object]] = {"topology": {"assignment": ()}}
     for key, value in cast.items():
         section, name, _, _ = KEYS[key]
         fields.setdefault(section, {})[name] = value

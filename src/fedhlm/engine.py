@@ -48,12 +48,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .adjudication import llm_adjudicate
 from .costs import CostModel, PHitEstimator, should_attempt_p2p
 from .federation import (
-    AllWeightsZero,
     ClusterTopology,
     PartitionSpec,
-    cluster_aggregate,
     dirichlet_partition,
-    global_aggregate,
+    hierarchical_aggregate,
     mixture_skew,
     normalized_entropy,
 )
@@ -331,8 +329,7 @@ class SimulationState:
         self.cfg = cfg
         vocab, n, profile = cfg.profile.vocab, cfg.topology.num_clients, cfg.profile
         partition_rng, profile_rng = substreams(cfg.seed, [[_TAG_PARTITION], [_TAG_PROFILES]])
-        partition = dirichlet_partition(cfg.partition, cfg.topology, partition_rng)
-        mixtures = np.stack([partition[c] for c in range(n)])
+        mixtures = dirichlet_partition(cfg.partition, cfg.topology, partition_rng)
         # As Python floats, a multiplier that overflowed to inf carries on
         # without warnings until the sharpness clamp below saturates it.
         with np.errstate(over="ignore"):
@@ -544,15 +541,9 @@ def run_round(state: SimulationState, round_index: int) -> RoundReport:
 
         # A client's weight is the number of tokens it transmitted.
         transmitted = np.count_nonzero(out.stage != _LOCAL, axis=1).tolist()
-        cluster_values: list[float] = []
-        for cluster_id, members in enumerate(state.cluster_members):
-            values = [thresholds_local[m] for m in members]
-            try:
-                cluster_values.append(cluster_aggregate(values, [transmitted[m] for m in members]))
-            except AllWeightsZero:
-                cluster_values.append(state.cluster_thresholds[cluster_id])
-        state.cluster_thresholds = cluster_values
-        state.threshold = global_aggregate(cluster_values)
+        state.cluster_thresholds, state.threshold = hierarchical_aggregate(
+            thresholds_local, transmitted, state.cluster_members, state.cluster_thresholds
+        )
 
     # fsum is exact, so the total does not depend on the order of the cells.
     return RoundReport(

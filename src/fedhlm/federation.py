@@ -3,14 +3,17 @@
 Thresholds flow upward in two stages each round: clusters average their
 members' thresholds weighted by transmitted-token counts, then the global
 value is the plain mean over clusters and is broadcast back to every client.
-Both averages use exactly-rounded summation so reordering the inputs can
-never change the result, not even in the last bit.
+A silent cluster, one whose members transmitted nothing that round, keeps
+its previous value, and that value enters the global mean. Both averages
+use exactly-rounded summation so reordering the inputs can never change the
+result, not even in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,37 +24,31 @@ class AllWeightsZero(ValueError):
 
 @dataclass(frozen=True)
 class ClusterTopology:
-    """Static assignment of clients to clusters."""
+    """Static assignment of clients to clusters: entry i of assignment is client i's cluster id. The
+    default is contiguous blocks of near-equal size, earlier clusters absorbing the remainder."""
 
     num_clients: int
     num_clusters: int
-    assignment: dict[int, int] = field(default_factory=dict)
+    assignment: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_clients < 1 or self.num_clusters < 1:
             raise ValueError("need at least one client and one cluster")
         if not self.assignment:
-            object.__setattr__(
-                self, "assignment", _contiguous_assignment(self.num_clients, self.num_clusters)
-            )
-        if set(self.assignment) != set(range(self.num_clients)):
-            raise ValueError(f"assignment must cover exactly the client ids 0..{self.num_clients - 1}")
+            blocks = np.array_split(np.arange(self.num_clients), self.num_clusters)
+            object.__setattr__(self, "assignment", tuple(c for c, block in enumerate(blocks) for _ in block))
+        if not isinstance(self.assignment, tuple) or len(self.assignment) != self.num_clients:
+            raise ValueError(f"assignment must be a tuple of {self.num_clients} cluster ids, one per client")
         if self.num_clusters > self.num_clients:
             raise ValueError("cannot have more clusters than clients")
-        seen = set(self.assignment.values())
+        seen = set(self.assignment)
         if not seen <= set(range(self.num_clusters)):
             raise ValueError("cluster ids must lie in 0..num_clusters-1")
         if len(seen) != self.num_clusters:
             raise ValueError("every cluster must be non-empty")
 
     def members(self, cluster_id: int) -> list[int]:
-        return sorted(c for c, g in self.assignment.items() if g == cluster_id)
-
-
-def _contiguous_assignment(num_clients: int, num_clusters: int) -> dict[int, int]:
-    """Contiguous blocks of near-equal size; earlier clusters absorb the remainder."""
-    blocks = np.array_split(np.arange(num_clients), num_clusters)
-    return {client: cluster for cluster, block in enumerate(blocks) for client in block.tolist()}
+        return [c for c, g in enumerate(self.assignment) if g == cluster_id]
 
 
 @dataclass(frozen=True)
@@ -73,16 +70,13 @@ class PartitionSpec:
             raise ValueError("dirichlet_alpha * num_classes overflows the mixture draw")
 
 
-def dirichlet_partition(
-    spec: PartitionSpec, topology: ClusterTopology, rng: np.random.Generator
-) -> dict[int, np.ndarray]:
-    """Per-client class mixtures drawn from a symmetric Dirichlet(alpha).
+def dirichlet_partition(spec: PartitionSpec, topology: ClusterTopology, rng: np.random.Generator) -> np.ndarray:
+    """Per-client class mixtures drawn from a symmetric Dirichlet(alpha), as a (clients, classes) array.
 
-    Each mixture is a probability vector over spec.num_classes. Clients are
+    Row i is client i's probability vector over spec.num_classes. Clients are
     drawn in id order, so an identical seed reproduces the partition exactly.
     """
-    alpha = np.full(spec.num_classes, spec.dirichlet_alpha)
-    return {client: rng.dirichlet(alpha) for client in range(topology.num_clients)}
+    return rng.dirichlet(np.full(spec.num_classes, spec.dirichlet_alpha), size=topology.num_clients)
 
 
 def normalized_entropy(p: np.ndarray) -> float:
@@ -120,3 +114,23 @@ def global_aggregate(cluster_thresholds: list[float]) -> float:
     if not cluster_thresholds:
         raise ValueError("need at least one cluster threshold")
     return math.fsum(cluster_thresholds) / len(cluster_thresholds)
+
+
+def hierarchical_aggregate(
+    thresholds: Mapping[int, float] | Sequence[float], weights: Sequence[int], clusters: Sequence[Sequence[int]],
+    previous: Sequence[float],
+) -> tuple[list[float], float]:
+    """One round's two aggregation levels: (each cluster's value, the global mean of them).
+
+    thresholds and weights hold one entry per client, clusters each
+    cluster's member ids and previous each cluster's value from the round
+    before. A silent cluster, whose members all weigh 0, keeps its previous
+    value, and that value enters the global mean.
+    """
+    cluster_values = []
+    for members, before in zip(clusters, previous):
+        try:
+            cluster_values.append(cluster_aggregate([thresholds[m] for m in members], [weights[m] for m in members]))
+        except AllWeightsZero:
+            cluster_values.append(before)
+    return cluster_values, global_aggregate(cluster_values)

@@ -3,11 +3,12 @@
 Each round a client learns from the tokens the cloud model adjudicated.
 The feedback arrives as the round's cloud tokens in client blocks: the
 uncertainty each token carried when it was sent and the rejection
-probability the cloud reported for it, client by client in token order,
-plus each client's token count. The local loss penalizes sending tokens
-the cloud was likely to accept, so its gradient only ever pushes the
-threshold upward (toward keeping more tokens on device). One projected
-SGD step runs per client per round with a 1/(1+round) learning-rate decay.
+probability the cloud reported for it (adjudication owns that rule),
+client by client in token order, plus each client's token count. The
+local loss penalizes sending tokens the cloud was likely to accept, so its
+gradient only ever pushes the threshold upward (toward keeping more tokens
+on device). One projected SGD step runs per client per round with a
+1/(1+round) learning-rate decay.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model_source import PROB_FLOOR, TokenDistribution
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -33,24 +31,6 @@ class LearnerConfig:
             raise ValueError("lam must be nonnegative")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
-
-
-def rejection_probability(slm: TokenDistribution, llm: TokenDistribution, token: int) -> float:
-    """Chance the cloud rejects the submitted token: max(1 - llm[t]/slm[t], 0).
-
-    The denominator is floored at 1e-12 so a vanishing SLM probability
-    cannot blow up the ratio.
-    """
-    # Scalar reads and comparisons rather than float()/max(): the cloud
-    # calls this once per escalated token, and the result is the same float.
-    probs = slm.probs
-    if not 0 <= token < probs.size:
-        raise ValueError(f"token {token} outside vocabulary")
-    denom = probs.item(token)
-    if denom < PROB_FLOOR:
-        denom = PROB_FLOOR
-    beta = 1.0 - llm.probs.item(token) / denom
-    return 0.0 if beta < 0.0 else beta
 
 
 def _weights(betas: np.ndarray, lam: float) -> np.ndarray:

@@ -9,7 +9,8 @@ deterministic.
 
 The stock-size runs that acceptance criteria 4, 5, 6, 9 and 10 and the
 baseline and heterogeneity demos all read are session fixtures, so each is
-run once per session.
+run once per session. So are the stock runs at seeds 1-10 that the
+criteria's companions over seeds and the silent-cluster count read.
 
 `one_token_round` runs one gated round on a single client holding a single
 replayed trace row, so a test can set the threshold against the row's score.
@@ -46,9 +47,12 @@ _CRITERION_LINES: list[str] = []
 # The Dirichlet alphas of criterion 5 and the heterogeneity demo; 10 is the stock default.
 ALPHAS = (10.0, 1.0, 0.1)
 
+# The seeds of the companion tests that check a claim over seeds rather than at one.
+SEEDS = range(1, 11)
 
-def with_alpha(alpha: float) -> SimulationConfig:
-    cfg = default_config()
+
+def with_alpha(alpha: float, seed: int = 42) -> SimulationConfig:
+    cfg = default_config(seed=seed)
     return replace(cfg, partition=replace(cfg.partition, dirichlet_alpha=alpha))
 
 
@@ -68,6 +72,12 @@ def alpha_reports(stock_runs) -> dict[float, SimulationReport]:
     """The stock config at each of ALPHAS; the stock `fedhlm` run stands for its own alpha."""
     stock = stock_runs["fedhlm"][0]
     return {alpha: stock if with_alpha(alpha) == stock.config else run(with_alpha(alpha)) for alpha in ALPHAS}
+
+
+@pytest.fixture(scope="session")
+def seed_runs() -> dict[int, SimulationReport]:
+    """The stock config at each of SEEDS: seed -> report."""
+    return {seed: run(default_config(seed=seed)) for seed in SEEDS}
 
 
 @pytest.fixture

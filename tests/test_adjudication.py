@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fedhlm.adjudication import AdjudicationResult, Verdict, llm_adjudicate
+from fedhlm.adjudication import AdjudicationResult, Verdict, llm_adjudicate, rejection_probability
 from fedhlm.model_source import TokenDistribution
-from fedhlm.thresholds import rejection_probability
 
 
 def dist(*probs: float) -> TokenDistribution:

@@ -271,7 +271,7 @@ def test_custom_assignment_roundtrip():
         ]
     )
     cfg = parse_config_text(text)
-    assert cfg.topology.assignment == {0: 1, 1: 0, 2: 1, 3: 0}
+    assert cfg.topology.assignment == (1, 0, 1, 0)
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 

@@ -94,8 +94,7 @@ def seed_stream(seed: int, *path: int) -> np.random.Generator:
 
 def client_mixtures(cfg: SimulationConfig) -> list[np.ndarray]:
     """Each client's class mixture, redrawn on the run's partition stream."""
-    partition = dirichlet_partition(cfg.partition, cfg.topology, seed_stream(cfg.seed, _TAG_PARTITION))
-    return [partition[c] for c in range(cfg.topology.num_clients)]
+    return list(dirichlet_partition(cfg.partition, cfg.topology, seed_stream(cfg.seed, _TAG_PARTITION)))
 
 
 def crafted_pair(cfg: SimulationConfig, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +149,7 @@ def test_class_draw_matches_generator_choice(classes, monkeypatch):
     mixtures[gen.random(mixtures.shape) < 0.3] = 0.0
     mixtures[~mixtures.any(axis=1), -1] = 1.0
     mixtures /= mixtures.sum(axis=1, keepdims=True)
-    monkeypatch.setattr(engine, "dirichlet_partition", lambda spec, topology, rng: dict(enumerate(mixtures)))
+    monkeypatch.setattr(engine, "dirichlet_partition", lambda spec, topology, rng: mixtures)
     cfg = small_config(
         topology=ClusterTopology(num_clients=len(mixtures), num_clusters=1),
         profile=ModelProfile(vocab=VocabSpec(2 * classes + 1)),
@@ -823,13 +822,11 @@ def test_one_walk_per_round(mode, monkeypatch):
     assert len(calls) == cfg.rounds
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_run_replays_from_its_own_rows(mode, monkeypatch):
-    # Entropy scoring draws nothing, so replaying a run's own SLM rows,
-    # targets and cloud rows through state.trace, in _trace_steps order,
-    # takes every decision the run took. Cells that did not escalate read no
-    # cloud row; their SLM rows stand in.
-    cfg = default_config(seed=101, mode=mode, uncertainty_kind=KIND_ENTROPY)
+def assert_replays_from_its_own_rows(cfg: SimulationConfig) -> None:
+    """Entropy scoring draws nothing, so replaying a run's own SLM rows,
+    targets and cloud rows through state.trace, in _trace_steps order,
+    takes every decision the run took. Cells that did not escalate read no
+    cloud row; their SLM rows stand in."""
     recorded, cloud_rows = [], engine._cloud_rows
 
     def recording(state, round_index, work, escalated, rngs):
@@ -837,7 +834,7 @@ def test_a_run_replays_from_its_own_rows(mode, monkeypatch):
         recorded.append((work.slm, work.target, escalated, llm))
         return llm
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_cloud_rows", recording)
         report = run(cfg)
     state = SimulationState(cfg)
@@ -854,6 +851,17 @@ def test_a_run_replays_from_its_own_rows(mode, monkeypatch):
         assert replayed.thresholds_local == rnd.thresholds_local
         assert replayed.cluster_thresholds == rnd.cluster_thresholds
         assert replayed.global_threshold == rnd.global_threshold
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_replays_from_its_own_rows(mode):
+    assert_replays_from_its_own_rows(default_config(seed=101, mode=mode, uncertainty_kind=KIND_ENTROPY))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(tiny_configs())
+def test_a_generated_run_replays_from_its_own_rows(mode, cfg):
+    assert_replays_from_its_own_rows(replace(cfg, mode=mode, uncertainty_kind=KIND_ENTROPY))
 
 
 def test_broadcast_thresholds_are_uniform():
@@ -979,6 +987,25 @@ def test_aggregation_reports_align_with_rounds():
         assert rnd.global_threshold == pytest.approx(
             math.fsum(rnd.cluster_thresholds) / len(rnd.cluster_thresholds)
         )
+
+
+def test_silent_clusters_as_readme_counts_them(stock_runs, seed_runs):
+    # README: a cluster whose members transmitted nothing that round keeps
+    # its last value; at stock settings that is 57 of the 120 cluster-rounds
+    # at seed 42 and 100 of 120 at seed 7. Recounted from the stage columns
+    # and the topology's members.
+    for report, want in ((stock_runs["fedhlm"][0], 57), (seed_runs[7], 100)):
+        topo = report.config.topology
+        clusters = [topo.members(c) for c in range(topo.num_clusters)]
+        before, silent = (report.config.initial_threshold,) * len(clusters), 0
+        for rnd in report.rounds:
+            sent = np.count_nonzero(rnd.outcomes.stage != STAGES.index(Stage.LOCAL), axis=1)
+            for members, prev, value in zip(clusters, before, rnd.cluster_thresholds):
+                if not sent[members].any():
+                    silent += 1
+                    assert value == prev
+            before = rnd.cluster_thresholds
+        assert (report.config.seed, silent, len(report.rounds) * len(clusters)) == (report.config.seed, want, 120)
 
 
 class ListEstimator:

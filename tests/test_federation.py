@@ -16,6 +16,7 @@ from fedhlm.federation import (
     cluster_aggregate,
     dirichlet_partition,
     global_aggregate,
+    hierarchical_aggregate,
     mixture_skew,
     normalized_entropy,
 )
@@ -23,7 +24,7 @@ from fedhlm.federation import (
 
 def test_contiguous_default_assignment():
     topo = ClusterTopology(num_clients=6, num_clusters=3)
-    assert topo.assignment == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
+    assert topo.assignment == (0, 0, 1, 1, 2, 2)
     assert topo.members(1) == [2, 3]
 
 
@@ -39,11 +40,16 @@ def test_topology_validation():
         ClusterTopology(num_clients=0, num_clusters=1)
     with pytest.raises(ValueError):
         ClusterTopology(num_clients=4, num_clusters=5)
-    with pytest.raises(ValueError):
-        ClusterTopology(num_clients=2, num_clusters=2, assignment={0: 0, 1: 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0..num_clusters-1"):
+        ClusterTopology(num_clients=2, num_clusters=2, assignment=(0, 3))
+    with pytest.raises(ValueError, match="non-empty"):
         # cluster 1 left empty
-        ClusterTopology(num_clients=2, num_clusters=2, assignment={0: 0, 1: 0})
+        ClusterTopology(num_clients=2, num_clusters=2, assignment=(0, 0))
+    with pytest.raises(ValueError, match="one per client"):
+        # a dict would otherwise be read as its keys
+        ClusterTopology(num_clients=2, num_clusters=2, assignment={0: 1, 1: 0})
+    with pytest.raises(ValueError, match="one per client"):
+        ClusterTopology(num_clients=3, num_clusters=2, assignment=(0, 1))
 
 
 def test_partition_spec_validation():
@@ -58,11 +64,25 @@ def test_dirichlet_partition_shapes_and_determinism():
     topo = ClusterTopology(num_clients=5, num_clusters=1)
     first = dirichlet_partition(spec, topo, np.random.default_rng(21))
     second = dirichlet_partition(spec, topo, np.random.default_rng(21))
-    assert set(first) == set(range(5))
-    for client, mixture in first.items():
-        assert mixture.shape == (8,)
+    assert first.shape == (5, 8)
+    for client, mixture in enumerate(first):
         assert abs(float(mixture.sum()) - 1.0) <= 1e-9
         assert np.array_equal(mixture, second[client])
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.09, 0.5, 1.0, 10.0])
+@pytest.mark.parametrize("classes", [1, 2, 7])
+def test_dirichlet_partition_is_one_draw_per_client(alpha, classes):
+    # row for row, and the generator left in the same state, as drawing each
+    # client's mixture on its own (alpha below 0.1 takes numpy's other
+    # Dirichlet algorithm)
+    spec, topo = PartitionSpec(dirichlet_alpha=alpha, num_classes=classes), ClusterTopology(9, 3)
+    ours, ref = np.random.default_rng([classes, 5]), np.random.default_rng([classes, 5])
+    mixtures = dirichlet_partition(spec, topo, ours)
+    want = [ref.dirichlet(np.full(classes, alpha)) for _ in range(topo.num_clients)]
+    assert mixtures.shape == (9, classes)
+    assert [row.tobytes() for row in mixtures] == [row.tobytes() for row in want]
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_single_client_partition():
@@ -170,3 +190,45 @@ def test_global_aggregate_matches_exact_rational_mean():
         values = [rng.random() for _ in range(rng.randint(1, 9))]
         exact = sum(Fraction(v) for v in values) / len(values)
         assert abs(global_aggregate(values) - float(exact)) <= 1e-12
+
+
+def aggregate_by_former_loop(thresholds, weights, clusters, previous):
+    """The engine's aggregation as it was written before hierarchical_aggregate."""
+    cluster_values = []
+    for cluster_id, members in enumerate(clusters):
+        values = [thresholds[m] for m in members]
+        try:
+            cluster_values.append(cluster_aggregate(values, [weights[m] for m in members]))
+        except AllWeightsZero:
+            cluster_values.append(previous[cluster_id])
+    return cluster_values, global_aggregate(cluster_values)
+
+
+@st.composite
+def aggregation_rounds(draw):
+    """A topology's clusters, with per-client thresholds and weights (zeros common) and previous values."""
+    clients = draw(st.integers(1, 12))
+    clusters = draw(st.integers(1, clients))
+    ids = list(range(clusters)) + draw(st.lists(st.integers(0, clusters - 1), min_size=clients - clusters,
+                                                 max_size=clients - clusters))
+    topo = ClusterTopology(clients, clusters, tuple(draw(st.permutations(ids))))
+    unit = st.floats(0.0, 1.0)
+    thresholds = dict(enumerate(draw(st.lists(unit, min_size=clients, max_size=clients))))
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=clients, max_size=clients))
+    previous = draw(st.lists(unit, min_size=clusters, max_size=clusters))
+    return thresholds, weights, [topo.members(c) for c in range(clusters)], previous
+
+
+@given(aggregation_rounds())
+@example(({0: 0.25, 1: 0.75}, [0, 0], [[0, 1]], [0.5]))  # one silent cluster
+@example(({0: 0.1, 1: 0.2, 2: 0.3}, [0, 4, 0], [[0], [1, 2]], [0.9, 0.4]))
+def test_hierarchical_aggregate_matches_the_former_loop(case):
+    thresholds, weights, clusters, previous = case
+    values, value = hierarchical_aggregate(thresholds, weights, clusters, previous)
+    want_values, want = aggregate_by_former_loop(thresholds, weights, clusters, previous)
+    assert np.array(values).tobytes() == np.array(want_values).tobytes()
+    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+    # a silent cluster keeps its previous value, and that value enters the global mean
+    for members, before, got in zip(clusters, previous, values):
+        if not any(weights[m] for m in members):
+            assert got == before

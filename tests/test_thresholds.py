@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fedhlm.adjudication import rejection_probability
 from fedhlm.model_source import TokenDistribution
 from fedhlm.thresholds import (
     LearnerConfig,
     local_loss,
     loss_gradient,
     lr_schedule,
-    rejection_probability,
     sgd_step,
 )
 
