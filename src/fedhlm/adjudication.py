@@ -1,8 +1,8 @@
 """The cloud's rule: its rejection probability and accept-or-resample over a submitted token.
 
 The large model plays verifier: the submitted token is kept with
-probability min(llm[t]/slm[t], 1), one minus rejection_probability, and
-otherwise replaced by a draw from the normalized surplus max(llm - slm, 0). Under that rule a token sampled from
+probability min(llm[t]/slm[t], 1) and otherwise replaced by a draw from the
+normalized surplus max(llm - slm, 0). Under that rule a token sampled from
 the small model and corrected this way is marginally distributed exactly as
 the large model would have sampled it.
 

@@ -117,12 +117,12 @@ def global_aggregate(cluster_thresholds: list[float]) -> float:
 
 
 def hierarchical_aggregate(
-    thresholds: Mapping[int, float] | Sequence[float], weights: Sequence[int], clusters: Sequence[Sequence[int]],
+    thresholds: Mapping[int, float], weights: Sequence[int], clusters: Sequence[Sequence[int]],
     previous: Sequence[float],
 ) -> tuple[list[float], float]:
     """One round's two aggregation levels: (each cluster's value, the global mean of them).
 
-    thresholds and weights hold one entry per client, clusters each
+    thresholds and weights hold one entry per client id, clusters each
     cluster's member ids and previous each cluster's value from the round
     before. A silent cluster, whose members all weigh 0, keeps its previous
     value, and that value enters the global mean.

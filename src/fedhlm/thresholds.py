@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 @dataclass(frozen=True)
 class LearnerConfig:
     gamma: float = 10.0

@@ -204,10 +204,10 @@ def test_criterion_5_paired_over_seeds(seed_runs):
     # window of ten seeds gave a smallest t of at least 3.1; seeds 1-10 give
     # 4.8 (local share, alpha 10 against 1), and the other three steps 7.0
     # and over.
-    fractions = {
-        seed: [_stage_fractions(report if alpha == 10.0 else run(with_alpha(alpha, seed))) for alpha in ALPHAS]
-        for seed, report in seed_runs.items()
-    }
+    fractions = {}
+    for seed, report in seed_runs.items():
+        configs = [with_alpha(alpha, seed) for alpha in ALPHAS]
+        fractions[seed] = [_stage_fractions(report if cfg == report.config else run(cfg)) for cfg in configs]
     worst, details = math.inf, []
     for hi in range(len(ALPHAS) - 1):
         for kind, sign in ((0, 1), (1, -1)):
