@@ -17,9 +17,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engine
-from .config import ConfigError, InvalidValue, _float, config_to_text, parse_config
+from .config import _float, config_to_text, parse_config
 from .costs import cache_hit_curve, expected_cost, should_attempt_p2p
-from .engine import MODE_FEDHLM, MODE_RAND, MODE_UHLM, ConfigInvalid, default_config
+from .engine import MODE_FEDHLM, MODE_RAND, MODE_UHLM, InvalidValue, default_config
 from .reporting import compute_trr, emit_metrics_csv, emit_trace, summarize
 
 
@@ -64,7 +64,7 @@ def _load_config(args: argparse.Namespace) -> engine.SimulationConfig:
     if getattr(args, "seed", None) is not None:
         try:
             cfg = replace(cfg, seed=args.seed)
-        except ConfigInvalid as exc:
+        except ValueError as exc:
             raise InvalidValue("--seed", str(exc)) from None
     if getattr(args, "mode", None) is not None:
         cfg = replace(cfg, mode=args.mode)
@@ -104,7 +104,7 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.alphas is not None and args.cost_ratios is not None:
-        raise InvalidValue("sweep", "pass either --alphas or --cost-ratios, not both")
+        raise InvalidValue("--cost-ratios", "pass either --alphas or --cost-ratios, not both")
 
     if args.cost_ratios is not None:
         flag, label = "--cost-ratios", "cost_ratio"
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ConfigInvalid) as exc:
+    except InvalidValue as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -23,22 +23,8 @@ from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import SimulationConfig, default_config
+from .engine import InvalidValue, SimulationConfig, default_config
 from .model_source import VocabSpec
-
-
-class ConfigError(ValueError):
-    """Base class for configuration failures."""
-
-
-class MissingFile(ConfigError):
-    pass
-
-
-class InvalidValue(ConfigError):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-        self.key = key
 
 
 def _int(text: str) -> int:
@@ -172,11 +158,11 @@ def parse_config(path: str | Path) -> SimulationConfig:
     defaults."""
     path = Path(path)
     if not path.is_file():
-        raise MissingFile(f"configuration file not found: {path}")
+        raise InvalidValue(str(path), "configuration file not found")
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"configuration file {path} is not UTF-8: {exc}") from None
+        raise InvalidValue(str(path), f"configuration file is not UTF-8: {exc}") from None
     return parse_config_text(text)
 
 

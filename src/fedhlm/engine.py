@@ -17,11 +17,11 @@ edge decisions depend only on the round's predicted tokens, so
 peers.lateral_decisions takes them once per round, one of each per
 escalated token in that same order. The `uhlm` (static threshold) and
 `rand` (coin flip) baselines differ only in the gate and send every
-escalated token straight to the cloud. A round's outcomes are kept as (clients, T) columns. Every client
-gates a round on the same threshold, which the state holds once: the
-initial threshold, which only `fedhlm` mode moves, and there the last
-broadcast. There the cloud's
-feedback drives one threshold-learning step per client per round, and the
+escalated token straight to the cloud. A round's outcomes are kept as
+(clients, T) columns. Every client gates a round on the same threshold,
+which the state holds once: the initial threshold, which only `fedhlm`
+mode moves, and there the last broadcast. There the cloud's feedback
+drives one threshold-learning step per client per round, and the
 cluster-weighted and global averages of those steps become the next
 round's threshold.
 
@@ -95,8 +95,12 @@ _TAG_COIN = 5
 MAX_CELLS = 2**24
 
 
-class ConfigInvalid(ValueError):
-    """Simulation configuration violates a cross-field constraint."""
+class InvalidValue(ValueError):
+    """A configuration value that cannot run, named by its key, flag or file."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+        self.key = key
 
 
 class Stage(enum.Enum):
@@ -137,33 +141,33 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
-            raise ConfigInvalid("rounds must be >= 1")
+            raise ValueError("rounds must be >= 1")
         if self.tokens_per_client < 1:
-            raise ConfigInvalid("tokens_per_client must be >= 1")
+            raise ValueError("tokens_per_client must be >= 1")
         if not 0.0 <= self.initial_threshold <= 1.0:
-            raise ConfigInvalid("initial_threshold must lie in [0, 1]")
+            raise ValueError("initial_threshold must lie in [0, 1]")
         if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
+            raise ValueError("seed must be >= 0")
         if self.mode not in MODES:
-            raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.p_offload <= 1.0:
-            raise ConfigInvalid("p_offload must lie in [0, 1]")
+            raise ValueError("p_offload must lie in [0, 1]")
         if self.uncertainty_kind not in (KIND_DISAGREEMENT, KIND_ENTROPY):
-            raise ConfigInvalid("uncertainty_kind must be 'disagreement' or 'entropy'")
+            raise ValueError("uncertainty_kind must be 'disagreement' or 'entropy'")
         if self.cache_capacity < 1:
-            raise ConfigInvalid("cache_capacity must be >= 1")
+            raise ValueError("cache_capacity must be >= 1")
         if self.heterogeneity < 0 or self.skew_sharpness_coupling < 0 or self.skew_agreement_coupling < 0:
-            raise ConfigInvalid("heterogeneity and coupling strengths must be >= 0")
+            raise ValueError("heterogeneity and coupling strengths must be >= 0")
         if self.confusion_scale < 0:
-            raise ConfigInvalid("confusion_scale must be >= 0")
+            raise ValueError("confusion_scale must be >= 0")
         if self.zipf_exponent < 0:
-            raise ConfigInvalid("zipf_exponent must be >= 0")
+            raise ValueError("zipf_exponent must be >= 0")
         if self.partition.num_classes > self.profile.vocab.size:
-            raise ConfigInvalid("num_classes cannot exceed the vocabulary size")
+            raise ValueError("num_classes cannot exceed the vocabulary size")
         if lr_schedule(self.learner.eta0, self.rounds - 1) == 0.0:
-            raise ConfigInvalid("eta0 underflows to a zero learning rate by the last round")
+            raise ValueError("eta0 underflows to a zero learning rate by the last round")
         if self.trace_path is not None and not Path(self.trace_path).is_file():
-            raise ConfigInvalid(f"trace file not found: {self.trace_path}")
+            raise ValueError(f"trace file not found: {self.trace_path}")
         clients, vocab, dim = self.topology.num_clients, self.profile.vocab.size, self.peer.embedding_dim
         tokens = self.rounds * clients * self.tokens_per_client
         held = max(
@@ -172,11 +176,11 @@ class SimulationConfig:
             clients * self.tokens_per_client * self.sampler.num_samples, tokens, 5 * min(vocab, tokens),
         )
         if held > MAX_CELLS:
-            raise ConfigInvalid(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
+            raise ValueError(f"the run would hold {held} cells at once, over the ceiling of {MAX_CELLS}")
         # No token is charged more than c_p2p + c_llm, so this bound keeps
         # every cost total finite. Comparing the int with a float is exact.
         if tokens > sys.float_info.max / (self.cost.c_p2p + self.cost.c_llm):
-            raise ConfigInvalid("c_p2p + c_llm per token overflows the run's total cost")
+            raise ValueError("c_p2p + c_llm per token overflows the run's total cost")
 
 
 def default_config(**overrides) -> SimulationConfig:
@@ -260,14 +264,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_pool(words: tuple[int, int, int, int]) -> np.ndarray:
-    """SeedSequence's pool after it mixes the seed's first four words, the start of every path's entropy."""
-    consts = _powers(_INIT_A, _MULT_A, 16)
-    pool = _hashmix(np.array(words, np.uint32), consts, 0, 4)
-    for src in range(4):
-        # Each pool word mixes into the other three, each with its own constant.
-        others = [dst for dst in range(4) if dst != src]
-        pool[others] = _mix(pool[others], _hashmix(pool[src], consts, 4 + 3 * src, 3))
+def _seed_pool(seed: int) -> np.ndarray:
+    """SeedSequence's pool after it mixes the seed's words, the start of every path's entropy."""
+    pool = np.random.SeedSequence(seed).pool
     pool.setflags(write=False)
     return pool
 
@@ -287,18 +286,17 @@ def substreams(seed: int, paths: np.ndarray) -> list[np.random.Generator]:
     """Independent generators, one per named lane of the run's randomness: the default_rng of
     SeedSequence(entropy=seed, spawn_key=path) for each row of paths, (n, k) ints in [0, 2**32), k >= 1.
 
-    SeedSequence hashes the seed's little-endian uint32 words, padded with
-    zeros to four, then the path's words; that hash runs here once over all
-    the paths in uint32 arithmetic. The first four words fill the pool, and
-    any further words (a seed of 2**128 or more) mix in before the path's.
+    SeedSequence(seed).pool holds the seed's words already mixed, and each
+    path word mixes in after them with its next four hash constants (each
+    seed word past the fourth, in a seed of 2**128 or more, used four). That
+    hash runs here once over all the paths in uint32 arithmetic.
     """
-    paths = np.asarray(paths)
-    words = np.frombuffer(seed.to_bytes(4 * max(4, -(-seed.bit_length() // 32)), "little"), "<u4")
-    columns = [*words[4:, None], *paths.astype(np.uint32).T]
-    consts = _powers(_INIT_A, _MULT_A, 16 + 4 * len(columns))
-    pool = _seed_pool(tuple(words[:4].tolist()))
-    for j, word in enumerate(columns):
-        pool = _mix(pool, _hashmix(word[:, None], consts, 16 + 4 * j, 4))
+    paths = np.asarray(paths).astype(np.uint32)
+    first = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
+    consts = _powers(_INIT_A, _MULT_A, first + 4 * paths.shape[1])
+    pool = _seed_pool(seed)
+    for j, word in enumerate(paths.T):
+        pool = _mix(pool, _hashmix(word[:, None], consts, first + 4 * j, 4))
     # generate_state(4, np.uint64) mixes the pool, cycled to 8 words, as hashmix does, with its own constants.
     consts = _powers(_INIT_B, _MULT_B, 8)
     state = _hashmix(np.tile(pool, 2), consts, 0, 8)
@@ -373,9 +371,9 @@ class SimulationState:
             try:
                 self.trace = load_logit_trace(cfg.trace_path, vocab)
             except (OSError, ValueError) as exc:
-                raise ConfigInvalid(f"trace file {cfg.trace_path}: {exc}") from None
+                raise InvalidValue("run.trace_path", f"{cfg.trace_path}: {exc}") from None
             if not len(self.trace.reference):
-                raise ConfigInvalid("trace file contains no steps")
+                raise InvalidValue("run.trace_path", f"{cfg.trace_path}: contains no steps")
 
         # Every client gates on this one threshold; only `fedhlm` mode moves it.
         self.threshold = cfg.initial_threshold

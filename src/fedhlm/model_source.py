@@ -68,10 +68,6 @@ class TokenDistribution:
         if not abs(float(p.sum()) - 1.0) <= NORMALIZATION_ATOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
 
-    @property
-    def size(self) -> int:
-        return int(self.probs.size)
-
 
 @dataclass(frozen=True)
 class ModelProfile:
@@ -172,12 +168,15 @@ def gen_distribution_rows(
     SLM row t peaks on modes[t]. Its LLM row shares that mode with
     probability profile.agreement * slm_top_prob ** profile.confidence_coupling,
     so the two models disagree most on exactly the tokens the small model is
-    itself unsure about. With confidence_coupling = 0 the agreement rate is
-    the constant profile.agreement. Disagreeing rows use a uniformly chosen
+    itself unsure about. At stock settings that holds only weakly: the top
+    probability's median is 0.995, so the rate barely varies, and the score's
+    AUC for a disagreement is 0.525 (README, "What the simulator
+    reproduces"). With confidence_coupling = 0 the agreement rate is the
+    constant profile.agreement. Disagreeing rows use a uniformly chosen
     different mode for the LLM. The draws come in this order: the SLM rows,
-    the agreement uniforms, the disagreeing modes, the LLM rows. Every row
-    is floored at PROB_FLOOR, sums to 1 within NORMALIZATION_ATOL and holds
-    its maximum at its mode.
+    the agreement uniforms, the disagreeing modes, the LLM rows. Every row is
+    floored at PROB_FLOOR, sums to 1 within NORMALIZATION_ATOL and holds its
+    maximum at its mode.
     """
     v = profile.vocab.size
     modes = np.asarray(modes, dtype=np.int64)

@@ -7,7 +7,9 @@ probability the cloud reported for it (adjudication owns that rule),
 client by client in token order, plus each client's token count. The
 local loss penalizes sending tokens the cloud was likely to accept, so its
 gradient only ever pushes the threshold upward (toward keeping more tokens
-on device). One projected SGD step runs per client per round with a
+on device). No term counts a wrong local token, so at stock settings the
+learned gate is only 0.13 points more accurate than keeping every token
+local (README). One projected SGD step runs per client per round with a
 1/(1+round) learning-rate decay.
 """
 

@@ -115,7 +115,7 @@ def _choice_adjudicate(slm, llm, token, rng):
     residual = np.maximum(llm.probs - slm.probs, 0.0)
     total = float(residual.sum())
     p = llm.probs if total <= 0.0 else residual / total
-    return AdjudicationResult(int(rng.choice(llm.size, p=p)), Verdict.RESAMPLED, beta)
+    return AdjudicationResult(int(rng.choice(llm.probs.size, p=p)), Verdict.RESAMPLED, beta)
 
 
 @pytest.mark.parametrize("vocab", [2, 3, 5, 12, 64, 257, 1000, 1999])

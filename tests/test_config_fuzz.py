@@ -16,8 +16,9 @@ it accepts must run, and then:
 - the config survives config_to_text and parse_config_text unchanged;
 - a second run writes byte-identical metrics.csv and trace.jsonl.
 
-A run may stop with ConfigInvalid only when it replays a trace file whose
-contents do not fit the config, since the file is read when the run starts.
+A run may stop only with InvalidValue naming run.trace_path, and only when
+it replays a trace file whose contents do not fit the config, since the
+file is read when the run starts.
 """
 
 import json
@@ -31,7 +32,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from fedhlm.config import KEYS, InvalidValue, config_to_text, parse_config_text
-from fedhlm.engine import ConfigInvalid, Stage, run
+from fedhlm.engine import Stage, run
 from fedhlm.model_source import (
     LogitTrace,
     ModelProfile,
@@ -159,8 +160,8 @@ def test_accepted_configs_run_and_keep_their_invariants(text, trace_dir):
 
     try:
         report = run(cfg)
-    except ConfigInvalid:
-        assert cfg.trace_path is not None
+    except InvalidValue as exc:
+        assert exc.key == "run.trace_path" and cfg.trace_path is not None, str(exc)
         event("trace rejected")
         return
     event("ran")

@@ -16,7 +16,6 @@ from fedhlm.cli import main
 from fedhlm.config import (
     KEYS,
     InvalidValue,
-    MissingFile,
     config_to_text,
     parse_config,
     parse_config_text,
@@ -225,8 +224,9 @@ def test_non_finite_numbers_name_the_key():
 
 
 def test_missing_file_raises():
-    with pytest.raises(MissingFile):
+    with pytest.raises(InvalidValue, match="configuration file not found") as err:
         parse_config("/nonexistent/fedhlm.conf")
+    assert err.value.key == "/nonexistent/fedhlm.conf"
 
 
 def test_parse_config_reads_file(tmp_path):
@@ -511,7 +511,7 @@ def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     conf.write_bytes(b"run.rounds = 2\n\xff\n")
     assert main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and str(conf) in err
+    assert err.startswith(f"configuration error: {conf}: ") and "not UTF-8" in err
 
 
 def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
@@ -543,12 +543,32 @@ def test_cli_bad_flag_values_exit_2_naming_the_flag(argv, capsys):
     assert capsys.readouterr().err.startswith(f"configuration error: {argv[1]}: ")
 
 
-def test_cli_malformed_trace_exits_2(tmp_path):
+def _run_on_trace(tmp_path, contents: str) -> int:
     trace = tmp_path / "bad.trace"
-    trace.write_text("# vocab=32\n1,0.5,0.5\n", encoding="utf-8")
+    trace.write_text(contents, encoding="utf-8")
     conf = tmp_path / "trace.conf"
     conf.write_text(TINY_TEXT + f"\nrun.trace_path = {trace}\n", encoding="utf-8")
-    assert main(["run", "--config", str(conf)]) == 2
+    return main(["run", "--config", str(conf)])
+
+
+def test_cli_malformed_trace_exits_2(tmp_path, capsys):
+    assert _run_on_trace(tmp_path, "# vocab=32\n1,0.5,0.5\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: run.trace_path: "), err
+    assert str(tmp_path / "bad.trace") in err and "line 2" in err
+
+
+def test_cli_trace_without_steps_exits_2_naming_the_key(tmp_path, capsys):
+    assert _run_on_trace(tmp_path, "# vocab=32\n# no rows\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: run.trace_path: {tmp_path / 'bad.trace'}: "), err
+    assert "no steps" in err
+
+
+def test_cli_missing_config_exits_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.conf"
+    assert main(["run", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {missing}: configuration file not found")
 
 
 def test_cli_sweep_writes_grid(tmp_path):
@@ -563,9 +583,10 @@ def test_cli_sweep_writes_grid(tmp_path):
     assert (out / "alpha_0.5" / "metrics.csv").is_file()
 
 
-def test_cli_sweep_rejects_two_grids(tmp_path):
+def test_cli_sweep_rejects_two_grids(tmp_path, capsys):
     conf = _write_tiny(tmp_path)
     assert main(["sweep", "--config", str(conf), "--alphas", "1.0", "--cost-ratios", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --cost-ratios: ")
 
 
 def test_cli_cost_tables(tmp_path):

@@ -23,7 +23,6 @@ from fedhlm.engine import (
     MODES,
     STAGES,
     ClientMetrics,
-    ConfigInvalid,
     RoundOutcomes,
     SimulationConfig,
     SimulationState,
@@ -285,13 +284,13 @@ def test_round_block_matches_per_client_reference(case):
 
 def test_config_validation_errors():
     topo = ClusterTopology(num_clients=4, num_clusters=2)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
         SimulationConfig(topology=topo, rounds=0)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match="mode must be one of"):
         SimulationConfig(topology=topo, mode="nope")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match=r"initial_threshold must lie in \[0, 1\]"):
         SimulationConfig(topology=topo, initial_threshold=1.5)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match="cache_capacity must be >= 1"):
         SimulationConfig(topology=topo, cache_capacity=0)
 
 

@@ -40,7 +40,7 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         TokenDistribution(np.array([0.5, 0.6]))
     dist = TokenDistribution(np.array([0.25, 0.75]))
-    assert dist.size == 2
+    assert dist.probs.size == 2
 
 
 def test_vocab_spec_rejects_degenerate_sizes():
