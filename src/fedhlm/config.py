@@ -101,7 +101,7 @@ def _parse_lines(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InvalidValue(f"line {line_no}", f"expected key = value, got {line!r}")
+            raise InvalidValue(line, f"line {line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()

@@ -97,8 +97,9 @@ def test_keys_that_did_nothing_are_unknown():
 
 
 def test_malformed_line_rejected():
-    with pytest.raises(InvalidValue):
-        parse_config_text("this is not a key value pair")
+    with pytest.raises(InvalidValue, match="line 2: expected key = value") as err:
+        parse_config_text("run.rounds = 2\n  this is not a key value pair\n")
+    assert err.value.key == "this is not a key value pair"
 
 
 def test_type_errors_name_the_key():
