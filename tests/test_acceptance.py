@@ -393,7 +393,7 @@ def test_criterion_11_transmissions_and_accuracy(seed_runs):
     # thresholds: 1 keeps every token local, and 0 sends every token whose
     # score is above 0 (72% of them over seeds 1-10; a score of exactly 0
     # never escalates). Sending every token to the cloud (`rand` with
-    # p_offload 1) reached 0.9995 in scratch. Only the transmission half
+    # p_offload 1) reaches 0.9995 (README). Only the transmission half
     # of the claim holds. Over seeds 1-20 every TRR was at least 0.986, the
     # accuracies kept this order on every seed (the smallest step, fedhlm
     # over all-local, was 0.0007), and the score's AUC for "SLM mode !=
